@@ -6,7 +6,13 @@ Run it from the root of a checkout. Each operation is one fresh
 `python -m cfkit ...` process with `src` on PYTHONPATH; the next starts
 when it exits. Passes over the workload's operation list repeat until
 `--seconds` have gone by and, untraced, at least three passes are done;
-times are each operation's median over passes. Afterwards every output is
+times are each operation's median over passes. Every time is
+host-normalised: between operations a fixed pure-Python kernel, which does
+not touch cfkit, is timed in this process, and each operation's seconds are
+scaled by REF_SECONDS / (the kernel's median time around it). A shared host
+whose speed swings by tens of percent then reads about the same, while a
+change to cfkit moves the figures as much as it moves raw seconds.
+Afterwards every output is
 checked against `oracle.py`, which derives it without cfkit, and the last
 line of stdout is one JSON object:
 
@@ -30,7 +36,7 @@ import statistics
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import workloads
@@ -49,11 +55,36 @@ MIN_PASSES = 3  # untraced passes, so each operation's median has three samples
 # previous one, so that even a much slower program ends the run within 180 s.
 BUDGET_SECONDS = 150
 SETUP_OP = workloads.evaluate([(1, 1)])
+# Host calibration: REF_SAMPLES runs of _kernel() between operations. Its
+# median time around an operation is the host's current speed; on a quiet
+# 2-vCPU virtual machine with Python 3.11 it is about REF_SECONDS, so
+# normalised seconds read close to raw ones there.
+REF_SAMPLES = 7
+REF_SECONDS = 0.008
+
+
+def _kernel() -> int:
+    """Fixed interpreter-bound work. It runs in this process, which never
+    imports cfkit, so no change to cfkit can change its time."""
+    table, total = {}, 0
+    for i in range(80_000):
+        total += (i * i) % 7
+        table[i & 255] = total
+    return total
+
+
+def calibrate() -> list[float]:
+    times = []
+    for _ in range(REF_SAMPLES):
+        start = time.perf_counter()
+        _kernel()
+        times.append(time.perf_counter() - start)
+    return times
 
 
 @dataclass(frozen=True)
 class Outcome:
-    seconds: float
+    seconds: float  # host-normalised, once run_pass has scaled it
     code: int
     digest: str
     size: int
@@ -107,8 +138,22 @@ def spawn(argv: tuple[str, ...], env: dict, traced: bool) -> Outcome:
     return Outcome(seconds, proc.returncode, digest.hexdigest(), size, usage.ru_maxrss, trace)
 
 
-def run_pass(ops, env: dict, traced: bool) -> list[Outcome]:
-    return [spawn(op.argv, env, traced) for op in ops]
+def run_pass(ops, env: dict, traced: bool) -> tuple[list[Outcome], float]:
+    """Run `ops` in order with a calibration before, between and after them.
+
+    Returns the outcomes with host-normalised seconds, and the median of
+    the scale factors applied (above 1 while the host runs fast).
+    """
+    outs, scales = [], []
+    before = calibrate()
+    for op in ops:
+        out = spawn(op.argv, env, traced)
+        after = calibrate()
+        scale = REF_SECONDS / statistics.median(before + after)
+        outs.append(replace(out, seconds=out.seconds * scale))
+        scales.append(scale)
+        before = after
+    return outs, statistics.median(scales)
 
 
 def _op_medians(passes, field: str) -> list[float]:
@@ -195,15 +240,19 @@ def main() -> int:
 
     ops = workloads.build(args.workload, args.seed)
     env = child_env()
-    setup, plain, traced = [], [], []
+    setup, plain, traced, scales = [], [], [], []
     start = time.perf_counter()
     while True:
         begun = time.perf_counter()
-        if not args.trace:
-            setup += [spawn(SETUP_OP.argv, env, False) for _ in range(SETUP_SAMPLES)]
-        plain.append(run_pass(ops, env, False))
+        setup_ops = [] if args.trace else [SETUP_OP] * SETUP_SAMPLES
+        outs, scale = run_pass(setup_ops + ops, env, False)
+        setup += outs[: len(setup_ops)]
+        plain.append(outs[len(setup_ops):])
+        scales.append(scale)
         if args.trace:
-            traced.append(run_pass(ops, env, True))
+            outs, scale = run_pass(ops, env, True)
+            traced.append(outs)
+            scales.append(scale)
         now = time.perf_counter()
         elapsed, last = now - start, now - begun
         enough = args.trace or len(plain) >= MIN_PASSES
@@ -217,6 +266,8 @@ def main() -> int:
 
     print(f"workload {args.workload}, seed {args.seed}, {len(ops)} operations per pass, "
           f"{len(plain)} untraced and {len(traced)} traced passes")
+    print("host speed per pass (REF_SECONDS / calibration time): "
+          + " ".join(f"{scale:.3f}" for scale in scales))
     for line in notes + setup_notes:
         print(line)
     print(f"error_rate {failed}/{attempted} operations ({failed / attempted:.3f})")

@@ -116,7 +116,7 @@ def oneshot_big(rng: random.Random) -> list[Op]:
     """Single commands on big inputs: parse -> evaluate -> Rational, sequential seq, tiling."""
     x, y, z = (rng.choice(_SINGLES) for _ in range(3))
     tail = rng.randint(2, 9)
-    o1, o2, o3, o4, o5 = (rng.randint(0, 10) for _ in range(5))
+    o1, o2 = (rng.randint(0, 10) for _ in range(2))
     return [
         evaluate([(4, 60000)], digits=50),
         evaluate([(1, 100000), (tail, 1)], digits=50),
@@ -126,10 +126,11 @@ def oneshot_big(rng: random.Random) -> list[Op]:
         seq("lucas", o2, 6000 + o2, as_json=True),
         Op(("oracle", "board", "25"), partial(oracle.board, 25)),
         Op(("surd", "9999991"), partial(oracle.surd, 9999991)),
-        # one big case each, just under the digit limit, so cases_per_s exists here too
-        check("THM6_ELEVEN_FIB", 4000 + o3),
-        check("ID117", 6500 + o4),
-        check("THM7_FOURS", 6500 + o5),
+        # big single cases up to just under the digit limit, so cases_per_s
+        # exists here too; twelve of them, since each is a short process
+        *(check("THM6_ELEVEN_FIB", m + rng.randint(0, 10)) for m in range(3700, 4001, 100)),
+        *(check("ID117", m + rng.randint(0, 10)) for m in range(6200, 6501, 100)),
+        *(check("THM7_FOURS", m + rng.randint(0, 10)) for m in range(6200, 6501, 100)),
         # over-limit probes
         evaluate([(4, 10000), (3, 1)]),
         seq("scaled", 2935, 2945, t=7),
