@@ -7,8 +7,15 @@ negative tail terms depend on that. The forward convergent recurrence
     q_i = a_i * q_{i-1} + q_{i-2}        (seeds q_{-1} = 0, q_{-2} = 1)
 
 is the authoritative semantics: [a_0, ..., a_n] has the value p_n / q_n,
-which exists exactly when q_n != 0. The right-to-left fold is kept as a
-second, independent route for cross-checking.
+which exists exactly when q_n != 0. Equivalently, the product of the
+matrices [[a_i, 1], [1, 0]] is [[p_n, p_{n-1}], [q_n, q_{n-1}]].
+convergents() runs the recurrence and keeps every row. evaluate() needs
+only the last row: it multiplies the matrices in a balanced product tree
+(binary splitting), so the large products pair operands of similar size,
+where Python's Karatsuba multiplication pays off, and only short segments
+run the recurrence. Both routes give the same p_n and q_n. The
+right-to-left fold is kept as a second, independent route for
+cross-checking.
 
 Text format (a stable interface, used by the CLI):
 
@@ -80,9 +87,39 @@ def convergents(terms) -> ConvergentTable:
     return ConvergentTable(tuple(ps), tuple(qs))
 
 
+# Segments of at most this many terms run the forward recurrence directly;
+# on word-sized values that is cheaper than splitting further.
+_LEAF_TERMS = 32
+
+
+def _segment(terms: list[int], lo: int, hi: int) -> tuple[int, int, int, int]:
+    """Product of [[a_i, 1], [1, 0]] for lo <= i < hi, as (p, p', q, q').
+
+    The tuple is the matrix [[p, p'], [q, q']]: for lo = 0 it holds the
+    convergents p_{hi-1}, p_{hi-2}, q_{hi-1}, q_{hi-2}.
+    """
+    if hi - lo <= _LEAF_TERMS:
+        p, p_prev, q, q_prev = 1, 0, 0, 1
+        for i in range(lo, hi):
+            a = terms[i]
+            p, p_prev = a * p + p_prev, p
+            q, q_prev = a * q + q_prev, q
+        return p, p_prev, q, q_prev
+    mid = (lo + hi) // 2
+    p1, p1_prev, q1, q1_prev = _segment(terms, lo, mid)
+    p2, p2_prev, q2, q2_prev = _segment(terms, mid, hi)
+    return (
+        p1 * p2 + p1_prev * q2,
+        p1 * p2_prev + p1_prev * q2_prev,
+        q1 * p2 + q1_prev * q2,
+        q1 * p2_prev + q1_prev * q2_prev,
+    )
+
+
 def evaluate(terms) -> Rational:
     """Exact value p_n/q_n of the final convergent, reduced."""
-    p, q = convergents(terms).final()
+    terms = _require_terms(terms)
+    p, _, q, _ = _segment(terms, 0, len(terms))
     if q == 0:
         raise UndefinedValue("final convergent denominator is zero")
     return Rational(p, q)

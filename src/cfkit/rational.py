@@ -27,7 +27,6 @@ class Rational:
         self._num = num // g
         self._den = den // g
         assert self._den > 0
-        assert gcd(abs(self._num), self._den) == 1
 
     @property
     def num(self) -> int:

@@ -1,40 +1,57 @@
 """Integer sequence generators: Fibonacci, Lucas and their relatives.
 
 Index conventions are the whole game here, so each generator states its
-seeds and its negative-index rule explicitly. Everything is computed by
-the plain linear recurrence on Python ints; the non-negative prefixes are
-memoised because identity sweeps hit the same indices over and over.
+seeds and its negative-index rule explicitly. The seeds plus the linear
+recurrence x_{n+1} = x_n + x_{n-1} are the defining semantics. Every value
+comes from one fast-doubling kernel for (F_n, F_{n+1}): it starts from a
+fixed table of F_0..F_255 and needs O(log n) big-integer squarings, and
+nothing is cached per call. The other sequences are closed forms in F. The
+tests keep the O(n) recurrence as their oracle.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import EvenOrder, NegativeIndex
 
 
-@lru_cache(maxsize=None)
-def _fib_nonneg(n: int) -> int:
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+# F_0 .. F_255: the fast-doubling walk below starts from the top eight bits
+# of its index, so indices below 255 cost one lookup.
+_TABLE_BITS = 8
+_FIB_TABLE = [0, 1]
+while len(_FIB_TABLE) < 1 << _TABLE_BITS:
+    _FIB_TABLE.append(_FIB_TABLE[-1] + _FIB_TABLE[-2])
 
 
-@lru_cache(maxsize=None)
-def _lucas_nonneg(n: int) -> int:
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+def _fib_pair(n: int) -> tuple[int, int]:
+    """(F_n, F_{n+1}) for n >= 0 by fast doubling.
+
+    Reads (F_{k-1}, F_k) from the table for k the top bits of n + 1, then
+    walks the remaining bits, stepping k to 2k or 2k + 1 with two squarings:
+
+        F_{2k+1} = 4 F_k^2 - F_{k-1}^2 + 2(-1)^k
+        F_{2k-1} = F_k^2 + F_{k-1}^2
+        F_{2k}   = F_{2k+1} - F_{2k-1}
+    """
+    m = n + 1
+    k = m >> max(m.bit_length() - _TABLE_BITS, 0)
+    a, b = _FIB_TABLE[k - 1], _FIB_TABLE[k]
+    sign = -2 if k % 2 else 2  # 2(-1)^k
+    for bit in bin(m)[2 + _TABLE_BITS :]:
+        aa, bb = a * a, b * b
+        odd = (bb << 2) - aa + sign
+        lo = aa + bb
+        even = odd - lo
+        if bit == "1":
+            a, b, sign = even, odd, -2
+        else:
+            a, b, sign = lo, even, 2
+    return a, b
 
 
 def fib(n: int) -> int:
     """Classical Fibonacci F_n (F_0 = 0, F_1 = 1), F_{-n} = (-1)^(n+1) F_n."""
-    if n >= 0:
-        return _fib_nonneg(n)
-    value = _fib_nonneg(-n)
-    return value if (-n) % 2 == 1 else -value
+    value = _fib_pair(abs(n))[0]
+    return -value if n < 0 and n % 2 == 0 else value
 
 
 def fib_comb(n: int) -> int:
@@ -45,50 +62,45 @@ def fib_comb(n: int) -> int:
     """
     if n < 0:
         raise NegativeIndex(f"f_n is a tiling count, undefined for n = {n}")
-    return _fib_nonneg(n + 1)
+    return _fib_pair(n)[1]
 
 
 def lucas(n: int) -> int:
-    """Lucas numbers L_n (L_0 = 2, L_1 = 1), L_{-n} = (-1)^n L_n."""
-    if n >= 0:
-        return _lucas_nonneg(n)
-    value = _lucas_nonneg(-n)
-    return value if (-n) % 2 == 0 else -value
+    """Lucas numbers L_n (L_0 = 2, L_1 = 1), L_{-n} = (-1)^n L_n.
+
+    Computed as L_n = 2 F_{n+1} - F_n.
+    """
+    f, f_next = _fib_pair(abs(n))
+    value = 2 * f_next - f
+    return -value if n < 0 and n % 2 == 1 else value
 
 
-@lru_cache(maxsize=None)
 def lucas_swapped(n: int) -> int:
     """Reordered Lucas sequence l_n = 1, 2, 3, 4, 7, 11, ...
 
     Seeds l_0..l_3 = 1, 2, 3, 4 (the first two Lucas values swapped, which
     makes l_3 = 4 irregular: l_1 + l_2 = 5); the recurrence applies from
-    n = 4 on. Negative indices are clamped to 0.
+    n = 4 on. Negative indices are clamped to 0. Since l_2, l_3 = 3, 4 are
+    L_2, L_3, every l_n with n >= 2 is the Lucas number L_n.
     """
     if n < 0:
         return 0
     if n < 4:
         return (1, 2, 3, 4)[n]
-    a, b = 3, 4
-    for _ in range(n - 3):
-        a, b = b, a + b
-    return b
+    return lucas(n)
 
 
 def gibonacci(k: int, n: int) -> int:
-    """Fibonacci-recurrence sequence G with seeds G_0 = k, G_1 = 1."""
-    if n < 0:
-        raise NegativeIndex(f"G is defined for n >= 0, got {n}")
-    a, b = k, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    """Fibonacci-recurrence sequence G with seeds G_0 = k, G_1 = 1.
 
-
-def gibonacci_closed(k: int, n: int) -> int:
-    """Closed form fib(n) + k*fib(n-1) for gibonacci(k, n); n >= 0."""
+    Computed by the closed form G_n = F_n + k F_{n-1}; n >= 0.
+    """
     if n < 0:
         raise NegativeIndex(f"G is defined for n >= 0, got {n}")
     return fib(n) + k * fib(n - 1)
+
+
+gibonacci_closed = gibonacci  # public alias
 
 
 def scaled_fib(t: int, n: int) -> int:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfkit.contfrac import (
     build_uniform,
@@ -63,6 +65,48 @@ def test_evaluate_known_values():
 def test_evaluate_zero_final_denominator():
     with pytest.raises(UndefinedValue):
         evaluate([1, 0])
+
+
+# Lengths are drawn uniformly from 1..300 so term lists fall on both sides
+# of evaluate()'s product-tree leaf size, not only near the short end.
+_term = st.integers(-9, 9) | st.integers(-(10**30), 10**30)
+_terms = st.integers(1, 300).flatmap(lambda n: st.lists(_term, min_size=n, max_size=n))
+
+
+def _with_zero_denominator(terms):
+    """Extend terms by Y with q = 0 for the whole list.
+
+    With prefix convergents (p, p'), (q, q') the combined denominator is
+    q*p_Y + q'*q_Y, which vanishes when p_Y/q_Y = -q'/q.
+    """
+    table = convergents(terms)
+    q = table.q[-1]
+    q_prev = table.q[-2] if len(terms) > 1 else 0
+    return terms + expand_rational(Rational(-q_prev, q))
+
+
+_zero_q_terms = _terms.filter(lambda t: convergents(t).q[-1] != 0).map(_with_zero_denominator)
+
+
+@settings(deadline=None)
+@given(_terms | _zero_q_terms)
+def test_evaluate_matches_final_convergent(terms):
+    p, q = convergents(terms).final()
+    if q == 0:
+        with pytest.raises(UndefinedValue):
+            evaluate(terms)
+    else:
+        assert evaluate(terms) == Rational(p, q)
+
+
+@settings(deadline=None)
+@given(_terms)
+def test_evaluate_agrees_with_fold_where_fold_succeeds(terms):
+    try:
+        folded = eval_fold(terms)
+    except IntermediateZero:
+        return
+    assert evaluate(terms) == folded
 
 
 def test_eval_fold_known_values():

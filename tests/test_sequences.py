@@ -30,6 +30,29 @@ def backward_lucas(n):
     return a
 
 
+def forward(x0, x1, count):
+    """Oracle: x_0..x_{count-1} of x_{n+1} = x_n + x_{n-1} from seeds x0, x1."""
+    out = [x0, x1]
+    while len(out) < count:
+        out.append(out[-1] + out[-2])
+    return out[:count]
+
+
+def test_fib_and_lucas_match_linear_recurrence():
+    fibs, lucases = forward(0, 1, 3001), forward(2, 1, 3001)
+    for n in range(3001):
+        assert fib(n) == fibs[n]
+        assert lucas(n) == lucases[n]
+
+
+def test_fib_large_index_matches_linear_recurrence():
+    a, b = 0, 1
+    for _ in range(50_000):
+        a, b = b, a + b
+    assert fib(50_000) == a
+    assert lucas(50_000) == 2 * b - a
+
+
 def test_fib_values():
     assert [fib(n) for n in range(12)] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
     assert fib(10) == 55
@@ -38,7 +61,7 @@ def test_fib_values():
 
 
 def test_fib_negative_extension_matches_backward_recurrence():
-    for n in range(-25, 1):
+    for n in range(-60, 1):
         assert fib(n) == backward_fib(n)
 
 
@@ -66,7 +89,7 @@ def test_lucas_values():
 
 
 def test_lucas_negative_extension_matches_backward_recurrence():
-    for n in range(-25, 1):
+    for n in range(-60, 1):
         assert lucas(n) == backward_lucas(n)
 
 
@@ -89,7 +112,7 @@ def test_lucas_swapped_clamps_negative_indices():
 
 
 def test_lucas_swapped_rejoins_lucas_from_index_two():
-    for n in range(2, 41):
+    for n in range(2, 3001):
         assert lucas_swapped(n) == lucas(n)
 
 
