@@ -6,7 +6,8 @@ is no floating point anywhere. The public surface:
   * rational.Rational            reduced exact fractions
   * sequences                    fib / fib_comb / lucas / lucas_swapped /
                                  gibonacci / scaled_fib generators
-  * contfrac                     convergents, evaluation, parsing,
+  * contfrac                     convergents, evaluation of term lists and
+                                 of (value, count) runs, parsing,
                                  canonical expansion, sqrt(d) periods
   * tiling                       brute-force square/domino counting oracles
   * identities                   the identity catalog, check/sweep harness
@@ -21,8 +22,10 @@ from .contfrac import (
     convergents,
     eval_fold,
     evaluate,
+    evaluate_runs,
     expand_rational,
     parse_cf,
+    parse_runs,
     surd_cf,
 )
 from .identities import (
@@ -72,6 +75,7 @@ __all__ = [
     "count_stacked",
     "eval_fold",
     "evaluate",
+    "evaluate_runs",
     "expand_rational",
     "fib",
     "fib_comb",
@@ -83,6 +87,7 @@ __all__ = [
     "lucas_odd_index_of",
     "lucas_swapped",
     "parse_cf",
+    "parse_runs",
     "rhs_value",
     "run_case",
     "scaled_fib",

@@ -119,7 +119,7 @@ def _case_text(params: CaseParams, outcome: CheckOutcome) -> str:
 
 
 def _cmd_eval(args) -> int:
-    value = contfrac.evaluate(contfrac.parse_cf(args.cf))
+    value = contfrac.evaluate_runs(contfrac.parse_runs(args.cf))
     if args.json:
         print(json.dumps(_rat_json(value)))
     elif args.digits is not None:
@@ -320,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("identity")
     p.add_argument("--m", type=_range_pair, required=True, metavar="LO..HI")
     p.add_argument("--k", type=_range_pair, metavar="LO..HI")
-    p.add_argument("--jobs", type=int, help="evaluate cases on N threads")
+    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect (cases run serially)")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("fit", parents=[common], help="fit [c,c,...,c] to a scaled-Fibonacci family")

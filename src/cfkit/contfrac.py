@@ -9,13 +9,25 @@ negative tail terms depend on that. The forward convergent recurrence
 is the authoritative semantics: [a_0, ..., a_n] has the value p_n / q_n,
 which exists exactly when q_n != 0. Equivalently, the product of the
 matrices [[a_i, 1], [1, 0]] is [[p_n, p_{n-1}], [q_n, q_{n-1}]].
-convergents() runs the recurrence and keeps every row. evaluate() needs
-only the last row: it multiplies the matrices in a balanced product tree
-(binary splitting), so the large products pair operands of similar size,
-where Python's Karatsuba multiplication pays off, and only short segments
-run the recurrence. Both routes give the same p_n and q_n. The
-right-to-left fold is kept as a second, independent route for
-cross-checking.
+convergents() runs the recurrence and keeps every row; the other routes
+compute only the last row and give the same p_n and q_n:
+
+  * evaluate() takes a flat term list and multiplies the matrices in a
+    balanced product tree (binary splitting), so the large products pair
+    operands of similar size, where Python's Karatsuba multiplication pays
+    off, and only short segments run the recurrence.
+  * evaluate_runs() takes (value, count) runs, the form the parser and the
+    identity catalog produce. A run of `count` equal terms is one matrix
+    power [[a, 1], [1, 0]]^count, found by repeated squaring in
+    O(log count) steps; powers of that symmetric matrix stay symmetric, so
+    three entries describe each. Short runs are laid out flat and go
+    through the same leaves as evaluate(), and the pieces are multiplied
+    in a balanced tree.
+
+The final matrix has determinant (-1)^(n+1), so p_n and q_n are always
+coprime and both routes return them as they are, with only the sign
+normalised. The right-to-left fold is kept as a second, independent route
+for cross-checking.
 
 Text format (a stable interface, used by the CLI):
 
@@ -25,7 +37,8 @@ Text format (a stable interface, used by the CLI):
 
 Whitespace between tokens is ignored. INT is a signed decimal integer;
 COUNT is a nonnegative decimal repetition count, so "[4x3, 9]" means
-"[4,4,4,9]" and a zero count contributes nothing.
+"[4,4,4,9]" and a zero count contributes nothing. parse_runs() returns the
+items as runs without expanding them; parse_cf() returns the expansion.
 """
 
 from __future__ import annotations
@@ -92,6 +105,18 @@ def convergents(terms) -> ConvergentTable:
 _LEAF_TERMS = 32
 
 
+def _mul(m1: tuple[int, int, int, int], m2: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """Matrix product of two (p, p', q, q') tuples, in that order."""
+    p1, p1_prev, q1, q1_prev = m1
+    p2, p2_prev, q2, q2_prev = m2
+    return (
+        p1 * p2 + p1_prev * q2,
+        p1 * p2_prev + p1_prev * q2_prev,
+        q1 * p2 + q1_prev * q2,
+        q1 * p2_prev + q1_prev * q2_prev,
+    )
+
+
 def _segment(terms: list[int], lo: int, hi: int) -> tuple[int, int, int, int]:
     """Product of [[a_i, 1], [1, 0]] for lo <= i < hi, as (p, p', q, q').
 
@@ -106,23 +131,70 @@ def _segment(terms: list[int], lo: int, hi: int) -> tuple[int, int, int, int]:
             q, q_prev = a * q + q_prev, q
         return p, p_prev, q, q_prev
     mid = (lo + hi) // 2
-    p1, p1_prev, q1, q1_prev = _segment(terms, lo, mid)
-    p2, p2_prev, q2, q2_prev = _segment(terms, mid, hi)
-    return (
-        p1 * p2 + p1_prev * q2,
-        p1 * p2_prev + p1_prev * q2_prev,
-        q1 * p2 + q1_prev * q2,
-        q1 * p2_prev + q1_prev * q2_prev,
-    )
+    return _mul(_segment(terms, lo, mid), _segment(terms, mid, hi))
+
+
+def _run_power(a: int, n: int) -> tuple[int, int, int, int]:
+    """[[a, 1], [1, 0]]^n for n >= 0 as (p, p', q, q'), by repeated squaring.
+
+    Every power is symmetric, [[x, y], [y, z]], and is a power of the base,
+    so x = a*y + z; a squaring therefore costs three multiplications.
+    """
+    if n == 0:
+        return 1, 0, 0, 1
+    x, y, z = a, 1, 0
+    for bit in bin(n)[3:]:
+        yy = y * y
+        x, y = x * x + yy, y * (x + z)
+        z = x - a * y
+        if bit == "1":
+            x, y, z = a * x + y, x, y
+    return x, y, y, z
+
+
+def _final_value(p: int, q: int) -> Rational:
+    """p/q from a final matrix row; its determinant is +-1, so no gcd is needed."""
+    if q == 0:
+        raise UndefinedValue("final convergent denominator is zero")
+    return Rational._coprime(p, q)
 
 
 def evaluate(terms) -> Rational:
     """Exact value p_n/q_n of the final convergent, reduced."""
     terms = _require_terms(terms)
     p, _, q, _ = _segment(terms, 0, len(terms))
-    if q == 0:
-        raise UndefinedValue("final convergent denominator is zero")
-    return Rational(p, q)
+    return _final_value(p, q)
+
+
+def evaluate_runs(runs) -> Rational:
+    """Exact value of the terms that the (value, count) runs expand to.
+
+    Equals evaluate() on the expansion, but a run of at least _LEAF_TERMS
+    terms costs O(log count) matrix squarings instead of count steps.
+    """
+    pieces = []
+    flat: list[int] = []
+    for a, count in runs:
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        if count < _LEAF_TERMS:
+            flat += [a] * count
+            continue
+        if flat:
+            pieces.append(_segment(flat, 0, len(flat)))
+            flat = []
+        pieces.append(_run_power(a, count))
+    if flat:
+        pieces.append(_segment(flat, 0, len(flat)))
+    if not pieces:
+        raise EmptyCF("a continued fraction needs at least one term")
+    while len(pieces) > 1:
+        paired = [_mul(pieces[i], pieces[i + 1]) for i in range(0, len(pieces) - 1, 2)]
+        if len(pieces) % 2:
+            paired.append(pieces[-1])
+        pieces = paired
+    p, _, q, _ = pieces[0]
+    return _final_value(p, q)
 
 
 def eval_fold(terms) -> Rational:
@@ -170,8 +242,23 @@ def build_uniform(c: int, count: int, tail: int | None = None) -> list[int]:
     return terms
 
 
+def _expand(runs) -> list[int]:
+    terms: list[int] = []
+    for a, count in runs:
+        terms += [a] * count
+    return terms
+
+
 def parse_cf(text: str) -> list[int]:
     """Parse the bracketed text format into an expanded term list."""
+    return _expand(parse_runs(text))
+
+
+def parse_runs(text: str) -> list[tuple[int, int]]:
+    """Parse the bracketed text format into (value, count) runs, one per item.
+
+    Raises EmptyCF when every count is zero.
+    """
     pos = 0
     n = len(text)
 
@@ -200,18 +287,17 @@ def parse_cf(text: str) -> list[int]:
             raise ParseError("expected an integer", start)
         return int(text[start:pos])
 
-    def read_item() -> list[int]:
+    def read_item() -> tuple[int, int]:
         nonlocal pos
         value = read_int(signed=True)
         skip_ws()
         if pos < n and text[pos] == "x":
             pos += 1
-            count = read_int(signed=False)
-            return [value] * count
-        return [value]
+            return value, read_int(signed=False)
+        return value, 1
 
     expect("[")
-    terms = read_item()
+    runs = [read_item()]
     first_sep = True
     while True:
         skip_ws()
@@ -224,15 +310,15 @@ def parse_cf(text: str) -> list[int]:
         if ch == "," or (ch == ";" and first_sep):
             pos += 1
             first_sep = False
-            terms.extend(read_item())
+            runs.append(read_item())
             continue
         raise ParseError("expected ',' or ']'", pos)
     skip_ws()
     if pos != n:
         raise ParseError("trailing input after ']'", pos)
-    if not terms:
+    if not any(count for _, count in runs):
         raise EmptyCF("expansion produced no terms")
-    return terms
+    return runs
 
 
 def surd_cf(d: int, max_terms: int = 10_000) -> SurdExpansion:

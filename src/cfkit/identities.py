@@ -1,8 +1,10 @@
 """Machine-checkable catalog of continued-fraction and sequence identities.
 
-Each continued-fraction entry pairs a term-list constructor (lhs_terms)
-with an exact rational right-hand side (rhs_value); check() evaluates the
-terms under the forward convergent semantics and compares. Lemma entries
+Each continued-fraction entry pairs a term constructor with an exact
+rational right-hand side (rhs_value). The constructor returns (value,
+count) runs such as [(4, m), (3, 1)] for [4]*m + [3]; check() evaluates
+them with evaluate_runs() under the forward convergent semantics and
+compares, while lhs_terms() returns the expanded term list. Lemma entries
 (LEM_*) are exact integer equations checked by check_lemma(). sweep()
 runs either kind over parameter ranges and reports PASS/FAIL/SKIPPED per
 case, where SKIPPED is reserved for cases whose two sides are both
@@ -51,11 +53,10 @@ Two caveats the harness itself demonstrates:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum, auto
 
-from .contfrac import build_uniform, evaluate
+from .contfrac import _expand, evaluate_runs
 from .errors import (
     BadDomain,
     ExtraParam,
@@ -162,67 +163,67 @@ def _thm5_rhs(m: int) -> Rational | None:
 
 _CF_CATALOG = {
     IdentityId.ID117: (
-        lambda p: build_uniform(4, p.m, 3),
+        lambda p: [(4, p.m), (3, 1)],
         lambda p: _ratio(fib_comb(3 * p.m + 3), fib_comb(3 * p.m)),
     ),
     IdentityId.ID118: (
-        lambda p: build_uniform(4, p.m, 5),
+        lambda p: [(4, p.m), (5, 1)],
         lambda p: _ratio(fib_comb(3 * p.m + 4), fib_comb(3 * p.m + 1)),
     ),
     IdentityId.ID_LUCAS7: (
-        lambda p: build_uniform(4, p.m, 7),
+        lambda p: [(4, p.m), (7, 1)],
         lambda p: _ratio(lucas(3 * p.m + 4), lucas(3 * p.m + 1)),
     ),
     IdentityId.THM1_GIBONACCI: (
-        lambda p: build_uniform(4, p.m, 2 * p.k + 3),
+        lambda p: [(4, p.m), (2 * p.k + 3, 1)],
         lambda p: _ratio(gibonacci(p.k, 3 * p.m + 4), gibonacci(p.k, 3 * p.m + 1)),
     ),
     IdentityId.THM2_FIB_FORM: (
-        lambda p: build_uniform(4, p.m, 2 * p.k + 3),
+        lambda p: [(4, p.m), (2 * p.k + 3, 1)],
         lambda p: _ratio(
             fib(3 * p.m + 4) + p.k * fib(3 * p.m + 3),
             fib(3 * p.m + 1) + p.k * fib(3 * p.m),
         ),
     ),
     IdentityId.THM3_ONES: (
-        lambda p: build_uniform(1, p.m, p.k),
+        lambda p: [(1, p.m), (p.k, 1)],
         lambda p: _ratio(
             fib(p.m + 2) + (p.k - 1) * fib(p.m + 1),
             fib(p.m + 1) + (p.k - 1) * fib(p.m),
         ),
     ),
     IdentityId.THM4_ELEVEN3: (
-        lambda p: build_uniform(11, p.m, 3),
+        lambda p: [(11, p.m), (3, 1)],
         lambda p: _ratio(fib(5 * p.m + 4), fib(5 * p.m - 1)),
     ),
     IdentityId.THM5_SWAPPED_LUCAS: (
-        lambda p: build_uniform(11, p.m + 1),
+        lambda p: [(11, p.m + 1)],
         lambda p: _thm5_rhs(p.m),
     ),
     IdentityId.THM6_ELEVEN_FIB: (
-        lambda p: build_uniform(11, p.m + 1),
+        lambda p: [(11, p.m + 1)],
         lambda p: _ratio(fib(5 * p.m + 10), fib(5 * p.m + 5)),
     ),
     IdentityId.THM7_FOURS: (
-        lambda p: build_uniform(4, p.m + 1),
+        lambda p: [(4, p.m + 1)],
         lambda p: _ratio(scaled_fib(3, p.m + 2), scaled_fib(3, p.m + 1)),
     ),
     IdentityId.THM8_TWENTYNINES: (
-        lambda p: build_uniform(29, p.m + 1),
+        lambda p: [(29, p.m + 1)],
         lambda p: _ratio(scaled_fib(7, p.m + 2), scaled_fib(7, p.m + 1)),
     ),
     IdentityId.COR_GENERAL_LUCAS: (
-        lambda p: build_uniform(lucas(2 * p.k + 1), p.m + 1),
+        lambda p: [(lucas(2 * p.k + 1), p.m + 1)],
         lambda p: _ratio(
             scaled_fib(2 * p.k + 1, p.m + 2), scaled_fib(2 * p.k + 1, p.m + 1)
         ),
     ),
     IdentityId.EXT_ELEVEN8: (
-        lambda p: build_uniform(11, p.m, 8),
+        lambda p: [(11, p.m), (8, 1)],
         lambda p: _ratio(fib(5 * p.m + 6), fib(5 * p.m + 1)),
     ),
     IdentityId.EXT_ELEVEN13: (
-        lambda p: build_uniform(11, p.m, 13),
+        lambda p: [(11, p.m), (13, 1)],
         lambda p: _ratio(fib(5 * p.m + 7), fib(5 * p.m + 2)),
     ),
 }
@@ -258,12 +259,16 @@ def _validate(ident: IdentityId, params: CaseParams) -> None:
         raise BadDomain(f"{ident.name} is stated for multiples of 5, got m = {params.m}")
 
 
-def lhs_terms(ident: IdentityId, params: CaseParams) -> list[int]:
-    """The exact term list the identity prescribes for these parameters."""
+def _lhs_runs(ident: IdentityId, params: CaseParams) -> list[tuple[int, int]]:
     if ident.is_lemma:
         raise NotACFIdentity(f"{ident.name} has no continued-fraction side")
     _validate(ident, params)
     return _CF_CATALOG[ident][0](params)
+
+
+def lhs_terms(ident: IdentityId, params: CaseParams) -> list[int]:
+    """The exact term list the identity prescribes for these parameters."""
+    return _expand(_lhs_runs(ident, params))
 
 
 def rhs_value(ident: IdentityId, params: CaseParams) -> Rational | None:
@@ -280,9 +285,9 @@ def check(ident: IdentityId, params: CaseParams) -> CheckOutcome:
     Undefinedness is data, not an error: both sides undefined is SKIPPED,
     one side undefined is a FAIL.
     """
-    terms = lhs_terms(ident, params)
+    runs = _lhs_runs(ident, params)
     try:
-        lhs = evaluate(terms)
+        lhs = evaluate_runs(runs)
     except UndefinedValue:
         lhs = None
     rhs = rhs_value(ident, params)
@@ -346,17 +351,14 @@ def sweep(
 ) -> SweepReport:
     """Check every case in the parameter grid and tally the outcomes.
 
-    Cases are ordered lexicographically by (m, k) no matter how they are
-    executed; `jobs` > 1 fans the evaluation out over a thread pool without
-    changing the report. For LEM_BRIDGE the m interval is filtered to the
+    Cases run serially and are ordered lexicographically by (m, k). `jobs`
+    is accepted for compatibility and has no effect: the work is pure
+    Python, so threads only contend for the interpreter lock and ran
+    slower than one loop. For LEM_BRIDGE the m interval is filtered to the
     lemma's domain (multiples of 5).
     """
     grid = _case_grid(ident, m_range, k_range)
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda p: run_case(ident, p), grid))
-    else:
-        outcomes = [run_case(ident, p) for p in grid]
+    outcomes = [run_case(ident, p) for p in grid]
     counts = {Status.PASS: 0, Status.FAIL: 0, Status.SKIPPED: 0}
     for outcome in outcomes:
         counts[outcome.status] += 1
@@ -386,6 +388,6 @@ def fit_uniform(c: int, n_max: int) -> int | None:
         return None
     for n in range(1, n_max + 1):
         expected = Rational(scaled_fib(t, n + 1), scaled_fib(t, n))
-        if evaluate([c] * n) != expected:
+        if evaluate_runs([(c, n)]) != expected:
             return None
     return t

@@ -28,6 +28,16 @@ class Rational:
         self._den = den // g
         assert self._den > 0
 
+    @classmethod
+    def _coprime(cls, num: int, den: int) -> "Rational":
+        """num/den for den != 0 and gcd(num, den) == 1; only the sign is fixed."""
+        if den < 0:
+            num, den = -num, -den
+        self = cls.__new__(cls)
+        self._num = num
+        self._den = den
+        return self
+
     @property
     def num(self) -> int:
         return self._num

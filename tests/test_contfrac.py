@@ -1,16 +1,21 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfkit.contfrac import (
+    _LEAF_TERMS,
+    _run_power,
     build_uniform,
     convergents,
     eval_fold,
     evaluate,
+    evaluate_runs,
     expand_rational,
     parse_cf,
+    parse_runs,
     surd_cf,
 )
 from cfkit.errors import (
@@ -53,6 +58,16 @@ def test_determinant_invariant_on_random_terms():
         q = (1, 0) + table.q
         for i in range(1, len(terms)):
             assert p[i + 2] * q[i + 1] - p[i + 1] * q[i + 2] == (-1) ** (i + 1)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-9, 9) | st.integers(-(10**30), 10**30), min_size=1, max_size=60))
+def test_determinant_invariant_holds_on_every_row(terms):
+    table = convergents(terms)
+    p = (1,) + table.p  # prepend the virtual seed p_{-1}
+    q = (0,) + table.q
+    for i in range(len(terms)):
+        assert p[i + 1] * q[i] - p[i] * q[i + 1] == (-1) ** (i + 1)
 
 
 def test_evaluate_known_values():
@@ -109,6 +124,80 @@ def test_evaluate_agrees_with_fold_where_fold_succeeds(terms):
     assert evaluate(terms) == folded
 
 
+# Runs mix counts below and above the leaf size (so both the flat leaves and
+# the matrix powers are exercised) with zero counts, which contribute nothing.
+_runs = st.lists(
+    st.tuples(_term, st.integers(0, 3) | st.integers(0, 300)), min_size=1, max_size=8
+).filter(lambda runs: any(count for _, count in runs))
+
+
+def _expand(runs):
+    return [a for a, count in runs for _ in range(count)]
+
+
+@settings(deadline=None)
+@given(_runs)
+def test_evaluate_runs_matches_evaluate_on_expansion(runs):
+    terms = _expand(runs)
+    try:
+        want = evaluate(terms)
+    except UndefinedValue:
+        with pytest.raises(UndefinedValue):
+            evaluate_runs(runs)
+        return
+    assert evaluate_runs(runs) == want
+
+
+def _runs_with_zero_denominator(runs):
+    terms = _expand(runs)
+    return runs + [(a, 1) for a in _with_zero_denominator(terms)[len(terms):]]
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(_term, st.integers(1, 80)), min_size=1, max_size=5)
+    .filter(lambda runs: convergents(_expand(runs)).q[-1] != 0)
+    .map(_runs_with_zero_denominator)
+)
+def test_evaluate_runs_rejects_zero_denominator(runs):
+    with pytest.raises(UndefinedValue):
+        evaluate(_expand(runs))
+    with pytest.raises(UndefinedValue):
+        evaluate_runs(runs)
+
+
+@given(st.lists(st.tuples(_term, st.just(0)), max_size=5))
+def test_evaluate_runs_rejects_no_terms(runs):
+    with pytest.raises(EmptyCF):
+        evaluate_runs(runs)
+
+
+def test_evaluate_runs_rejects_negative_count():
+    with pytest.raises(ValueError):
+        evaluate_runs([(4, -1), (3, 1)])
+
+
+@settings(deadline=None)
+@given(_term, st.integers(0, 3 * _LEAF_TERMS))
+def test_run_power_equals_repeated_multiplication(a, n):
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    for _ in range(n):
+        p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+    assert _run_power(a, n) == (p, p_prev, q, q_prev)
+
+
+@settings(deadline=None)
+@given(_runs)
+def test_evaluated_values_are_reduced(runs):
+    for value in (lambda: evaluate(_expand(runs)), lambda: evaluate_runs(runs)):
+        try:
+            r = value()
+        except UndefinedValue:
+            return
+        assert r.den > 0
+        assert gcd(r.num, r.den) == 1
+
+
 def test_eval_fold_known_values():
     assert eval_fold([4, 4, 3]) == Rational(55, 13)
     # hand evaluation: 0 + 1/3 = 1/3, then 2 + 3 = 5
@@ -158,6 +247,15 @@ def test_expand_round_trip_and_canonical_form():
             assert terms[-1] >= 2
 
 
+@given(
+    st.integers(-(10**40), 10**40),
+    st.integers(1, 10**40),
+)
+def test_expand_rational_inverts_evaluate(num, den):
+    r = Rational(num, den)
+    assert evaluate(expand_rational(r)) == r
+
+
 def test_build_uniform():
     assert build_uniform(4, 2, 9) == [4, 4, 9]
     assert build_uniform(11, 3) == [11, 11, 11]
@@ -197,6 +295,34 @@ def test_parse_errors_carry_positions():
         parse_cf("[4x-2]")
     with pytest.raises(ParseError):
         parse_cf("[4,]")
+
+
+def test_parse_runs_keeps_items_unexpanded():
+    assert parse_runs("[4x1000000000, 3]") == [(4, 1_000_000_000), (3, 1)]
+    assert parse_runs("[2; 3, 7]") == [(2, 1), (3, 1), (7, 1)]
+    assert parse_runs("[4x0, 3]") == [(4, 0), (3, 1)]
+    with pytest.raises(EmptyCF):
+        parse_runs("[4x0, 5x0]")
+    assert evaluate_runs(parse_runs("[1x1000000]")).num.bit_length() > 690_000
+
+
+_item_text = st.tuples(
+    st.integers(-(10**6), 10**6), st.none() | st.integers(0, 40), st.sampled_from(["", " ", "  "])
+).map(lambda t: f"{t[2]}{t[0]}{t[2]}" + ("" if t[1] is None else f"x{t[2]}{t[1]}"))
+
+
+@given(st.lists(_item_text, min_size=1, max_size=8), st.sampled_from([",", ";"]))
+def test_parse_cf_is_the_expansion_of_parse_runs(items, first_sep):
+    text = "[" + items[0] + "".join(
+        (first_sep if i == 0 else ",") + item for i, item in enumerate(items[1:])
+    ) + "]"
+    try:
+        runs = parse_runs(text)
+    except EmptyCF:
+        with pytest.raises(EmptyCF):
+            parse_cf(text)
+        return
+    assert parse_cf(text) == _expand(runs)
 
 
 def test_parse_round_trips_canonical_expansions():
@@ -245,3 +371,15 @@ def test_surd_structure_up_to_200():
         assert expansion.period[-1] == 2 * expansion.a0
         body = expansion.period[:-1]
         assert body == body[::-1]
+
+
+# Periods of sqrt(d) for d <= 10**5 stay far below surd_cf's default term budget.
+@given(st.integers(2, 10**5))
+def test_surd_period_is_a_palindrome_closed_by_twice_a0(d):
+    try:
+        expansion = surd_cf(d)
+    except PerfectSquare:
+        return
+    assert expansion.period[-1] == 2 * expansion.a0
+    body = expansion.period[:-1]
+    assert body == body[::-1]
