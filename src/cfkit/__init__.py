@@ -47,7 +47,6 @@ from .sequences import (
     fib,
     fib_comb,
     gibonacci,
-    gibonacci_closed,
     lucas,
     lucas_odd_index_of,
     lucas_swapped,
@@ -81,7 +80,6 @@ __all__ = [
     "fib_comb",
     "fit_uniform",
     "gibonacci",
-    "gibonacci_closed",
     "lhs_terms",
     "lucas",
     "lucas_odd_index_of",

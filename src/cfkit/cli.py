@@ -148,42 +148,37 @@ def _cmd_convergents(args) -> int:
     return 0
 
 
-_SEQ_KINDS = ("fib", "fibc", "lucas", "lucas-swapped", "gib", "scaled")
-
-
-def _seq_value(kind: str, n: int, k: int | None, t: int | None) -> int:
-    if kind == "fib":
-        return sequences.fib(n)
-    if kind == "fibc":
-        return sequences.fib_comb(n)
-    if kind == "lucas":
-        return sequences.lucas(n)
-    if kind == "lucas-swapped":
-        return sequences.lucas_swapped(n)
-    if kind == "gib":
-        return sequences.gibonacci(k, n)
-    return sequences.scaled_fib(t, n)
+# kind -> (function in `sequences`, the extra parameter it takes first or None).
+# The function is looked up by name on each command, so a wrapper put on the
+# module attribute (as perfbench/launch.py does) sees every call.
+_SEQ_KINDS = {
+    "fib": ("fib", None),
+    "fibc": ("fib_comb", None),
+    "lucas": ("lucas", None),
+    "lucas-swapped": ("lucas_swapped", None),
+    "gib": ("gibonacci", "k"),
+    "scaled": ("scaled_fib", "t"),
+}
 
 
 def _cmd_seq(args) -> int:
-    if args.kind == "gib" and args.k is None:
-        raise MissingParam("seq gib needs --k")
-    if args.kind == "scaled" and args.t is None:
-        raise MissingParam("seq scaled needs --t")
-    if args.kind not in ("gib",) and args.k is not None:
-        raise ExtraParam(f"seq {args.kind} takes no --k")
-    if args.kind not in ("scaled",) and args.t is not None:
-        raise ExtraParam(f"seq {args.kind} takes no --t")
+    name, needs = _SEQ_KINDS[args.kind]
+    extras = {"k": args.k, "t": args.t}
+    if needs is not None and extras[needs] is None:
+        raise MissingParam(f"seq {args.kind} needs --{needs}")
+    for option, value in extras.items():
+        if option != needs and value is not None:
+            raise ExtraParam(f"seq {args.kind} takes no --{option}")
     if args.start > args.stop:
         raise MissingParam(f"empty index range {args.start}..{args.stop}")
+    fn = getattr(sequences, name)
+    leading = () if needs is None else (extras[needs],)
     for n in range(args.start, args.stop + 1):
-        value = _seq_value(args.kind, n, args.k, args.t)
+        value = fn(*leading, n)
         if args.json:
             obj = {"kind": args.kind, "n": n}
-            if args.k is not None:
-                obj["k"] = args.k
-            if args.t is not None:
-                obj["t"] = args.t
+            if needs is not None:
+                obj[needs] = extras[needs]
             obj["value"] = str(value)
             print(json.dumps(obj))
         else:
@@ -225,7 +220,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     ident = _identity(args.identity)
-    report = identities.sweep(ident, args.m, args.k, jobs=args.jobs)
+    report = identities.sweep(ident, args.m, args.k)
     if args.json:
         for params, outcome in report.cases:
             print(json.dumps(_case_json(ident, params, outcome)))
@@ -298,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_convergents)
 
     p = sub.add_parser("seq", parents=[common], help="sequence values over an index range")
-    p.add_argument("kind", choices=_SEQ_KINDS)
+    p.add_argument("kind", choices=tuple(_SEQ_KINDS))
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="stop", type=int, required=True)
     p.add_argument("--k", type=int, help="family parameter (gib)")

@@ -5,9 +5,10 @@ rational right-hand side (rhs_value). The constructor returns (value,
 count) runs such as [(4, m), (3, 1)] for [4]*m + [3]; check() evaluates
 them with evaluate_runs() under the forward convergent semantics and
 compares, while lhs_terms() returns the expanded term list. Lemma entries
-(LEM_*) are exact integer equations checked by check_lemma(). sweep()
-runs either kind over parameter ranges and reports PASS/FAIL/SKIPPED per
-case, where SKIPPED is reserved for cases whose two sides are both
+(LEM_*) are exact integer equations checked by check_lemma(). Every
+entry point validates a case exactly once; run_case() checks either kind,
+and sweep() runs it over a parameter grid, reporting PASS/FAIL/SKIPPED
+per case. SKIPPED is reserved for cases whose two sides are both
 undefined (a one-sided undefined is a FAIL).
 
 Catalog, with F = fib, f = fib_comb, L = lucas, l = lucas_swapped,
@@ -146,9 +147,18 @@ class SweepReport:
 
     identity: IdentityId
     cases: tuple[tuple[CaseParams, CheckOutcome], ...]
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
+
+    @property
+    def passed(self) -> int:
+        return sum(o.status is Status.PASS for _, o in self.cases)
+
+    @property
+    def failed(self) -> int:
+        return sum(o.status is Status.FAIL for _, o in self.cases)
+
+    @property
+    def skipped(self) -> int:
+        return sum(o.status is Status.SKIPPED for _, o in self.cases)
 
 
 def _ratio(num: int, den: int) -> Rational | None:
@@ -259,38 +269,32 @@ def _validate(ident: IdentityId, params: CaseParams) -> None:
         raise BadDomain(f"{ident.name} is stated for multiples of 5, got m = {params.m}")
 
 
-def _lhs_runs(ident: IdentityId, params: CaseParams) -> list[tuple[int, int]]:
+def _cf_entry(ident: IdentityId, params: CaseParams) -> tuple:
+    """The (terms, rhs) constructors of a continued-fraction case, after validating it."""
     if ident.is_lemma:
         raise NotACFIdentity(f"{ident.name} has no continued-fraction side")
     _validate(ident, params)
-    return _CF_CATALOG[ident][0](params)
+    return _CF_CATALOG[ident]
 
 
 def lhs_terms(ident: IdentityId, params: CaseParams) -> list[int]:
     """The exact term list the identity prescribes for these parameters."""
-    return _expand(_lhs_runs(ident, params))
+    return _expand(_cf_entry(ident, params)[0](params))
 
 
 def rhs_value(ident: IdentityId, params: CaseParams) -> Rational | None:
     """The identity's stated ratio, or None when its denominator is zero."""
-    if ident.is_lemma:
-        raise NotACFIdentity(f"{ident.name} has no rational right-hand side")
-    _validate(ident, params)
-    return _CF_CATALOG[ident][1](params)
+    return _cf_entry(ident, params)[1](params)
 
 
-def check(ident: IdentityId, params: CaseParams) -> CheckOutcome:
-    """Compare the evaluated terms against the stated ratio for one case.
-
-    Undefinedness is data, not an error: both sides undefined is SKIPPED,
-    one side undefined is a FAIL.
-    """
-    runs = _lhs_runs(ident, params)
+def _cf_outcome(entry: tuple, params: CaseParams) -> CheckOutcome:
+    """check() on a case its caller has validated."""
+    make_runs, make_rhs = entry
     try:
-        lhs = evaluate_runs(runs)
+        lhs = evaluate_runs(make_runs(params))
     except UndefinedValue:
         lhs = None
-    rhs = rhs_value(ident, params)
+    rhs = make_rhs(params)
     if lhs is None and rhs is None:
         return CheckOutcome(Status.SKIPPED, None, None, "both sides undefined")
     if lhs is None:
@@ -302,22 +306,37 @@ def check(ident: IdentityId, params: CaseParams) -> CheckOutcome:
     return CheckOutcome(Status.FAIL, lhs, rhs, "values differ")
 
 
-def check_lemma(ident: IdentityId, params: CaseParams) -> CheckOutcome:
-    """Check one lemma instance as an exact integer equation."""
-    if not ident.is_lemma:
-        raise ValueError(f"{ident.name} is not a lemma; use check()")
-    _validate(ident, params)
-    lhs, rhs = _LEMMA_CATALOG[ident](params.m)
+def _lemma_outcome(equation, params: CaseParams) -> CheckOutcome:
+    """check_lemma() on a case its caller has validated."""
+    lhs, rhs = equation(params.m)
     status = Status.PASS if lhs == rhs else Status.FAIL
     note = "" if lhs == rhs else "values differ"
     return CheckOutcome(status, Rational(lhs), Rational(rhs), note)
 
 
+def check(ident: IdentityId, params: CaseParams) -> CheckOutcome:
+    """Compare the evaluated terms against the stated ratio for one case.
+
+    Undefinedness is data, not an error: both sides undefined is SKIPPED,
+    one side undefined is a FAIL.
+    """
+    return _cf_outcome(_cf_entry(ident, params), params)
+
+
+def check_lemma(ident: IdentityId, params: CaseParams) -> CheckOutcome:
+    """Check one lemma instance as an exact integer equation."""
+    if not ident.is_lemma:
+        raise ValueError(f"{ident.name} is not a lemma; use check()")
+    _validate(ident, params)
+    return _lemma_outcome(_LEMMA_CATALOG[ident], params)
+
+
 def run_case(ident: IdentityId, params: CaseParams) -> CheckOutcome:
-    """Dispatch to check() or check_lemma() by catalog entry kind."""
+    """Check one case of either kind: check() for identities, check_lemma() for lemmas."""
+    _validate(ident, params)
     if ident.is_lemma:
-        return check_lemma(ident, params)
-    return check(ident, params)
+        return _lemma_outcome(_LEMMA_CATALOG[ident], params)
+    return _cf_outcome(_CF_CATALOG[ident], params)
 
 
 def _case_grid(
@@ -347,28 +366,15 @@ def sweep(
     ident: IdentityId,
     m_range: tuple[int, int],
     k_range: tuple[int, int] | None = None,
-    jobs: int | None = None,
 ) -> SweepReport:
-    """Check every case in the parameter grid and tally the outcomes.
+    """Check every case in the parameter grid, in (m, k) order.
 
-    Cases run serially and are ordered lexicographically by (m, k). `jobs`
-    is accepted for compatibility and has no effect: the work is pure
-    Python, so threads only contend for the interpreter lock and ran
-    slower than one loop. For LEM_BRIDGE the m interval is filtered to the
-    lemma's domain (multiples of 5).
+    Cases run serially and are ordered lexicographically by (m, k); each
+    goes through run_case(). For LEM_BRIDGE the m interval is filtered to
+    the lemma's domain (multiples of 5).
     """
     grid = _case_grid(ident, m_range, k_range)
-    outcomes = [run_case(ident, p) for p in grid]
-    counts = {Status.PASS: 0, Status.FAIL: 0, Status.SKIPPED: 0}
-    for outcome in outcomes:
-        counts[outcome.status] += 1
-    return SweepReport(
-        identity=ident,
-        cases=tuple(zip(grid, outcomes)),
-        passed=counts[Status.PASS],
-        failed=counts[Status.FAIL],
-        skipped=counts[Status.SKIPPED],
-    )
+    return SweepReport(ident, tuple((p, run_case(ident, p)) for p in grid))
 
 
 def fit_uniform(c: int, n_max: int) -> int | None:

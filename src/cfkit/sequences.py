@@ -100,9 +100,6 @@ def gibonacci(k: int, n: int) -> int:
     return fib(n) + k * fib(n - 1)
 
 
-gibonacci_closed = gibonacci  # public alias
-
-
 def scaled_fib(t: int, n: int) -> int:
     """Scaled Fibonacci F_{t*n} / F_t for odd t >= 1; always an integer.
 

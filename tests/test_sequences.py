@@ -5,7 +5,6 @@ from cfkit.sequences import (
     fib,
     fib_comb,
     gibonacci,
-    gibonacci_closed,
     lucas,
     lucas_odd_index_of,
     lucas_swapped,
@@ -129,16 +128,16 @@ def test_gibonacci_rejects_negative_index():
 
 
 def test_gibonacci_closed_form_values():
-    assert gibonacci_closed(3, 0) == 3
-    assert gibonacci_closed(-2, 10) == -13
-    assert gibonacci_closed(5, 11) == 364
+    assert gibonacci(3, 0) == 3
+    assert gibonacci(-2, 10) == -13
+    assert gibonacci(5, 11) == 364
 
 
 def test_gibonacci_matches_closed_form():
     for k in range(-50, 51):
         a, b = k, 1
         for n in range(201):
-            assert a == gibonacci_closed(k, n)
+            assert a == gibonacci(k, n)
             a, b = b, a + b
 
 
