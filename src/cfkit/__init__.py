@@ -11,6 +11,7 @@ is no floating point anywhere. The public surface:
                                  canonical expansion, sqrt(d) periods
   * tiling                       brute-force square/domino counting oracles
   * identities                   the identity catalog, check/sweep harness
+                                 (iter_sweep streams a grid case by case)
                                  and the uniform-base pattern fitter
   * cli                          the `cfkit` command-line front end
 """
@@ -37,6 +38,7 @@ from .identities import (
     check,
     check_lemma,
     fit_uniform,
+    iter_sweep,
     lhs_terms,
     rhs_value,
     run_case,
@@ -80,6 +82,7 @@ __all__ = [
     "fib_comb",
     "fit_uniform",
     "gibonacci",
+    "iter_sweep",
     "lhs_terms",
     "lucas",
     "lucas_odd_index_of",

@@ -11,8 +11,10 @@
     cfkit surd 19                     periodic expansion of sqrt(d)
 
 Every subcommand accepts --json for machine-readable output; sweeps emit
-one JSON object per case followed by a summary object. Big integers are
-serialized as decimal strings, never as JSON numbers.
+one JSON object per case followed by a summary object. A sweep prints each
+case as soon as it is checked and counts the tallies as it goes, so its
+memory does not grow with the grid. Big integers are serialized as decimal
+strings, never as JSON numbers.
 
 Exit codes: 0 success (all PASS), 1 at least one FAIL, 2 usage error,
 3 evaluation or domain error.
@@ -99,7 +101,8 @@ def _case_json(ident: IdentityId, params: CaseParams, outcome: CheckOutcome) -> 
     if outcome.lhs is not None:
         obj["lhs"] = _rat_json(outcome.lhs)
     if outcome.rhs is not None:
-        obj["rhs"] = _rat_json(outcome.rhs)
+        # A passing case's two sides are equal: convert the digits once.
+        obj["rhs"] = obj["lhs"] if outcome.status is Status.PASS else _rat_json(outcome.rhs)
     obj["status"] = outcome.status.name
     obj["note"] = outcome.note
     return obj
@@ -220,26 +223,19 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     ident = _identity(args.identity)
-    report = identities.sweep(ident, args.m, args.k)
-    if args.json:
-        for params, outcome in report.cases:
+    tally = dict.fromkeys(Status, 0)
+    for params, outcome in identities.iter_sweep(ident, args.m, args.k):
+        tally[outcome.status] += 1
+        if args.json:
             print(json.dumps(_case_json(ident, params, outcome)))
-        print(
-            json.dumps(
-                {
-                    "identity": ident.name,
-                    "pass": report.passed,
-                    "fail": report.failed,
-                    "skip": report.skipped,
-                }
-            )
-        )
+        elif outcome.status is not Status.PASS:
+            print(_case_text(params, outcome))
+    passed, failed, skipped = tally[Status.PASS], tally[Status.FAIL], tally[Status.SKIPPED]
+    if args.json:
+        print(json.dumps({"identity": ident.name, "pass": passed, "fail": failed, "skip": skipped}))
     else:
-        for params, outcome in report.cases:
-            if outcome.status is not Status.PASS:
-                print(_case_text(params, outcome))
-        print(f"pass={report.passed} fail={report.failed} skip={report.skipped}")
-    return 1 if report.failed else 0
+        print(f"pass={passed} fail={failed} skip={skipped}")
+    return 1 if failed else 0
 
 
 def _cmd_fit(args) -> int:

@@ -20,9 +20,9 @@ compute only the last row and give the same p_n and q_n:
     identity catalog produce. A run of `count` equal terms is one matrix
     power [[a, 1], [1, 0]]^count, found by repeated squaring in
     O(log count) steps; powers of that symmetric matrix stay symmetric, so
-    three entries describe each. Short runs are laid out flat and go
-    through the same leaves as evaluate(), and the pieces are multiplied
-    in a balanced tree.
+    three entries describe each; the last eight powers are memoised. Short
+    runs are laid out flat and go through the same leaves as evaluate(),
+    and the pieces are multiplied in a balanced tree.
 
 The final matrix has determinant (-1)^(n+1), so p_n and q_n are always
 coprime and both routes return them as they are, with only the sign
@@ -43,8 +43,9 @@ items as runs without expanding them; parse_cf() returns the expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import (
     EmptyCF,
@@ -57,8 +58,7 @@ from .errors import (
 from .rational import Rational
 
 
-@dataclass(frozen=True)
-class ConvergentTable:
+class ConvergentTable(NamedTuple):
     """Parallel numerators p_i and denominators q_i for i = 0..n.
 
     Successive rows satisfy p_i*q_{i-1} - p_{i-1}*q_i = (-1)^(i+1).
@@ -71,8 +71,7 @@ class ConvergentTable:
         return self.p[-1], self.q[-1]
 
 
-@dataclass(frozen=True)
-class SurdExpansion:
+class SurdExpansion(NamedTuple):
     """Periodic expansion of a quadratic surd: a0 followed by the minimal period."""
 
     a0: int
@@ -134,11 +133,14 @@ def _segment(terms: list[int], lo: int, hi: int) -> tuple[int, int, int, int]:
     return _mul(_segment(terms, lo, mid), _segment(terms, mid, hi))
 
 
+@lru_cache(maxsize=8)
 def _run_power(a: int, n: int) -> tuple[int, int, int, int]:
     """[[a, 1], [1, 0]]^n for n >= 0 as (p, p', q, q'), by repeated squaring.
 
     Every power is symmetric, [[x, y], [y, z]], and is a power of the base,
     so x = a*y + z; a squaring therefore costs three multiplications.
+    The last eight powers are kept: the cases of a sweep that share m,
+    such as [4]*m + [2k+3] over a range of k, share the power [4]^m.
     """
     if n == 0:
         return 1, 0, 0, 1

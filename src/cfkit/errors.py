@@ -60,6 +60,10 @@ class NotACFIdentity(CFKitError):
     """The catalog entry is a lemma, not a continued-fraction identity."""
 
 
+class NotALemma(CFKitError, ValueError):
+    """The catalog entry is a continued-fraction identity, not a lemma."""
+
+
 class BadDomain(CFKitError):
     """A catalog case was requested outside the identity's parameter domain."""
 

@@ -6,10 +6,19 @@ count) runs such as [(4, m), (3, 1)] for [4]*m + [3]; check() evaluates
 them with evaluate_runs() under the forward convergent semantics and
 compares, while lhs_terms() returns the expanded term list. Lemma entries
 (LEM_*) are exact integer equations checked by check_lemma(). Every
-entry point validates a case exactly once; run_case() checks either kind,
-and sweep() runs it over a parameter grid, reporting PASS/FAIL/SKIPPED
-per case. SKIPPED is reserved for cases whose two sides are both
+entry point validates a case exactly once; run_case() checks either kind.
+iter_sweep() checks a whole parameter grid against the entry's domain up
+front and then yields one (params, outcome) pair per case as it goes, so a
+caller that consumes it case by case (the CLI does) holds one case at a
+time; sweep() collects it into a SweepReport. Each outcome is
+PASS/FAIL/SKIPPED; SKIPPED is reserved for cases whose two sides are both
 undefined (a one-sided undefined is a FAIL).
+
+The right-hand sides are computed as an unreduced (num, den) pair. The
+left side p/q comes out of evaluate_runs() already reduced, so a case
+passes exactly when den = g*q and num = g*p for some integer g: one exact
+division decides it, the passing case reuses the left Rational as its
+right side, and only a failing right side is reduced by gcd.
 
 Catalog, with F = fib, f = fib_comb, L = lucas, l = lucas_swapped,
 G_k(n) = gibonacci(k, n) and S_t(n) = scaled_fib(t, n); m >= 0 throughout:
@@ -54,8 +63,9 @@ Two caveats the harness itself demonstrates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum, auto
+from typing import NamedTuple
 
 from .contfrac import _expand, evaluate_runs
 from .errors import (
@@ -63,6 +73,7 @@ from .errors import (
     ExtraParam,
     MissingParam,
     NotACFIdentity,
+    NotALemma,
     UndefinedValue,
 )
 from .rational import Rational
@@ -125,24 +136,21 @@ class Status(Enum):
     SKIPPED = auto()
 
 
-@dataclass(frozen=True)
-class CaseParams:
+class CaseParams(NamedTuple):
     """One instance of a catalog entry: repetition count m, family parameter k."""
 
     m: int
     k: int | None = None
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     status: Status
     lhs: Rational | None
     rhs: Rational | None
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """All outcomes of one identity over a parameter range, in (m, k) order."""
 
     identity: IdentityId
@@ -161,50 +169,47 @@ class SweepReport:
         return sum(o.status is Status.SKIPPED for _, o in self.cases)
 
 
-def _ratio(num: int, den: int) -> Rational | None:
-    return None if den == 0 else Rational(num, den)
-
-
-def _thm5_rhs(m: int) -> Rational | None:
+def _thm5_rhs(m: int) -> tuple[int, int]:
     num = lucas_swapped(5 * m + 5) - lucas_swapped(5 * m - 5)
     den = lucas_swapped(5 * m) - lucas_swapped(5 * m - 10)
-    return _ratio(num, den)
+    return num, den
 
 
+# entry -> (runs of the left side, unreduced (num, den) of the right side)
 _CF_CATALOG = {
     IdentityId.ID117: (
         lambda p: [(4, p.m), (3, 1)],
-        lambda p: _ratio(fib_comb(3 * p.m + 3), fib_comb(3 * p.m)),
+        lambda p: (fib_comb(3 * p.m + 3), fib_comb(3 * p.m)),
     ),
     IdentityId.ID118: (
         lambda p: [(4, p.m), (5, 1)],
-        lambda p: _ratio(fib_comb(3 * p.m + 4), fib_comb(3 * p.m + 1)),
+        lambda p: (fib_comb(3 * p.m + 4), fib_comb(3 * p.m + 1)),
     ),
     IdentityId.ID_LUCAS7: (
         lambda p: [(4, p.m), (7, 1)],
-        lambda p: _ratio(lucas(3 * p.m + 4), lucas(3 * p.m + 1)),
+        lambda p: (lucas(3 * p.m + 4), lucas(3 * p.m + 1)),
     ),
     IdentityId.THM1_GIBONACCI: (
         lambda p: [(4, p.m), (2 * p.k + 3, 1)],
-        lambda p: _ratio(gibonacci(p.k, 3 * p.m + 4), gibonacci(p.k, 3 * p.m + 1)),
+        lambda p: (gibonacci(p.k, 3 * p.m + 4), gibonacci(p.k, 3 * p.m + 1)),
     ),
     IdentityId.THM2_FIB_FORM: (
         lambda p: [(4, p.m), (2 * p.k + 3, 1)],
-        lambda p: _ratio(
+        lambda p: (
             fib(3 * p.m + 4) + p.k * fib(3 * p.m + 3),
             fib(3 * p.m + 1) + p.k * fib(3 * p.m),
         ),
     ),
     IdentityId.THM3_ONES: (
         lambda p: [(1, p.m), (p.k, 1)],
-        lambda p: _ratio(
+        lambda p: (
             fib(p.m + 2) + (p.k - 1) * fib(p.m + 1),
             fib(p.m + 1) + (p.k - 1) * fib(p.m),
         ),
     ),
     IdentityId.THM4_ELEVEN3: (
         lambda p: [(11, p.m), (3, 1)],
-        lambda p: _ratio(fib(5 * p.m + 4), fib(5 * p.m - 1)),
+        lambda p: (fib(5 * p.m + 4), fib(5 * p.m - 1)),
     ),
     IdentityId.THM5_SWAPPED_LUCAS: (
         lambda p: [(11, p.m + 1)],
@@ -212,29 +217,27 @@ _CF_CATALOG = {
     ),
     IdentityId.THM6_ELEVEN_FIB: (
         lambda p: [(11, p.m + 1)],
-        lambda p: _ratio(fib(5 * p.m + 10), fib(5 * p.m + 5)),
+        lambda p: (fib(5 * p.m + 10), fib(5 * p.m + 5)),
     ),
     IdentityId.THM7_FOURS: (
         lambda p: [(4, p.m + 1)],
-        lambda p: _ratio(scaled_fib(3, p.m + 2), scaled_fib(3, p.m + 1)),
+        lambda p: (scaled_fib(3, p.m + 2), scaled_fib(3, p.m + 1)),
     ),
     IdentityId.THM8_TWENTYNINES: (
         lambda p: [(29, p.m + 1)],
-        lambda p: _ratio(scaled_fib(7, p.m + 2), scaled_fib(7, p.m + 1)),
+        lambda p: (scaled_fib(7, p.m + 2), scaled_fib(7, p.m + 1)),
     ),
     IdentityId.COR_GENERAL_LUCAS: (
         lambda p: [(lucas(2 * p.k + 1), p.m + 1)],
-        lambda p: _ratio(
-            scaled_fib(2 * p.k + 1, p.m + 2), scaled_fib(2 * p.k + 1, p.m + 1)
-        ),
+        lambda p: (scaled_fib(2 * p.k + 1, p.m + 2), scaled_fib(2 * p.k + 1, p.m + 1)),
     ),
     IdentityId.EXT_ELEVEN8: (
         lambda p: [(11, p.m), (8, 1)],
-        lambda p: _ratio(fib(5 * p.m + 6), fib(5 * p.m + 1)),
+        lambda p: (fib(5 * p.m + 6), fib(5 * p.m + 1)),
     ),
     IdentityId.EXT_ELEVEN13: (
         lambda p: [(11, p.m), (13, 1)],
-        lambda p: _ratio(fib(5 * p.m + 7), fib(5 * p.m + 2)),
+        lambda p: (fib(5 * p.m + 7), fib(5 * p.m + 2)),
     ),
 }
 
@@ -283,8 +286,9 @@ def lhs_terms(ident: IdentityId, params: CaseParams) -> list[int]:
 
 
 def rhs_value(ident: IdentityId, params: CaseParams) -> Rational | None:
-    """The identity's stated ratio, or None when its denominator is zero."""
-    return _cf_entry(ident, params)[1](params)
+    """The identity's stated ratio, reduced, or None when its denominator is zero."""
+    num, den = _cf_entry(ident, params)[1](params)
+    return None if den == 0 else Rational(num, den)
 
 
 def _cf_outcome(entry: tuple, params: CaseParams) -> CheckOutcome:
@@ -294,24 +298,28 @@ def _cf_outcome(entry: tuple, params: CaseParams) -> CheckOutcome:
         lhs = evaluate_runs(make_runs(params))
     except UndefinedValue:
         lhs = None
-    rhs = make_rhs(params)
-    if lhs is None and rhs is None:
-        return CheckOutcome(Status.SKIPPED, None, None, "both sides undefined")
-    if lhs is None:
-        return CheckOutcome(Status.FAIL, None, rhs, "left side undefined")
-    if rhs is None:
+    num, den = make_rhs(params)
+    if den == 0:
+        if lhs is None:
+            return CheckOutcome(Status.SKIPPED, None, None, "both sides undefined")
         return CheckOutcome(Status.FAIL, lhs, None, "right side undefined")
-    if lhs == rhs:
-        return CheckOutcome(Status.PASS, lhs, rhs)
-    return CheckOutcome(Status.FAIL, lhs, rhs, "values differ")
+    if lhs is None:
+        return CheckOutcome(Status.FAIL, None, Rational(num, den), "left side undefined")
+    # lhs is reduced with lhs.den > 0, so num/den equals it iff (num, den)
+    # is an integer multiple of (lhs.num, lhs.den).
+    g, rem = divmod(den, lhs.den)
+    if rem == 0 and num == g * lhs.num:
+        return CheckOutcome(Status.PASS, lhs, lhs)
+    return CheckOutcome(Status.FAIL, lhs, Rational(num, den), "values differ")
 
 
 def _lemma_outcome(equation, params: CaseParams) -> CheckOutcome:
     """check_lemma() on a case its caller has validated."""
     lhs, rhs = equation(params.m)
-    status = Status.PASS if lhs == rhs else Status.FAIL
-    note = "" if lhs == rhs else "values differ"
-    return CheckOutcome(status, Rational(lhs), Rational(rhs), note)
+    if lhs == rhs:
+        value = Rational(lhs)
+        return CheckOutcome(Status.PASS, value, value)
+    return CheckOutcome(Status.FAIL, Rational(lhs), Rational(rhs), "values differ")
 
 
 def check(ident: IdentityId, params: CaseParams) -> CheckOutcome:
@@ -326,7 +334,7 @@ def check(ident: IdentityId, params: CaseParams) -> CheckOutcome:
 def check_lemma(ident: IdentityId, params: CaseParams) -> CheckOutcome:
     """Check one lemma instance as an exact integer equation."""
     if not ident.is_lemma:
-        raise ValueError(f"{ident.name} is not a lemma; use check()")
+        raise NotALemma(f"{ident.name} is not a lemma; use check()")
     _validate(ident, params)
     return _lemma_outcome(_LEMMA_CATALOG[ident], params)
 
@@ -343,23 +351,56 @@ def _case_grid(
     ident: IdentityId,
     m_range: tuple[int, int],
     k_range: tuple[int, int] | None,
-) -> list[CaseParams]:
+) -> Iterator[CaseParams]:
+    """The grid's cases in (m, k) order, after checking the grid as a whole.
+
+    Every check that can fail runs here, before the first case is made:
+    the ranges must be nonempty, k must be given exactly when the entry
+    takes it, and the grid must lie in the entry's domain and hold at
+    least one case of it.
+    """
     m_lo, m_hi = m_range
     if m_lo > m_hi:
         raise ValueError(f"empty m range {m_lo}..{m_hi}")
-    m_step = 5 if ident is IdentityId.LEM_BRIDGE else 1
-    m_start = m_lo if m_lo % m_step == 0 else m_lo + (m_step - m_lo % m_step)
-    ms = range(m_start, m_hi + 1, m_step)
     if ident.takes_k:
         if k_range is None:
             raise MissingParam(f"{ident.name} needs a k range")
         k_lo, k_hi = k_range
         if k_lo > k_hi:
             raise ValueError(f"empty k range {k_lo}..{k_hi}")
-        return [CaseParams(m, k) for m in ms for k in range(k_lo, k_hi + 1)]
-    if k_range is not None:
+    elif k_range is not None:
         raise ExtraParam(f"{ident.name} takes no k range")
-    return [CaseParams(m) for m in ms]
+    if m_lo < 0:
+        raise BadDomain(f"m must be >= 0, got {m_lo}")
+    if ident is IdentityId.COR_GENERAL_LUCAS and k_lo < 0:
+        raise BadDomain(f"{ident.name} needs k >= 0, got {k_lo}")
+    if ident is IdentityId.LEM_BRIDGE:
+        m_lo += -m_lo % 5
+        if m_lo > m_hi:
+            raise BadDomain(f"{ident.name} is stated for multiples of 5, none in {m_range[0]}..{m_hi}")
+        ms = range(m_lo, m_hi + 1, 5)
+    else:
+        ms = range(m_lo, m_hi + 1)
+    if ident.takes_k:
+        ks = range(k_lo, k_hi + 1)
+        return (CaseParams(m, k) for m in ms for k in ks)
+    return map(CaseParams, ms)
+
+
+def iter_sweep(
+    ident: IdentityId,
+    m_range: tuple[int, int],
+    k_range: tuple[int, int] | None = None,
+) -> Iterator[tuple[CaseParams, CheckOutcome]]:
+    """Check every case in the parameter grid, yielding (params, outcome) in (m, k) order.
+
+    The grid is checked when this is called, so a bad range raises before
+    any case runs; the cases then run one at a time as the result is
+    consumed, each through run_case(). For LEM_BRIDGE the m interval is
+    filtered to the lemma's domain (multiples of 5).
+    """
+    grid = _case_grid(ident, m_range, k_range)
+    return ((params, run_case(ident, params)) for params in grid)
 
 
 def sweep(
@@ -367,14 +408,8 @@ def sweep(
     m_range: tuple[int, int],
     k_range: tuple[int, int] | None = None,
 ) -> SweepReport:
-    """Check every case in the parameter grid, in (m, k) order.
-
-    Cases run serially and are ordered lexicographically by (m, k); each
-    goes through run_case(). For LEM_BRIDGE the m interval is filtered to
-    the lemma's domain (multiples of 5).
-    """
-    grid = _case_grid(ident, m_range, k_range)
-    return SweepReport(ident, tuple((p, run_case(ident, p)) for p in grid))
+    """Every outcome of iter_sweep(), collected into one report."""
+    return SweepReport(ident, tuple(iter_sweep(ident, m_range, k_range)))
 
 
 def fit_uniform(c: int, n_max: int) -> int | None:

@@ -4,12 +4,20 @@ Index conventions are the whole game here, so each generator states its
 seeds and its negative-index rule explicitly. The seeds plus the linear
 recurrence x_{n+1} = x_n + x_{n-1} are the defining semantics. Every value
 comes from one fast-doubling kernel for (F_n, F_{n+1}): it starts from a
-fixed table of F_0..F_255 and needs O(log n) big-integer squarings, and
-nothing is cached per call. The other sequences are closed forms in F. The
-tests keep the O(n) recurrence as their oracle.
+fixed table of F_0..F_255 and needs O(log n) big-integer squarings. The
+other sequences are closed forms in F. The tests keep the O(n) recurrence
+as their oracle.
+
+The kernel keeps its last 32 results (_MEMO_SIZE) in a least-recently-used
+memo, so what it holds is bounded by 32 pairs whatever indices are asked
+for. A catalog case reads at most five indices, and the next cases of a
+sweep read mostly the same ones again (the same m with another k, or m
+shifted by a step), so neighbouring cases share their kernel work.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import EvenOrder, NegativeIndex
 
@@ -21,7 +29,14 @@ _FIB_TABLE = [0, 1]
 while len(_FIB_TABLE) < 1 << _TABLE_BITS:
     _FIB_TABLE.append(_FIB_TABLE[-1] + _FIB_TABLE[-2])
 
+# Sized from the catalog's index patterns. Most entries read a few shifts
+# of 3m or 5m that the next m reads again (THM5 reads 5m+5, 5m, 5m-5 and
+# 5m-10; m + 1 reads three of them). The longest gap is LEM_29F's: F(m+14)
+# is read again seven cases later, after about twenty other indices.
+_MEMO_SIZE = 32
 
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _fib_pair(n: int) -> tuple[int, int]:
     """(F_n, F_{n+1}) for n >= 0 by fast doubling.
 

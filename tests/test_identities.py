@@ -3,10 +3,12 @@ import pytest
 from cfkit.contfrac import eval_fold, evaluate
 from cfkit.errors import (
     BadDomain,
+    CFKitError,
     ExtraParam,
     IntermediateZero,
     MissingParam,
     NotACFIdentity,
+    NotALemma,
 )
 from cfkit.identities import (
     CaseParams,
@@ -93,8 +95,11 @@ def test_lemma_bridge_domain():
 
 
 def test_check_lemma_rejects_cf_identities():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotALemma):
         check_lemma(I.ID117, CaseParams(1))
+    # both wrong-checker errors are CFKitErrors; NotALemma stays a ValueError
+    assert issubclass(NotALemma, CFKitError) and issubclass(NotALemma, ValueError)
+    assert issubclass(NotACFIdentity, CFKitError)
 
 
 def test_sweep_id117_base_cases():

@@ -66,43 +66,44 @@ ENTRY_POINTS = {
 
 # "valid" with a lemma under check/lhs_terms/rhs_value, or a
 # continued-fraction entry under check_lemma, is the wrong-checker case.
-# A sweep over m = -1 or m = 7 of LEM_BRIDGE has no case on its grid of
-# multiples of 5, so it raises nothing.
+# A sweep checks its ranges' shape (k given or not) before their domain,
+# and a LEM_BRIDGE sweep over m = -1 or m = 7 holds no multiple of 5 in
+# the domain, so it raises BadDomain.
 TABLE = """
 case              kind    check           check_lemma     lhs_terms       rhs_value       run_case        sweep
-negative_m        cf      BadDomain       ValueError      BadDomain       BadDomain       BadDomain       BadDomain
-negative_m        cf_k    BadDomain       ValueError      BadDomain       BadDomain       BadDomain       BadDomain
-negative_m        cor     BadDomain       ValueError      BadDomain       BadDomain       BadDomain       BadDomain
+negative_m        cf      BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       BadDomain
+negative_m        cf_k    BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       BadDomain
+negative_m        cor     BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       BadDomain
 negative_m        lemma   NotACFIdentity  BadDomain       NotACFIdentity  NotACFIdentity  BadDomain       BadDomain
-negative_m        bridge  NotACFIdentity  BadDomain       NotACFIdentity  NotACFIdentity  BadDomain       ok
-missing_k         cf      ok              ValueError      ok              ok              ok              ok
-missing_k         cf_k    MissingParam    ValueError      MissingParam    MissingParam    MissingParam    MissingParam
-missing_k         cor     MissingParam    ValueError      MissingParam    MissingParam    MissingParam    MissingParam
+negative_m        bridge  NotACFIdentity  BadDomain       NotACFIdentity  NotACFIdentity  BadDomain       BadDomain
+missing_k         cf      ok              NotALemma       ok              ok              ok              ok
+missing_k         cf_k    MissingParam    NotALemma       MissingParam    MissingParam    MissingParam    MissingParam
+missing_k         cor     MissingParam    NotALemma       MissingParam    MissingParam    MissingParam    MissingParam
 missing_k         lemma   NotACFIdentity  ok              NotACFIdentity  NotACFIdentity  ok              ok
 missing_k         bridge  NotACFIdentity  ok              NotACFIdentity  NotACFIdentity  ok              ok
-extra_k           cf      ExtraParam      ValueError      ExtraParam      ExtraParam      ExtraParam      ExtraParam
-extra_k           cf_k    ok              ValueError      ok              ok              ok              ok
-extra_k           cor     ok              ValueError      ok              ok              ok              ok
+extra_k           cf      ExtraParam      NotALemma       ExtraParam      ExtraParam      ExtraParam      ExtraParam
+extra_k           cf_k    ok              NotALemma       ok              ok              ok              ok
+extra_k           cor     ok              NotALemma       ok              ok              ok              ok
 extra_k           lemma   NotACFIdentity  ExtraParam      NotACFIdentity  NotACFIdentity  ExtraParam      ExtraParam
 extra_k           bridge  NotACFIdentity  ExtraParam      NotACFIdentity  NotACFIdentity  ExtraParam      ExtraParam
-negative_k        cf      ExtraParam      ValueError      ExtraParam      ExtraParam      ExtraParam      ExtraParam
-negative_k        cf_k    ok              ValueError      ok              ok              ok              ok
-negative_k        cor     BadDomain       ValueError      BadDomain       BadDomain       BadDomain       BadDomain
+negative_k        cf      ExtraParam      NotALemma       ExtraParam      ExtraParam      ExtraParam      ExtraParam
+negative_k        cf_k    ok              NotALemma       ok              ok              ok              ok
+negative_k        cor     BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       BadDomain
 negative_k        lemma   NotACFIdentity  ExtraParam      NotACFIdentity  NotACFIdentity  ExtraParam      ExtraParam
 negative_k        bridge  NotACFIdentity  ExtraParam      NotACFIdentity  NotACFIdentity  ExtraParam      ExtraParam
-m_7               cf      ok              ValueError      ok              ok              ok              ok
-m_7               cf_k    ok              ValueError      ok              ok              ok              ok
-m_7               cor     ok              ValueError      ok              ok              ok              ok
+m_7               cf      ok              NotALemma       ok              ok              ok              ok
+m_7               cf_k    ok              NotALemma       ok              ok              ok              ok
+m_7               cor     ok              NotALemma       ok              ok              ok              ok
 m_7               lemma   NotACFIdentity  ok              NotACFIdentity  NotACFIdentity  ok              ok
-m_7               bridge  NotACFIdentity  BadDomain       NotACFIdentity  NotACFIdentity  BadDomain       ok
-valid             cf      ok              ValueError      ok              ok              ok              ok
-valid             cf_k    ok              ValueError      ok              ok              ok              ok
-valid             cor     ok              ValueError      ok              ok              ok              ok
+m_7               bridge  NotACFIdentity  BadDomain       NotACFIdentity  NotACFIdentity  BadDomain       BadDomain
+valid             cf      ok              NotALemma       ok              ok              ok              ok
+valid             cf_k    ok              NotALemma       ok              ok              ok              ok
+valid             cor     ok              NotALemma       ok              ok              ok              ok
 valid             lemma   NotACFIdentity  ok              NotACFIdentity  NotACFIdentity  ok              ok
 valid             bridge  NotACFIdentity  ok              NotACFIdentity  NotACFIdentity  ok              ok
-negative_m_bad_k  cf      BadDomain       ValueError      BadDomain       BadDomain       BadDomain       ExtraParam
-negative_m_bad_k  cf_k    BadDomain       ValueError      BadDomain       BadDomain       BadDomain       MissingParam
-negative_m_bad_k  cor     BadDomain       ValueError      BadDomain       BadDomain       BadDomain       MissingParam
+negative_m_bad_k  cf      BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       ExtraParam
+negative_m_bad_k  cf_k    BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       MissingParam
+negative_m_bad_k  cor     BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       MissingParam
 negative_m_bad_k  lemma   NotACFIdentity  BadDomain       NotACFIdentity  NotACFIdentity  BadDomain       ExtraParam
 negative_m_bad_k  bridge  NotACFIdentity  BadDomain       NotACFIdentity  NotACFIdentity  BadDomain       ExtraParam
 """
