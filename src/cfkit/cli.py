@@ -77,17 +77,20 @@ def _parse_rational(text: str) -> Rational:
 
 def _decimal(r: Rational, digits: int) -> str:
     """Truncate toward zero to `digits` fractional digits; '…' marks inexactness."""
-    sign = "-" if r.num < 0 else ""
-    whole, rem = divmod(abs(r.num), r.den)
-    out = f"{sign}{whole}"
-    if digits > 0:
-        frac = []
-        for _ in range(digits):
-            rem *= 10
-            digit, rem = divmod(rem, r.den)
-            frac.append(str(digit))
-        out += "." + "".join(frac)
+    scaled, rem = divmod(abs(r.num) * 10**digits, r.den)
+    whole, frac = divmod(scaled, 10**digits)
+    out = ("-" if r.num < 0 else "") + str(whole)
+    if digits:
+        out += "." + _zero_padded(frac, digits)
     return out + "…" if rem else out
+
+
+def _zero_padded(n: int, width: int) -> str:
+    """0 <= n < 10**width as `width` digits, in pieces short enough for str(int)'s digit limit."""
+    if width <= 4000:
+        return str(n).zfill(width)
+    hi, lo = divmod(n, 10 ** (width // 2))
+    return _zero_padded(hi, width - width // 2) + _zero_padded(lo, width // 2)
 
 
 def _rat_json(r: Rational) -> dict:

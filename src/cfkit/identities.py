@@ -1,12 +1,13 @@
 """Machine-checkable catalog of continued-fraction and sequence identities.
 
-Each continued-fraction entry pairs a term constructor with an exact
-rational right-hand side (rhs_value). The constructor returns (value,
-count) runs such as [(4, m), (3, 1)] for [4]*m + [3]; check() evaluates
-them with evaluate_runs() under the forward convergent semantics and
-compares, while lhs_terms() returns the expanded term list. Lemma entries
-(LEM_*) are exact integer equations checked by check_lemma(). Every
-entry point validates a case exactly once; run_case() checks either kind.
+Each entry is one record in _CATALOG: its two sides as functions of the
+case (m, k) and its domain. A continued-fraction entry's left side returns
+(value, count) runs such as [(4, m), (3, 1)] for [4]*m + [3]; check()
+evaluates them with evaluate_runs() under the forward convergent semantics
+and compares them with the exact rational right side (rhs_value), while
+lhs_terms() returns the expanded term list. Lemma entries (LEM_*) are exact
+integer equations checked by check_lemma(). Every entry point validates a
+case exactly once; run_case() checks either kind.
 iter_sweep() checks a whole parameter grid against the entry's domain up
 front and then yields one (params, outcome) pair per case as it goes, so a
 caller that consumes it case by case (the CLI does) holds one case at a
@@ -26,15 +27,15 @@ G_k(n) = gibonacci(k, n) and S_t(n) = scaled_fib(t, n); m >= 0 throughout:
     ID117              [4]*m + [3]        f(3m+3) / f(3m)
     ID118              [4]*m + [5]        f(3m+4) / f(3m+1)
     ID_LUCAS7          [4]*m + [7]        L(3m+4) / L(3m+1)
-    THM1_GIBONACCI     [4]*m + [2k+3]     G_k(3m+4) / G_k(3m+1)          (k in Z)
-    THM2_FIB_FORM      [4]*m + [2k+3]     (F(3m+4) + k*F(3m+3)) / (F(3m+1) + k*F(3m))
-    THM3_ONES          [1]*m + [k]        (F(m+2) + (k-1)*F(m+1)) / (F(m+1) + (k-1)*F(m))
+    THM1_GIBONACCI     [4]*m + [2k+3]     G_k(3m+4) / G_k(3m+1)                            (k in Z)
+    THM2_FIB_FORM      [4]*m + [2k+3]     (F(3m+4) + k*F(3m+3)) / (F(3m+1) + k*F(3m))      (k in Z)
+    THM3_ONES          [1]*m + [k]        (F(m+2) + (k-1)*F(m+1)) / (F(m+1) + (k-1)*F(m))  (k in Z)
     THM4_ELEVEN3       [11]*m + [3]       F(5m+4) / F(5m-1)
     THM5_SWAPPED_LUCAS [11]*(m+1)         (l(5m+5) - l(5m-5)) / (l(5m) - l(5m-10))
     THM6_ELEVEN_FIB    [11]*(m+1)         F(5m+10) / F(5m+5)
     THM7_FOURS         [4]*(m+1)          S_3(m+2) / S_3(m+1)
     THM8_TWENTYNINES   [29]*(m+1)         S_7(m+2) / S_7(m+1)
-    COR_GENERAL_LUCAS  [L(2k+1)]*(m+1)    S_{2k+1}(m+2) / S_{2k+1}(m+1)  (k >= 0)
+    COR_GENERAL_LUCAS  [L(2k+1)]*(m+1)    S_{2k+1}(m+2) / S_{2k+1}(m+1)                    (k >= 0)
     EXT_ELEVEN8        [11]*m + [8]       F(5m+6) / F(5m+1)
     EXT_ELEVEN13       [11]*m + [13]      F(5m+7) / F(5m+2)
 
@@ -46,7 +47,7 @@ Lemmas (exact integer equations at index m >= 0):
     LEM_F9       F(m+9) = F(m-1) + 11*F(m+4)
     LEM_11F      11*F(m+4) = F(m) + F(m+2) + F(m+4) + F(m+6) + F(m+8)
     LEM_29F      F(m) + 29*F(m+7) = F(m+14)
-    LEM_BRIDGE   5*(l(m) - l(m-10)) = F(m+5)   (m a multiple of 5)
+    LEM_BRIDGE   5*(l(m) - l(m-10)) = F(m+5)   (m a multiple of 5; sweeps step m by 5)
 
 Two caveats the harness itself demonstrates:
 
@@ -58,12 +59,13 @@ Two caveats the harness itself demonstrates:
     involved. The entry is kept verbatim so sweeps surface exactly where
     it stops holding; THM6_ELEVEN_FIB is the form that holds for all m.
   * LEM_BRIDGE holds for m in {0, 5, 10, 15} and fails from m = 20 on
-    (5*(l_20 - l_10) = 75020 but F_25 = 75025), for the same seed reason.
+    (5*(l_20 - l_10) = 75020 but F_25 = 75025), for the same seed reason;
+    from there the right side exceeds the left by exactly F(m-15).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from enum import Enum, auto
 from typing import NamedTuple
 
@@ -117,17 +119,7 @@ class IdentityId(Enum):
 
     @property
     def takes_k(self) -> bool:
-        return self in _K_IDENTITIES
-
-
-_K_IDENTITIES = frozenset(
-    {
-        IdentityId.THM1_GIBONACCI,
-        IdentityId.THM2_FIB_FORM,
-        IdentityId.THM3_ONES,
-        IdentityId.COR_GENERAL_LUCAS,
-    }
-)
+        return _CATALOG[self].takes_k
 
 
 class Status(Enum):
@@ -169,136 +161,146 @@ class SweepReport(NamedTuple):
         return sum(o.status is Status.SKIPPED for _, o in self.cases)
 
 
-def _thm5_rhs(m: int) -> tuple[int, int]:
-    num = lucas_swapped(5 * m + 5) - lucas_swapped(5 * m - 5)
-    den = lucas_swapped(5 * m) - lucas_swapped(5 * m - 10)
-    return num, den
+# One record per catalog entry. lhs and rhs take the case's (m, k): for a
+# continued-fraction entry lhs gives the (value, count) runs of its terms and
+# rhs the unreduced (num, den); for a lemma each gives one integer. The domain:
+# takes_k, k's lower bound k_min (None: every k), and m_step, the entry being
+# stated only for multiples of it.
+class _Entry(NamedTuple):
+    lhs: Callable
+    rhs: Callable
+    takes_k: bool = False
+    k_min: int | None = None
+    m_step: int = 1
 
 
-# entry -> (runs of the left side, unreduced (num, den) of the right side)
-_CF_CATALOG = {
-    IdentityId.ID117: (
-        lambda p: [(4, p.m), (3, 1)],
-        lambda p: (fib_comb(3 * p.m + 3), fib_comb(3 * p.m)),
+_CATALOG = {
+    IdentityId.ID117: _Entry(
+        lambda m, k: [(4, m), (3, 1)],
+        lambda m, k: (fib_comb(3 * m + 3), fib_comb(3 * m)),
     ),
-    IdentityId.ID118: (
-        lambda p: [(4, p.m), (5, 1)],
-        lambda p: (fib_comb(3 * p.m + 4), fib_comb(3 * p.m + 1)),
+    IdentityId.ID118: _Entry(
+        lambda m, k: [(4, m), (5, 1)],
+        lambda m, k: (fib_comb(3 * m + 4), fib_comb(3 * m + 1)),
     ),
-    IdentityId.ID_LUCAS7: (
-        lambda p: [(4, p.m), (7, 1)],
-        lambda p: (lucas(3 * p.m + 4), lucas(3 * p.m + 1)),
+    IdentityId.ID_LUCAS7: _Entry(
+        lambda m, k: [(4, m), (7, 1)],
+        lambda m, k: (lucas(3 * m + 4), lucas(3 * m + 1)),
     ),
-    IdentityId.THM1_GIBONACCI: (
-        lambda p: [(4, p.m), (2 * p.k + 3, 1)],
-        lambda p: (gibonacci(p.k, 3 * p.m + 4), gibonacci(p.k, 3 * p.m + 1)),
+    IdentityId.THM1_GIBONACCI: _Entry(
+        lambda m, k: [(4, m), (2 * k + 3, 1)],
+        lambda m, k: (gibonacci(k, 3 * m + 4), gibonacci(k, 3 * m + 1)),
+        takes_k=True,
     ),
-    IdentityId.THM2_FIB_FORM: (
-        lambda p: [(4, p.m), (2 * p.k + 3, 1)],
-        lambda p: (
-            fib(3 * p.m + 4) + p.k * fib(3 * p.m + 3),
-            fib(3 * p.m + 1) + p.k * fib(3 * p.m),
+    IdentityId.THM2_FIB_FORM: _Entry(
+        lambda m, k: [(4, m), (2 * k + 3, 1)],
+        lambda m, k: (fib(3 * m + 4) + k * fib(3 * m + 3), fib(3 * m + 1) + k * fib(3 * m)),
+        takes_k=True,
+    ),
+    IdentityId.THM3_ONES: _Entry(
+        lambda m, k: [(1, m), (k, 1)],
+        lambda m, k: (fib(m + 2) + (k - 1) * fib(m + 1), fib(m + 1) + (k - 1) * fib(m)),
+        takes_k=True,
+    ),
+    IdentityId.THM4_ELEVEN3: _Entry(
+        lambda m, k: [(11, m), (3, 1)],
+        lambda m, k: (fib(5 * m + 4), fib(5 * m - 1)),
+    ),
+    IdentityId.THM5_SWAPPED_LUCAS: _Entry(
+        lambda m, k: [(11, m + 1)],
+        lambda m, k: (
+            lucas_swapped(5 * m + 5) - lucas_swapped(5 * m - 5),
+            lucas_swapped(5 * m) - lucas_swapped(5 * m - 10),
         ),
     ),
-    IdentityId.THM3_ONES: (
-        lambda p: [(1, p.m), (p.k, 1)],
-        lambda p: (
-            fib(p.m + 2) + (p.k - 1) * fib(p.m + 1),
-            fib(p.m + 1) + (p.k - 1) * fib(p.m),
-        ),
+    IdentityId.THM6_ELEVEN_FIB: _Entry(
+        lambda m, k: [(11, m + 1)],
+        lambda m, k: (fib(5 * m + 10), fib(5 * m + 5)),
     ),
-    IdentityId.THM4_ELEVEN3: (
-        lambda p: [(11, p.m), (3, 1)],
-        lambda p: (fib(5 * p.m + 4), fib(5 * p.m - 1)),
+    IdentityId.THM7_FOURS: _Entry(
+        lambda m, k: [(4, m + 1)],
+        lambda m, k: (scaled_fib(3, m + 2), scaled_fib(3, m + 1)),
     ),
-    IdentityId.THM5_SWAPPED_LUCAS: (
-        lambda p: [(11, p.m + 1)],
-        lambda p: _thm5_rhs(p.m),
+    IdentityId.THM8_TWENTYNINES: _Entry(
+        lambda m, k: [(29, m + 1)],
+        lambda m, k: (scaled_fib(7, m + 2), scaled_fib(7, m + 1)),
     ),
-    IdentityId.THM6_ELEVEN_FIB: (
-        lambda p: [(11, p.m + 1)],
-        lambda p: (fib(5 * p.m + 10), fib(5 * p.m + 5)),
+    IdentityId.COR_GENERAL_LUCAS: _Entry(
+        lambda m, k: [(lucas(2 * k + 1), m + 1)],
+        lambda m, k: (scaled_fib(2 * k + 1, m + 2), scaled_fib(2 * k + 1, m + 1)),
+        takes_k=True,
+        k_min=0,
     ),
-    IdentityId.THM7_FOURS: (
-        lambda p: [(4, p.m + 1)],
-        lambda p: (scaled_fib(3, p.m + 2), scaled_fib(3, p.m + 1)),
+    IdentityId.EXT_ELEVEN8: _Entry(
+        lambda m, k: [(11, m), (8, 1)],
+        lambda m, k: (fib(5 * m + 6), fib(5 * m + 1)),
     ),
-    IdentityId.THM8_TWENTYNINES: (
-        lambda p: [(29, p.m + 1)],
-        lambda p: (scaled_fib(7, p.m + 2), scaled_fib(7, p.m + 1)),
+    IdentityId.EXT_ELEVEN13: _Entry(
+        lambda m, k: [(11, m), (13, 1)],
+        lambda m, k: (fib(5 * m + 7), fib(5 * m + 2)),
     ),
-    IdentityId.COR_GENERAL_LUCAS: (
-        lambda p: [(lucas(2 * p.k + 1), p.m + 1)],
-        lambda p: (scaled_fib(2 * p.k + 1, p.m + 2), scaled_fib(2 * p.k + 1, p.m + 1)),
+    IdentityId.LEM_3F: _Entry(lambda m, k: 3 * fib(m), lambda m, k: fib(m + 2) + fib(m - 2)),
+    IdentityId.LEM_4F: _Entry(
+        lambda m, k: 4 * fib(m),
+        lambda m, k: fib(m + 2) + fib(m) + fib(m - 2),
     ),
-    IdentityId.EXT_ELEVEN8: (
-        lambda p: [(11, p.m), (8, 1)],
-        lambda p: (fib(5 * p.m + 6), fib(5 * p.m + 1)),
+    IdentityId.LEM_L32: _Entry(lambda m, k: lucas(m), lambda m, k: fib(m + 1) + fib(m - 1)),
+    IdentityId.LEM_F9: _Entry(lambda m, k: fib(m + 9), lambda m, k: fib(m - 1) + 11 * fib(m + 4)),
+    IdentityId.LEM_11F: _Entry(
+        lambda m, k: 11 * fib(m + 4),
+        lambda m, k: fib(m) + fib(m + 2) + fib(m + 4) + fib(m + 6) + fib(m + 8),
     ),
-    IdentityId.EXT_ELEVEN13: (
-        lambda p: [(11, p.m), (13, 1)],
-        lambda p: (fib(5 * p.m + 7), fib(5 * p.m + 2)),
+    IdentityId.LEM_29F: _Entry(lambda m, k: fib(m) + 29 * fib(m + 7), lambda m, k: fib(m + 14)),
+    IdentityId.LEM_BRIDGE: _Entry(
+        lambda m, k: 5 * (lucas_swapped(m) - lucas_swapped(m - 10)),
+        lambda m, k: fib(m + 5),
+        m_step=5,
     ),
 }
 
-_LEMMA_CATALOG = {
-    IdentityId.LEM_3F: lambda m: (3 * fib(m), fib(m + 2) + fib(m - 2)),
-    IdentityId.LEM_4F: lambda m: (4 * fib(m), fib(m + 2) + fib(m) + fib(m - 2)),
-    IdentityId.LEM_L32: lambda m: (lucas(m), fib(m + 1) + fib(m - 1)),
-    IdentityId.LEM_F9: lambda m: (fib(m + 9), fib(m - 1) + 11 * fib(m + 4)),
-    IdentityId.LEM_11F: lambda m: (
-        11 * fib(m + 4),
-        fib(m) + fib(m + 2) + fib(m + 4) + fib(m + 6) + fib(m + 8),
-    ),
-    IdentityId.LEM_29F: lambda m: (fib(m) + 29 * fib(m + 7), fib(m + 14)),
-    IdentityId.LEM_BRIDGE: lambda m: (
-        5 * (lucas_swapped(m) - lucas_swapped(m - 10)),
-        fib(m + 5),
-    ),
-}
 
-
-def _validate(ident: IdentityId, params: CaseParams) -> None:
+def _validate(ident: IdentityId, params: CaseParams) -> _Entry:
+    """The entry's record, after checking that the case lies in its domain."""
+    entry = _CATALOG[ident]
     if params.m < 0:
         raise BadDomain(f"m must be >= 0, got {params.m}")
-    if ident.takes_k:
+    if entry.takes_k:
         if params.k is None:
             raise MissingParam(f"{ident.name} needs parameter k")
     elif params.k is not None:
         raise ExtraParam(f"{ident.name} takes no parameter k")
-    if ident is IdentityId.COR_GENERAL_LUCAS and params.k < 0:
-        raise BadDomain(f"{ident.name} needs k >= 0, got {params.k}")
-    if ident is IdentityId.LEM_BRIDGE and params.m % 5 != 0:
-        raise BadDomain(f"{ident.name} is stated for multiples of 5, got m = {params.m}")
+    if entry.k_min is not None and params.k < entry.k_min:
+        raise BadDomain(f"{ident.name} needs k >= {entry.k_min}, got {params.k}")
+    if params.m % entry.m_step:
+        raise BadDomain(f"{ident.name} is stated for multiples of {entry.m_step}, got m = {params.m}")
+    return entry
 
 
-def _cf_entry(ident: IdentityId, params: CaseParams) -> tuple:
-    """The (terms, rhs) constructors of a continued-fraction case, after validating it."""
+def _cf_entry(ident: IdentityId, params: CaseParams) -> _Entry:
+    """The record of a continued-fraction case, after validating it."""
     if ident.is_lemma:
         raise NotACFIdentity(f"{ident.name} has no continued-fraction side")
-    _validate(ident, params)
-    return _CF_CATALOG[ident]
+    return _validate(ident, params)
 
 
 def lhs_terms(ident: IdentityId, params: CaseParams) -> list[int]:
     """The exact term list the identity prescribes for these parameters."""
-    return _expand(_cf_entry(ident, params)[0](params))
+    return _expand(_cf_entry(ident, params).lhs(params.m, params.k))
 
 
 def rhs_value(ident: IdentityId, params: CaseParams) -> Rational | None:
     """The identity's stated ratio, reduced, or None when its denominator is zero."""
-    num, den = _cf_entry(ident, params)[1](params)
+    num, den = _cf_entry(ident, params).rhs(params.m, params.k)
     return None if den == 0 else Rational(num, den)
 
 
-def _cf_outcome(entry: tuple, params: CaseParams) -> CheckOutcome:
+def _cf_outcome(entry: _Entry, params: CaseParams) -> CheckOutcome:
     """check() on a case its caller has validated."""
-    make_runs, make_rhs = entry
     try:
-        lhs = evaluate_runs(make_runs(params))
+        lhs = evaluate_runs(entry.lhs(params.m, params.k))
     except UndefinedValue:
         lhs = None
-    num, den = make_rhs(params)
+    num, den = entry.rhs(params.m, params.k)
     if den == 0:
         if lhs is None:
             return CheckOutcome(Status.SKIPPED, None, None, "both sides undefined")
@@ -313,9 +315,9 @@ def _cf_outcome(entry: tuple, params: CaseParams) -> CheckOutcome:
     return CheckOutcome(Status.FAIL, lhs, Rational(num, den), "values differ")
 
 
-def _lemma_outcome(equation, params: CaseParams) -> CheckOutcome:
+def _lemma_outcome(entry: _Entry, params: CaseParams) -> CheckOutcome:
     """check_lemma() on a case its caller has validated."""
-    lhs, rhs = equation(params.m)
+    lhs, rhs = entry.lhs(params.m, params.k), entry.rhs(params.m, params.k)
     if lhs == rhs:
         value = Rational(lhs)
         return CheckOutcome(Status.PASS, value, value)
@@ -335,16 +337,13 @@ def check_lemma(ident: IdentityId, params: CaseParams) -> CheckOutcome:
     """Check one lemma instance as an exact integer equation."""
     if not ident.is_lemma:
         raise NotALemma(f"{ident.name} is not a lemma; use check()")
-    _validate(ident, params)
-    return _lemma_outcome(_LEMMA_CATALOG[ident], params)
+    return _lemma_outcome(_validate(ident, params), params)
 
 
 def run_case(ident: IdentityId, params: CaseParams) -> CheckOutcome:
     """Check one case of either kind: check() for identities, check_lemma() for lemmas."""
-    _validate(ident, params)
-    if ident.is_lemma:
-        return _lemma_outcome(_LEMMA_CATALOG[ident], params)
-    return _cf_outcome(_CF_CATALOG[ident], params)
+    entry = _validate(ident, params)
+    return (_lemma_outcome if ident.is_lemma else _cf_outcome)(entry, params)
 
 
 def _case_grid(
@@ -359,10 +358,11 @@ def _case_grid(
     takes it, and the grid must lie in the entry's domain and hold at
     least one case of it.
     """
+    entry = _CATALOG[ident]
     m_lo, m_hi = m_range
     if m_lo > m_hi:
         raise ValueError(f"empty m range {m_lo}..{m_hi}")
-    if ident.takes_k:
+    if entry.takes_k:
         if k_range is None:
             raise MissingParam(f"{ident.name} needs a k range")
         k_lo, k_hi = k_range
@@ -372,16 +372,13 @@ def _case_grid(
         raise ExtraParam(f"{ident.name} takes no k range")
     if m_lo < 0:
         raise BadDomain(f"m must be >= 0, got {m_lo}")
-    if ident is IdentityId.COR_GENERAL_LUCAS and k_lo < 0:
-        raise BadDomain(f"{ident.name} needs k >= 0, got {k_lo}")
-    if ident is IdentityId.LEM_BRIDGE:
-        m_lo += -m_lo % 5
-        if m_lo > m_hi:
-            raise BadDomain(f"{ident.name} is stated for multiples of 5, none in {m_range[0]}..{m_hi}")
-        ms = range(m_lo, m_hi + 1, 5)
-    else:
-        ms = range(m_lo, m_hi + 1)
-    if ident.takes_k:
+    if entry.k_min is not None and k_lo < entry.k_min:
+        raise BadDomain(f"{ident.name} needs k >= {entry.k_min}, got {k_lo}")
+    step = entry.m_step
+    ms = range(m_lo + -m_lo % step, m_hi + 1, step)
+    if not ms:
+        raise BadDomain(f"{ident.name} is stated for multiples of {step}, none in {m_lo}..{m_hi}")
+    if entry.takes_k:
         ks = range(k_lo, k_hi + 1)
         return (CaseParams(m, k) for m in ms for k in ks)
     return map(CaseParams, ms)
@@ -396,8 +393,8 @@ def iter_sweep(
 
     The grid is checked when this is called, so a bad range raises before
     any case runs; the cases then run one at a time as the result is
-    consumed, each through run_case(). For LEM_BRIDGE the m interval is
-    filtered to the lemma's domain (multiples of 5).
+    consumed, each through run_case(). The m interval is filtered to the
+    entry's domain (multiples of 5 for LEM_BRIDGE).
     """
     grid = _case_grid(ident, m_range, k_range)
     return ((params, run_case(ident, params)) for params in grid)

@@ -1,6 +1,10 @@
 import json
 
-from cfkit.cli import run
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cfkit.cli import _decimal, run
+from cfkit.rational import Rational
 
 
 def invoke(capsys, args, expect_code=0):
@@ -24,6 +28,36 @@ def test_eval_digits_marks_truncation(capsys):
     assert invoke(capsys, ["eval", "[2,3,7]", "--digits", "6"]).out == "2.318181…\n"
     assert invoke(capsys, ["eval", "[3]", "--digits", "2"]).out == "3.00\n"
     assert invoke(capsys, ["eval", "[-4,1,2]", "--digits", "2"]).out == "-3.33…\n"
+
+
+def _long_division(num, den, digits):
+    """num/den truncated toward zero, one digit at a time, with '…' when inexact."""
+    sign = "-" if num != 0 and (num < 0) != (den < 0) else ""
+    whole, rem = divmod(abs(num), abs(den))
+    text = sign + str(whole) + ("." if digits else "")
+    for _ in range(digits):
+        digit, rem = divmod(rem * 10, abs(den))
+        text += str(digit)
+    return text + "…" if rem else text
+
+
+_big = st.integers(-(10**30), 10**30)
+
+
+@settings(deadline=None)
+@given(_big, _big.filter(bool), st.integers(0, 60))
+def test_decimal_matches_long_division(num, den, digits):
+    assert _decimal(Rational(num, den), digits) == _long_division(num, den, digits)
+
+
+def test_decimal_edge_cases():
+    assert _decimal(Rational(-1, 2), 2) == "-0.50"
+    assert _decimal(Rational(-1, 2), 0) == "-0…"
+    assert _decimal(Rational(3), 2) == "3.00"
+    assert _decimal(Rational(1, 7), 0) == "0…"
+    # more fractional digits than str(int) converts in one piece
+    assert _decimal(Rational(-22, 7), 9000) == _long_division(-22, 7, 9000)
+    assert _decimal(Rational(1, 2**40), 9000) == _long_division(1, 2**40, 9000)
 
 
 def test_eval_undefined_value_exits_3(capsys):

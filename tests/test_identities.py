@@ -190,6 +190,14 @@ def test_lem_bridge_holds_only_through_fifteen():
     assert outcome.rhs == Rational(75025)
 
 
+def test_lem_bridge_gap_is_fib_m_minus_15():
+    # From m = 20 on the right side exceeds the left by exactly F(m-15);
+    # the unscaled difference l(m) - l(m-10) falls short of F(m+5)/5 by F(m-15)/5.
+    for m in range(20, 2001, 5):
+        outcome = check_lemma(I.LEM_BRIDGE, CaseParams(m))
+        assert outcome.rhs.num - outcome.lhs.num == fib(m - 15)
+
+
 def test_gibonacci_and_fibonacci_forms_agree():
     for m in range(0, 31):
         for k in range(-10, 11):

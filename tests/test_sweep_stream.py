@@ -125,7 +125,7 @@ def test_failing_cases_reduce_their_right_side(gcd_calls):
 def _outcome(lhs, num, den):
     """_cf_outcome() on a synthetic entry whose left side evaluates to lhs."""
     runs = [(a, 1) for a in expand_rational(lhs)]
-    entry = (lambda p: runs, lambda p: (num, den))
+    entry = identities._Entry(lambda m, k: runs, lambda m, k: (num, den))
     return identities._cf_outcome(entry, CaseParams(0))
 
 
