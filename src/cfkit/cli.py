@@ -334,25 +334,27 @@ _VALUE_OPTIONS = {"--m", "--k", "--from", "--to"}
 
 
 def _glue_negative_values(argv: list[str]) -> list[str]:
-    """Join option/value pairs whose value starts with '-' (e.g. --k -50..50).
+    """Keep values that start with '-' and a digit from being read as option names.
 
-    argparse would otherwise mistake such values for option names.
+    argparse takes a plain negative integer as a value already. Any other
+    such token is joined to a preceding --m/--k/--from/--to (--k=-50..50);
+    otherwise it is a positional (expand -13/3) and moves behind one closing
+    '--', as do the tokens after a '--' of the caller's own.
     """
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if tok in _VALUE_OPTIONS and nxt.startswith("-") and nxt[1:2].isdigit():
-            out.append(f"{tok}={nxt}")
-            i += 2
-        elif tok == "expand" and nxt.startswith("-") and nxt[1:2].isdigit():
-            out.extend([tok, "--", nxt])  # negative rationals like -13/3
-            i += 2
+    tail: list[str] = []
+    for i, tok in enumerate(argv):
+        if tok == "--":
+            tail += argv[i + 1 :]
+            break
+        if tok[:1] == "-" and tok[1:2].isdigit() and not tok[1:].isdigit():
+            if out and out[-1] in _VALUE_OPTIONS:
+                out[-1] += "=" + tok
+            else:
+                tail.append(tok)
         else:
             out.append(tok)
-            i += 1
-    return out
+    return [*out, "--", *tail] if tail else out
 
 
 def run(argv: list[str]) -> int:

@@ -331,8 +331,10 @@ def surd_cf(d: int, max_terms: int = 10_000) -> SurdExpansion:
         P_{i+1} = a_i*Q_i - P_i,   Q_{i+1} = (d - P_{i+1}^2) / Q_i,
         a_i = floor((a0 + P_i) / Q_i)
 
-    from (P_1, Q_1) and stops at the first repeated state, which closes
-    the minimal period.
+    from (P_1, Q_1). Every term before the end of the minimal period is at
+    most a0, and the period ends with 2*a0, so the first term equal to
+    2*a0 closes it. Raises PeriodNotFound when the period is longer than
+    max_terms.
     """
     if d < 1:
         raise ValueError(f"expected a positive integer, got {d}")
@@ -341,15 +343,12 @@ def surd_cf(d: int, max_terms: int = 10_000) -> SurdExpansion:
         raise PerfectSquare(f"{d} is a perfect square")
 
     period: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
     p, q = a0, d - a0 * a0
-    while (p, q) not in seen:
+    while not period or period[-1] != 2 * a0:
         if len(period) >= max_terms:
             raise PeriodNotFound(f"no period within {max_terms} terms")
-        seen[(p, q)] = len(period)
         a = (a0 + p) // q
         period.append(a)
         p = a * q - p
         q = (d - p * p) // q
-    start = seen[(p, q)]
-    return SurdExpansion(a0, tuple(period[start:]))
+    return SurdExpansion(a0, tuple(period))

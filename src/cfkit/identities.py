@@ -1,13 +1,14 @@
 """Machine-checkable catalog of continued-fraction and sequence identities.
 
-Each entry is one record in _CATALOG: its two sides as functions of the
-case (m, k) and its domain. A continued-fraction entry's left side returns
-(value, count) runs such as [(4, m), (3, 1)] for [4]*m + [3]; check()
-evaluates them with evaluate_runs() under the forward convergent semantics
-and compares them with the exact rational right side (rhs_value), while
-lhs_terms() returns the expanded term list. Lemma entries (LEM_*) are exact
-integer equations checked by check_lemma(). Every entry point validates a
-case exactly once; run_case() checks either kind.
+Each entry is one IdentityId member, declared as its record: its two sides
+as functions of the case (m, k) and its domain. A continued-fraction entry's
+left side returns (value, count) runs such as [(4, m), (3, 1)] for
+[4]*m + [3]; check() evaluates them with evaluate_runs() under the forward
+convergent semantics and compares them with the exact rational right side
+(rhs_value), while lhs_terms() returns the expanded term list. Lemma
+entries (LEM_*) are exact integer equations checked by check_lemma().
+Every entry point validates a case exactly once; run_case() checks either
+kind.
 iter_sweep() checks a whole parameter grid against the entry's domain up
 front and then yields one (params, outcome) pair per case as it goes, so a
 caller that consumes it case by case (the CLI does) holds one case at a
@@ -90,36 +91,115 @@ from .sequences import (
 )
 
 
+# The record each IdentityId member is declared as. lhs and rhs take the
+# case's (m, k): for a continued-fraction entry lhs gives the (value, count)
+# runs of its terms and rhs the unreduced (num, den); for a lemma each gives
+# one integer. The domain: takes_k, k's lower bound k_min (None: every k), and
+# m_step, the entry being stated only for multiples of it.
+class _Entry(NamedTuple):
+    lhs: Callable
+    rhs: Callable
+    takes_k: bool = False
+    k_min: int | None = None
+    m_step: int = 1
+
+
 class IdentityId(Enum):
-    ID117 = auto()
-    ID118 = auto()
-    ID_LUCAS7 = auto()
-    THM1_GIBONACCI = auto()
-    THM2_FIB_FORM = auto()
-    THM3_ONES = auto()
-    THM4_ELEVEN3 = auto()
-    THM5_SWAPPED_LUCAS = auto()
-    THM6_ELEVEN_FIB = auto()
-    THM7_FOURS = auto()
-    THM8_TWENTYNINES = auto()
-    COR_GENERAL_LUCAS = auto()
-    EXT_ELEVEN8 = auto()
-    EXT_ELEVEN13 = auto()
-    LEM_3F = auto()
-    LEM_4F = auto()
-    LEM_L32 = auto()
-    LEM_F9 = auto()
-    LEM_11F = auto()
-    LEM_29F = auto()
-    LEM_BRIDGE = auto()
+    """One catalog entry; the member carries its record's five fields as attributes."""
+
+    def __new__(cls, *fields):
+        # Enum passes the fields of a tuple value as arguments. The values
+        # stay 1, 2, ... in declaration order, as auto() would number them.
+        member = object.__new__(cls)
+        member._value_ = len(cls.__members__) + 1
+        member.lhs, member.rhs, member.takes_k, member.k_min, member.m_step = fields
+        return member
+
+    ID117 = _Entry(
+        lambda m, k: [(4, m), (3, 1)],
+        lambda m, k: (fib_comb(3 * m + 3), fib_comb(3 * m)),
+    )
+    ID118 = _Entry(
+        lambda m, k: [(4, m), (5, 1)],
+        lambda m, k: (fib_comb(3 * m + 4), fib_comb(3 * m + 1)),
+    )
+    ID_LUCAS7 = _Entry(
+        lambda m, k: [(4, m), (7, 1)],
+        lambda m, k: (lucas(3 * m + 4), lucas(3 * m + 1)),
+    )
+    THM1_GIBONACCI = _Entry(
+        lambda m, k: [(4, m), (2 * k + 3, 1)],
+        lambda m, k: (gibonacci(k, 3 * m + 4), gibonacci(k, 3 * m + 1)),
+        takes_k=True,
+    )
+    THM2_FIB_FORM = _Entry(
+        lambda m, k: [(4, m), (2 * k + 3, 1)],
+        lambda m, k: (fib(3 * m + 4) + k * fib(3 * m + 3), fib(3 * m + 1) + k * fib(3 * m)),
+        takes_k=True,
+    )
+    THM3_ONES = _Entry(
+        lambda m, k: [(1, m), (k, 1)],
+        lambda m, k: (fib(m + 2) + (k - 1) * fib(m + 1), fib(m + 1) + (k - 1) * fib(m)),
+        takes_k=True,
+    )
+    THM4_ELEVEN3 = _Entry(
+        lambda m, k: [(11, m), (3, 1)],
+        lambda m, k: (fib(5 * m + 4), fib(5 * m - 1)),
+    )
+    THM5_SWAPPED_LUCAS = _Entry(
+        lambda m, k: [(11, m + 1)],
+        lambda m, k: (
+            lucas_swapped(5 * m + 5) - lucas_swapped(5 * m - 5),
+            lucas_swapped(5 * m) - lucas_swapped(5 * m - 10),
+        ),
+    )
+    THM6_ELEVEN_FIB = _Entry(
+        lambda m, k: [(11, m + 1)],
+        lambda m, k: (fib(5 * m + 10), fib(5 * m + 5)),
+    )
+    THM7_FOURS = _Entry(
+        lambda m, k: [(4, m + 1)],
+        lambda m, k: (scaled_fib(3, m + 2), scaled_fib(3, m + 1)),
+    )
+    THM8_TWENTYNINES = _Entry(
+        lambda m, k: [(29, m + 1)],
+        lambda m, k: (scaled_fib(7, m + 2), scaled_fib(7, m + 1)),
+    )
+    COR_GENERAL_LUCAS = _Entry(
+        lambda m, k: [(lucas(2 * k + 1), m + 1)],
+        lambda m, k: (scaled_fib(2 * k + 1, m + 2), scaled_fib(2 * k + 1, m + 1)),
+        takes_k=True,
+        k_min=0,
+    )
+    EXT_ELEVEN8 = _Entry(
+        lambda m, k: [(11, m), (8, 1)],
+        lambda m, k: (fib(5 * m + 6), fib(5 * m + 1)),
+    )
+    EXT_ELEVEN13 = _Entry(
+        lambda m, k: [(11, m), (13, 1)],
+        lambda m, k: (fib(5 * m + 7), fib(5 * m + 2)),
+    )
+    LEM_3F = _Entry(lambda m, k: 3 * fib(m), lambda m, k: fib(m + 2) + fib(m - 2))
+    LEM_4F = _Entry(
+        lambda m, k: 4 * fib(m),
+        lambda m, k: fib(m + 2) + fib(m) + fib(m - 2),
+    )
+    LEM_L32 = _Entry(lambda m, k: lucas(m), lambda m, k: fib(m + 1) + fib(m - 1))
+    LEM_F9 = _Entry(lambda m, k: fib(m + 9), lambda m, k: fib(m - 1) + 11 * fib(m + 4))
+    LEM_11F = _Entry(
+        lambda m, k: 11 * fib(m + 4),
+        lambda m, k: fib(m) + fib(m + 2) + fib(m + 4) + fib(m + 6) + fib(m + 8),
+    )
+    LEM_29F = _Entry(lambda m, k: fib(m) + 29 * fib(m + 7), lambda m, k: fib(m + 14))
+    LEM_BRIDGE = _Entry(
+        lambda m, k: 5 * (lucas_swapped(m) - lucas_swapped(m - 10)),
+        lambda m, k: fib(m + 5),
+        m_step=5,
+    )
 
     @property
     def is_lemma(self) -> bool:
         return self.name.startswith("LEM_")
-
-    @property
-    def takes_k(self) -> bool:
-        return _CATALOG[self].takes_k
 
 
 class Status(Enum):
@@ -161,123 +241,24 @@ class SweepReport(NamedTuple):
         return sum(o.status is Status.SKIPPED for _, o in self.cases)
 
 
-# One record per catalog entry. lhs and rhs take the case's (m, k): for a
-# continued-fraction entry lhs gives the (value, count) runs of its terms and
-# rhs the unreduced (num, den); for a lemma each gives one integer. The domain:
-# takes_k, k's lower bound k_min (None: every k), and m_step, the entry being
-# stated only for multiples of it.
-class _Entry(NamedTuple):
-    lhs: Callable
-    rhs: Callable
-    takes_k: bool = False
-    k_min: int | None = None
-    m_step: int = 1
-
-
-_CATALOG = {
-    IdentityId.ID117: _Entry(
-        lambda m, k: [(4, m), (3, 1)],
-        lambda m, k: (fib_comb(3 * m + 3), fib_comb(3 * m)),
-    ),
-    IdentityId.ID118: _Entry(
-        lambda m, k: [(4, m), (5, 1)],
-        lambda m, k: (fib_comb(3 * m + 4), fib_comb(3 * m + 1)),
-    ),
-    IdentityId.ID_LUCAS7: _Entry(
-        lambda m, k: [(4, m), (7, 1)],
-        lambda m, k: (lucas(3 * m + 4), lucas(3 * m + 1)),
-    ),
-    IdentityId.THM1_GIBONACCI: _Entry(
-        lambda m, k: [(4, m), (2 * k + 3, 1)],
-        lambda m, k: (gibonacci(k, 3 * m + 4), gibonacci(k, 3 * m + 1)),
-        takes_k=True,
-    ),
-    IdentityId.THM2_FIB_FORM: _Entry(
-        lambda m, k: [(4, m), (2 * k + 3, 1)],
-        lambda m, k: (fib(3 * m + 4) + k * fib(3 * m + 3), fib(3 * m + 1) + k * fib(3 * m)),
-        takes_k=True,
-    ),
-    IdentityId.THM3_ONES: _Entry(
-        lambda m, k: [(1, m), (k, 1)],
-        lambda m, k: (fib(m + 2) + (k - 1) * fib(m + 1), fib(m + 1) + (k - 1) * fib(m)),
-        takes_k=True,
-    ),
-    IdentityId.THM4_ELEVEN3: _Entry(
-        lambda m, k: [(11, m), (3, 1)],
-        lambda m, k: (fib(5 * m + 4), fib(5 * m - 1)),
-    ),
-    IdentityId.THM5_SWAPPED_LUCAS: _Entry(
-        lambda m, k: [(11, m + 1)],
-        lambda m, k: (
-            lucas_swapped(5 * m + 5) - lucas_swapped(5 * m - 5),
-            lucas_swapped(5 * m) - lucas_swapped(5 * m - 10),
-        ),
-    ),
-    IdentityId.THM6_ELEVEN_FIB: _Entry(
-        lambda m, k: [(11, m + 1)],
-        lambda m, k: (fib(5 * m + 10), fib(5 * m + 5)),
-    ),
-    IdentityId.THM7_FOURS: _Entry(
-        lambda m, k: [(4, m + 1)],
-        lambda m, k: (scaled_fib(3, m + 2), scaled_fib(3, m + 1)),
-    ),
-    IdentityId.THM8_TWENTYNINES: _Entry(
-        lambda m, k: [(29, m + 1)],
-        lambda m, k: (scaled_fib(7, m + 2), scaled_fib(7, m + 1)),
-    ),
-    IdentityId.COR_GENERAL_LUCAS: _Entry(
-        lambda m, k: [(lucas(2 * k + 1), m + 1)],
-        lambda m, k: (scaled_fib(2 * k + 1, m + 2), scaled_fib(2 * k + 1, m + 1)),
-        takes_k=True,
-        k_min=0,
-    ),
-    IdentityId.EXT_ELEVEN8: _Entry(
-        lambda m, k: [(11, m), (8, 1)],
-        lambda m, k: (fib(5 * m + 6), fib(5 * m + 1)),
-    ),
-    IdentityId.EXT_ELEVEN13: _Entry(
-        lambda m, k: [(11, m), (13, 1)],
-        lambda m, k: (fib(5 * m + 7), fib(5 * m + 2)),
-    ),
-    IdentityId.LEM_3F: _Entry(lambda m, k: 3 * fib(m), lambda m, k: fib(m + 2) + fib(m - 2)),
-    IdentityId.LEM_4F: _Entry(
-        lambda m, k: 4 * fib(m),
-        lambda m, k: fib(m + 2) + fib(m) + fib(m - 2),
-    ),
-    IdentityId.LEM_L32: _Entry(lambda m, k: lucas(m), lambda m, k: fib(m + 1) + fib(m - 1)),
-    IdentityId.LEM_F9: _Entry(lambda m, k: fib(m + 9), lambda m, k: fib(m - 1) + 11 * fib(m + 4)),
-    IdentityId.LEM_11F: _Entry(
-        lambda m, k: 11 * fib(m + 4),
-        lambda m, k: fib(m) + fib(m + 2) + fib(m + 4) + fib(m + 6) + fib(m + 8),
-    ),
-    IdentityId.LEM_29F: _Entry(lambda m, k: fib(m) + 29 * fib(m + 7), lambda m, k: fib(m + 14)),
-    IdentityId.LEM_BRIDGE: _Entry(
-        lambda m, k: 5 * (lucas_swapped(m) - lucas_swapped(m - 10)),
-        lambda m, k: fib(m + 5),
-        m_step=5,
-    ),
-}
-
-
-def _validate(ident: IdentityId, params: CaseParams) -> _Entry:
-    """The entry's record, after checking that the case lies in its domain."""
-    entry = _CATALOG[ident]
+def _validate(ident: IdentityId, params: CaseParams) -> IdentityId:
+    """The entry, after checking that the case lies in its domain."""
     if params.m < 0:
         raise BadDomain(f"m must be >= 0, got {params.m}")
-    if entry.takes_k:
+    if ident.takes_k:
         if params.k is None:
             raise MissingParam(f"{ident.name} needs parameter k")
     elif params.k is not None:
         raise ExtraParam(f"{ident.name} takes no parameter k")
-    if entry.k_min is not None and params.k < entry.k_min:
-        raise BadDomain(f"{ident.name} needs k >= {entry.k_min}, got {params.k}")
-    if params.m % entry.m_step:
-        raise BadDomain(f"{ident.name} is stated for multiples of {entry.m_step}, got m = {params.m}")
-    return entry
+    if ident.k_min is not None and params.k < ident.k_min:
+        raise BadDomain(f"{ident.name} needs k >= {ident.k_min}, got {params.k}")
+    if params.m % ident.m_step:
+        raise BadDomain(f"{ident.name} is stated for multiples of {ident.m_step}, got m = {params.m}")
+    return ident
 
 
-def _cf_entry(ident: IdentityId, params: CaseParams) -> _Entry:
-    """The record of a continued-fraction case, after validating it."""
+def _cf_entry(ident: IdentityId, params: CaseParams) -> IdentityId:
+    """A continued-fraction entry, after validating the case."""
     if ident.is_lemma:
         raise NotACFIdentity(f"{ident.name} has no continued-fraction side")
     return _validate(ident, params)
@@ -294,7 +275,7 @@ def rhs_value(ident: IdentityId, params: CaseParams) -> Rational | None:
     return None if den == 0 else Rational(num, den)
 
 
-def _cf_outcome(entry: _Entry, params: CaseParams) -> CheckOutcome:
+def _cf_outcome(entry: IdentityId | _Entry, params: CaseParams) -> CheckOutcome:
     """check() on a case its caller has validated."""
     try:
         lhs = evaluate_runs(entry.lhs(params.m, params.k))
@@ -315,7 +296,7 @@ def _cf_outcome(entry: _Entry, params: CaseParams) -> CheckOutcome:
     return CheckOutcome(Status.FAIL, lhs, Rational(num, den), "values differ")
 
 
-def _lemma_outcome(entry: _Entry, params: CaseParams) -> CheckOutcome:
+def _lemma_outcome(entry: IdentityId, params: CaseParams) -> CheckOutcome:
     """check_lemma() on a case its caller has validated."""
     lhs, rhs = entry.lhs(params.m, params.k), entry.rhs(params.m, params.k)
     if lhs == rhs:
@@ -342,8 +323,7 @@ def check_lemma(ident: IdentityId, params: CaseParams) -> CheckOutcome:
 
 def run_case(ident: IdentityId, params: CaseParams) -> CheckOutcome:
     """Check one case of either kind: check() for identities, check_lemma() for lemmas."""
-    entry = _validate(ident, params)
-    return (_lemma_outcome if ident.is_lemma else _cf_outcome)(entry, params)
+    return (_lemma_outcome if ident.is_lemma else _cf_outcome)(_validate(ident, params), params)
 
 
 def _case_grid(
@@ -358,11 +338,10 @@ def _case_grid(
     takes it, and the grid must lie in the entry's domain and hold at
     least one case of it.
     """
-    entry = _CATALOG[ident]
     m_lo, m_hi = m_range
     if m_lo > m_hi:
         raise ValueError(f"empty m range {m_lo}..{m_hi}")
-    if entry.takes_k:
+    if ident.takes_k:
         if k_range is None:
             raise MissingParam(f"{ident.name} needs a k range")
         k_lo, k_hi = k_range
@@ -372,13 +351,13 @@ def _case_grid(
         raise ExtraParam(f"{ident.name} takes no k range")
     if m_lo < 0:
         raise BadDomain(f"m must be >= 0, got {m_lo}")
-    if entry.k_min is not None and k_lo < entry.k_min:
-        raise BadDomain(f"{ident.name} needs k >= {entry.k_min}, got {k_lo}")
-    step = entry.m_step
+    if ident.k_min is not None and k_lo < ident.k_min:
+        raise BadDomain(f"{ident.name} needs k >= {ident.k_min}, got {k_lo}")
+    step = ident.m_step
     ms = range(m_lo + -m_lo % step, m_hi + 1, step)
     if not ms:
         raise BadDomain(f"{ident.name} is stated for multiples of {step}, none in {m_lo}..{m_hi}")
-    if entry.takes_k:
+    if ident.takes_k:
         ks = range(k_lo, k_hi + 1)
         return (CaseParams(m, k) for m in ms for k in ks)
     return map(CaseParams, ms)

@@ -24,6 +24,10 @@ GOLDEN = [
     ('expand 302/253', 0, '0b353147c3b3572a4cc12f7c087ca7d64761c5450df337b05f34f47cd40ed622'),
     ('expand 51/22 --json', 0, 'ed53e418c3fbd443a2885302f50309b31b272686a049aef0f6b90df4ce0d6a04'),
     ('expand -13/3', 0, 'c8927947ebd4f63c65c94b8f3d4471c43ed2b8d8ede1f64e1d5bce9cb8aaf6fc'),
+    # a negative rational before or after --json ({"terms": ["-5", "1", "2"]}), or after --
+    ('expand -13/3 --json', 0, '04511497875ac494531b3a467990c0eaf4e4793b6ec87248e0b3d20feecf2bdb'),
+    ('expand --json -13/3', 0, '04511497875ac494531b3a467990c0eaf4e4793b6ec87248e0b3d20feecf2bdb'),
+    ('expand -- -13/3', 0, 'c8927947ebd4f63c65c94b8f3d4471c43ed2b8d8ede1f64e1d5bce9cb8aaf6fc'),
     ('convergents [2,3,7]', 0, 'bffbcca85beed62ae47af8380bbd473c3d99a1eac0a77c6501937c1fc7db7949'),
     ('convergents [2,3,7] --json', 0, 'e6f5382c04bfc99f1ffdd43842cb1bfe9cc4732038687f8604ab6a45091f9de0'),
     ('seq fib --from -5 --to 10', 0, 'a01994943269424d87712110b2f9e436f28502039d0fb5e8fb42ddf464e82440'),
@@ -86,6 +90,7 @@ GOLDEN = [
     # --jobs is accepted and changes nothing
     ('sweep THM2_FIB_FORM --m 0..8 --k -3..3 --jobs 2', 0, '278fa3045dc14658cbcdcc707dc5e2914eca50baff5c1040fa385092c99dc286'),
     ('sweep THM2_FIB_FORM --m 0..8 --k -3..3 --jobs 2 --json', 0, 'eb7d0fc2e797fd6e521ebda2088adf3c79e6fe789242454099458d62c981e7b9'),
+    ('sweep ID117 --m 0..2 --jobs -1', 0, '12596ff9ccfe03d16ddb29e9fff01d81a9ba24434bc4fca15a345c6494fdd835'),
     # usage errors (exit 2)
     ('eval [', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('eval [1,,2]', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -104,6 +109,7 @@ GOLDEN = [
     ('seq lucas --from 3 --to 1', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('seq nope --from 0 --to 1', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('oracle stacked a,b', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('fit -5', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('nope', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     # domain and evaluation errors (exit 3)
     ('eval [1,0]', 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -111,6 +117,7 @@ GOLDEN = [
     ('seq fibc --from -2 --to 3', 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('seq scaled --from 0 --to 3 --t 2', 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('seq gib --from -1 --to 3 --k 1', 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('seq scaled --t -3 --from 0 --to 1', 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('check ID117 --m -1', 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('check LEM_BRIDGE --m 7', 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('check COR_GENERAL_LUCAS --m 0 --k -1', 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

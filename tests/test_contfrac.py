@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -177,13 +177,21 @@ def test_evaluate_runs_rejects_negative_count():
         evaluate_runs([(4, -1), (3, 1)])
 
 
+# A list of calls, so the bounded memo is read in any order, not only filled.
+# Counts run past three leaves' worth of terms.
+_power_call = st.tuples(_term | st.integers(-30, 30), st.integers(0, max(200, 3 * _LEAF_TERMS)))
+
+
 @settings(deadline=None)
-@given(_term, st.integers(0, 3 * _LEAF_TERMS))
-def test_run_power_equals_repeated_multiplication(a, n):
-    p, p_prev, q, q_prev = 1, 0, 0, 1
-    for _ in range(n):
-        p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
-    assert _run_power(a, n) == (p, p_prev, q, q_prev)
+@given(st.lists(_power_call, min_size=1, max_size=40))
+def test_run_power_equals_repeated_multiplication(calls):
+    for a, n in calls:
+        p, p_prev, q, q_prev = 1, 0, 0, 1
+        for _ in range(n):
+            p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+        assert _run_power(a, n) == (p, p_prev, q, q_prev)
+        info = _run_power.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 @settings(deadline=None)
@@ -359,6 +367,30 @@ def test_surd_rejects_squares():
 def test_surd_respects_term_budget():
     with pytest.raises(PeriodNotFound):
         surd_cf(19, max_terms=3)
+
+
+def _surd_by_repeated_state(d):
+    """Reference: run the (P, Q) recurrence until a state repeats; the period starts there."""
+    a0 = isqrt(d)
+    period, seen = [], {}
+    p, q = a0, d - a0 * a0
+    while (p, q) not in seen:
+        seen[(p, q)] = len(period)
+        a = (a0 + p) // q
+        period.append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+    return a0, tuple(period[seen[(p, q)] :])
+
+
+def test_surd_matches_the_repeated_state_reference_within_an_exact_budget():
+    for d in range(2, 10**4 + 1):
+        if isqrt(d) ** 2 == d:
+            continue
+        a0, period = _surd_by_repeated_state(d)
+        assert surd_cf(d, max_terms=len(period)) == (a0, period), d
+        with pytest.raises(PeriodNotFound):
+            surd_cf(d, max_terms=len(period) - 1)
 
 
 def test_surd_structure_up_to_200():

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from cfkit.contfrac import eval_fold, evaluate
@@ -25,6 +27,16 @@ from cfkit.rational import Rational
 from cfkit.sequences import fib, gibonacci
 
 I = IdentityId
+
+
+def test_identity_members_keep_their_numbering_repr_and_pickles():
+    assert [i.value for i in IdentityId] == list(range(1, 22))  # declaration order
+    assert repr(I.ID117) == "<IdentityId.ID117: 1>"
+    for ident in IdentityId:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(ident, protocol)) is ident
+        assert IdentityId(ident.value) is ident
+        assert IdentityId[ident.name] is ident
 
 
 def test_lhs_terms_shapes():

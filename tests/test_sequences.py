@@ -1,7 +1,13 @@
+from itertools import islice
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfkit.errors import EvenOrder, NegativeIndex
 from cfkit.sequences import (
+    _MEMO_SIZE,
+    _fib_pair,
     fib,
     fib_comb,
     gibonacci,
@@ -29,27 +35,36 @@ def backward_lucas(n):
     return a
 
 
-def forward(x0, x1, count):
-    """Oracle: x_0..x_{count-1} of x_{n+1} = x_n + x_{n-1} from seeds x0, x1."""
-    out = [x0, x1]
-    while len(out) < count:
-        out.append(out[-1] + out[-2])
-    return out[:count]
+def forward(x0, x1):
+    """Oracle: x_0, x_1, x_2, ... of x_{n+1} = x_n + x_{n-1} from seeds x0, x1."""
+    while True:
+        yield x0
+        x0, x1 = x1, x0 + x1
 
 
-def test_fib_and_lucas_match_linear_recurrence():
-    fibs, lucases = forward(0, 1, 3001), forward(2, 1, 3001)
-    for n in range(3001):
-        assert fib(n) == fibs[n]
-        assert lucas(n) == lucases[n]
+_N = 3000
+_FIBS = list(islice(forward(0, 1), _N + 2))
+_LUCAS = list(islice(forward(2, 1), _N + 1))
+
+
+# Indices in any order, so the bounded kernel memo is read as well as filled;
+# the example adds every index 0..N in turn.
+@settings(deadline=None)
+@given(st.lists(st.integers(-_N, _N), min_size=1, max_size=120))
+@example(list(range(_N + 1)))
+def test_fib_and_lucas_match_linear_recurrence(indices):
+    for n in indices:
+        assert fib(n) == _FIBS[abs(n)] * (-1 if n < 0 and n % 2 == 0 else 1)
+        assert lucas(n) == _LUCAS[abs(n)] * (-1 if n < 0 and n % 2 else 1)
+        assert _fib_pair(abs(n)) == (_FIBS[abs(n)], _FIBS[abs(n) + 1])
+        info = _fib_pair.cache_info()
+        assert info.currsize <= info.maxsize == _MEMO_SIZE
 
 
 def test_fib_large_index_matches_linear_recurrence():
-    a, b = 0, 1
-    for _ in range(50_000):
-        a, b = b, a + b
-    assert fib(50_000) == a
-    assert lucas(50_000) == 2 * b - a
+    f_n, f_next = islice(forward(0, 1), 50_000, 50_002)
+    assert fib(50_000) == f_n
+    assert lucas(50_000) == 2 * f_next - f_n
 
 
 def test_fib_values():
@@ -135,10 +150,8 @@ def test_gibonacci_closed_form_values():
 
 def test_gibonacci_matches_closed_form():
     for k in range(-50, 51):
-        a, b = k, 1
-        for n in range(201):
-            assert a == gibonacci(k, n)
-            a, b = b, a + b
+        for n, value in zip(range(201), forward(k, 1)):
+            assert gibonacci(k, n) == value
 
 
 def test_recurrence_holds_for_every_kind():
