@@ -17,13 +17,16 @@ memory does not grow with the grid. Big integers are serialized as decimal
 strings, never as JSON numbers.
 
 Exit codes: 0 success (all PASS), 1 at least one FAIL, 2 usage error,
-3 evaluation or domain error.
+3 evaluation or domain error, 141 standard output closed before the
+command finished writing (a broken pipe, as in `cfkit sweep ... | head`;
+128 + SIGPIPE, the code a shell reports for a process that signal ends).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import contfrac, identities, sequences, tiling
@@ -32,6 +35,8 @@ from .identities import CaseParams, CheckOutcome, IdentityId, Status
 from .rational import Rational
 
 _USAGE_ERRORS = (ParseError, EmptyCF, MissingParam, ExtraParam)
+# Read on every case of a sweep; a module global is cheaper to load than an Enum attribute.
+_PASS, _FAIL = Status.PASS, Status.FAIL
 
 
 def _range_pair(text: str) -> tuple[int, int]:
@@ -97,31 +102,43 @@ def _rat_json(r: Rational) -> dict:
     return {"num": str(r.num), "den": str(r.den)}
 
 
-def _case_json(ident: IdentityId, params: CaseParams, outcome: CheckOutcome) -> dict:
-    obj: dict = {"identity": ident.name, "params": {"m": params.m}}
-    if params.k is not None:
-        obj["params"]["k"] = params.k
-    if outcome.lhs is not None:
-        obj["lhs"] = _rat_json(outcome.lhs)
-    if outcome.rhs is not None:
-        # A passing case's two sides are equal: convert the digits once.
-        obj["rhs"] = obj["lhs"] if outcome.status is Status.PASS else _rat_json(outcome.rhs)
-    obj["status"] = outcome.status.name
-    obj["note"] = outcome.note
-    return obj
+def _case_json(name: str, params: CaseParams, outcome: CheckOutcome) -> str:
+    """One case as a JSON object, written from one template.
+
+    The bytes are those of json.dumps() on the object {"identity", "params",
+    "lhs", "rhs", "status", "note"}: an undefined side's key is left out,
+    big integers are decimal strings, and m and k are JSON numbers. Names,
+    statuses and notes are plain ASCII without quotes or backslashes, so they
+    need no escaping. A passing case's two sides are equal, so its digits
+    are converted once.
+    """
+    m, k = params
+    status, lhs, rhs, note = outcome
+    sides = ""
+    if lhs is not None:
+        left = f'{{"num": "{lhs.num}", "den": "{lhs.den}"}}'
+        sides = f', "lhs": {left}'
+    if rhs is not None:
+        right = left if status is _PASS else f'{{"num": "{rhs.num}", "den": "{rhs.den}"}}'
+        sides += f', "rhs": {right}'
+    k_field = "" if k is None else f', "k": {k}'
+    return (
+        f'{{"identity": "{name}", "params": {{"m": {m}{k_field}}}{sides}, '
+        f'"status": "{status.name}", "note": "{note}"}}'
+    )
 
 
 def _case_text(params: CaseParams, outcome: CheckOutcome) -> str:
-    bits = [outcome.status.name, f"m={params.m}"]
-    if params.k is not None:
-        bits.append(f"k={params.k}")
-    if outcome.lhs is not None:
-        bits.append(f"lhs={outcome.lhs}")
-    if outcome.rhs is not None:
-        bits.append(f"rhs={outcome.rhs}")
-    if outcome.note:
-        bits.append(f"({outcome.note})")
-    return " ".join(bits)
+    """One case as a text line: STATUS m=M [k=K] [lhs=P/Q] [rhs=P/Q] [(note)]."""
+    m, k = params
+    status, lhs, rhs, note = outcome
+    return (
+        f"{status.name} m={m}"
+        f"{'' if k is None else f' k={k}'}"
+        f"{'' if lhs is None else f' lhs={lhs}'}"
+        f"{'' if rhs is None else f' rhs={rhs}'}"
+        f"{f' ({note})' if note else ''}"
+    )
 
 
 def _cmd_eval(args) -> int:
@@ -217,23 +234,26 @@ def _cmd_check(args) -> int:
         raise MissingParam(f"check {ident.name} needs --m")
     params = CaseParams(args.m, args.k)
     outcome = identities.run_case(ident, params)
-    if args.json:
-        print(json.dumps(_case_json(ident, params, outcome)))
-    else:
-        print(_case_text(params, outcome))
+    print(_case_json(ident.name, params, outcome) if args.json else _case_text(params, outcome))
     return 1 if outcome.status is Status.FAIL else 0
 
 
 def _cmd_sweep(args) -> int:
     ident = _identity(args.identity)
-    tally = dict.fromkeys(Status, 0)
+    name, write = ident.name, sys.stdout.write
+    passed = failed = skipped = 0
     for params, outcome in identities.iter_sweep(ident, args.m, args.k):
-        tally[outcome.status] += 1
+        status = outcome.status
+        if status is _PASS:
+            passed += 1
+        elif status is _FAIL:
+            failed += 1
+        else:
+            skipped += 1
         if args.json:
-            print(json.dumps(_case_json(ident, params, outcome)))
-        elif outcome.status is not Status.PASS:
-            print(_case_text(params, outcome))
-    passed, failed, skipped = tally[Status.PASS], tally[Status.FAIL], tally[Status.SKIPPED]
+            write(_case_json(name, params, outcome) + "\n")
+        elif status is not _PASS:
+            write(_case_text(params, outcome) + "\n")
     if args.json:
         print(json.dumps({"identity": ident.name, "pass": passed, "fail": failed, "skip": skipped}))
     else:
@@ -324,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surd", parents=[common], help="periodic expansion of sqrt(d)")
     p.add_argument("d", type=int)
-    p.add_argument("--max-terms", dest="max_terms", type=int, default=10_000)
+    p.add_argument("--max-terms", dest="max_terms", type=_nonneg_int, default=10_000)
     p.set_defaults(handler=_cmd_surd)
 
     return parser
@@ -377,5 +397,18 @@ def run(argv: list[str]) -> int:
         return 2
 
 
+_BROKEN_PIPE = 141  # 128 + SIGPIPE
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe. Point stdout at devnull, so that the
+        # flush at interpreter shutdown cannot raise a second time (the
+        # recipe in the documentation of Python's signal module).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = _BROKEN_PIPE
+    sys.exit(code)

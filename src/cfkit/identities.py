@@ -1,26 +1,53 @@
 """Machine-checkable catalog of continued-fraction and sequence identities.
 
-Each entry is one IdentityId member, declared as its record: its two sides
-as functions of the case (m, k) and its domain. A continued-fraction entry's
-left side returns (value, count) runs such as [(4, m), (3, 1)] for
-[4]*m + [3]; check() evaluates them with evaluate_runs() under the forward
-convergent semantics and compares them with the exact rational right side
-(rhs_value), while lhs_terms() returns the expanded term list. Lemma
-entries (LEM_*) are exact integer equations checked by check_lemma().
-Every entry point validates a case exactly once; run_case() checks either
-kind.
-iter_sweep() checks a whole parameter grid against the entry's domain up
-front and then yields one (params, outcome) pair per case as it goes, so a
-caller that consumes it case by case (the CLI does) holds one case at a
-time; sweep() collects it into a SweepReport. Each outcome is
-PASS/FAIL/SKIPPED; SKIPPED is reserved for cases whose two sides are both
-undefined (a one-sided undefined is a FAIL).
+Each entry is one IdentityId member, declared once as its record in the
+paper's terms. A continued-fraction entry's left side is [c]*(m + e) + [t]:
+a base c (or c(k)), a count m or m + 1, and an optional tail t(k). Its
+right side is a ratio of two linear forms, each a short sum of
+coef(k)*X(a*m + b) over the `sequences` functions X; a lemma (LEM_*) is one
+such form on each side of an exact integer equation. The record also states
+the domain: whether k is taken, k's lower bound, and the m step.
 
-The right-hand sides are computed as an unreduced (num, den) pair. The
-left side p/q comes out of evaluate_runs() already reduced, so a case
-passes exactly when den = g*q and num = g*p for some integer g: one exact
-division decides it, the passing case reuses the left Rational as its
-right side, and only a failing right side is reduced by gcd.
+Two routes read the same table:
+
+  * run_case() is the reference. It evaluates the left side's
+    (value, count) runs with evaluate_runs() under the forward convergent
+    semantics and calls every X of the right side directly. check(),
+    check_lemma(), lhs_terms() and rhs_value() take the same route; each
+    validates its case exactly once.
+  * iter_sweep() is the stepped engine. It checks the whole grid against
+    the domain when it is called, seeds its state at the first m, and then
+    carries it from each m to the next: the left prefix [c]^(m+e) by one
+    matrix product, and each term of a form by one constant step of its
+    Fibonacci-type sequence, (x_n, x_{n+1}) -> (x_{n+d}, x_{n+d+1}) =
+    (F_{d-1} x_n + F_d x_{n+1}, F_d x_n + F_{d+1} x_{n+1}). A form is
+    P(m) + k*Q(m), computed once per m; the case then costs one leaf
+    product for its tail. Where the base or a sequence depends on k
+    (COR_GENERAL_LUCAS, THM1_GIBONACCI) the engine keeps one state per k,
+    so its memory grows with the k range and not with the number of m
+    values. The cases stream out in (m, k) order; sweep() collects them
+    into a SweepReport. The engine lives in cfkit._engine, which
+    iter_sweep() imports on first use, so commands that do not sweep do
+    not compile it.
+
+The two sides stay independent in both routes: the left side uses only the
+continued-fraction recurrence and the right side only the sequence values,
+and they share no value. In particular S_t(n) = F(tn)/F(t) is stepped as F
+at stride t, never with the left side's recurrence b_{n+1} = L_t b_n + b_{n-1}.
+The engine hands a case to run_case() where a term sits in the irregular
+start of its sequence: l_n obeys x_{n+1} = x_n + x_{n-1} only from n = 2 on,
+so THM5_SWAPPED_LUCAS for m <= 2 and LEM_BRIDGE for m <= 10 take the
+reference route. Every other value obeys it at every index, negative F
+indices included.
+
+Each outcome is PASS/FAIL/SKIPPED; SKIPPED is reserved for cases whose two
+sides are both undefined (a one-sided undefined is a FAIL). The right side
+is an unreduced (num, den) pair. The left side p/q comes out already
+reduced (its final matrix has determinant +-1), so a case passes exactly
+when den = g*q and num = g*p for some integer g: one exact division decides
+it, the passing case reuses the left Rational as its right side, and only a
+failing right side is reduced by gcd. Both routes decide a case with the
+same comparison.
 
 Catalog, with F = fib, f = fib_comb, L = lucas, l = lucas_swapped,
 G_k(n) = gibonacci(k, n) and S_t(n) = scaled_fib(t, n); m >= 0 throughout:
@@ -70,6 +97,7 @@ from collections.abc import Callable, Iterator
 from enum import Enum, auto
 from typing import NamedTuple
 
+from . import sequences
 from .contfrac import _expand, evaluate_runs
 from .errors import (
     BadDomain,
@@ -80,25 +108,62 @@ from .errors import (
     UndefinedValue,
 )
 from .rational import Rational
-from .sequences import (
-    fib,
-    fib_comb,
-    gibonacci,
-    lucas,
-    lucas_odd_index_of,
-    lucas_swapped,
-    scaled_fib,
-)
+from .sequences import lucas, lucas_odd_index_of, scaled_fib
 
 
-# The record each IdentityId member is declared as. lhs and rhs take the
-# case's (m, k): for a continued-fraction entry lhs gives the (value, count)
-# runs of its terms and rhs the unreduced (num, den); for a lemma each gives
-# one integer. The domain: takes_k, k's lower bound k_min (None: every k), and
-# m_step, the entry being stated only for multiples of it.
+class _Lin:
+    """The affine function c0 + c1*k of a case's k; c1 = 0 makes it a constant."""
+
+    __slots__ = ("c0", "c1")
+
+    def __init__(self, c0: int, c1: int = 0):
+        self.c0, self.c1 = c0, c1
+
+    def __call__(self, k: int | None) -> int:
+        return self.c0 + self.c1 * k if self.c1 else self.c0
+
+
+_K = _Lin(0, 1)
+
+
+def _lin(value: int | _Lin) -> _Lin:
+    return value if isinstance(value, _Lin) else _Lin(value)
+
+
+def _t(coef: int | _Lin, x: str, a: int, b: int, p: int | _Lin | None = None) -> tuple:
+    """The term coef(k) * X(a*m + b) as the tuple (coef, x, a, b, p).
+
+    X is the `sequences` function named x, called as X(n), or as X(p(k), n)
+    when p is given (gibonacci's k, scaled_fib's t); an integer coef or p is
+    a constant. X is looked up by name on each call, so a wrapper put on the
+    module attribute sees every call.
+    """
+    return _lin(coef), x, a, b, None if p is None else _lin(p)
+
+
+class _Cf:
+    """The continued fraction [base(k)]*(m + extra), then [tail(k)] when a tail is given.
+
+    An integer base or tail is a constant; a base may also be any function of k.
+    """
+
+    __slots__ = ("base", "extra", "tail")
+
+    def __init__(self, base: int | Callable[[int], int], extra: int = 0, tail: int | _Lin | None = None):
+        self.base = base if callable(base) else _Lin(base)
+        self.extra = extra
+        self.tail = None if tail is None else _lin(tail)
+
+
+# The record each IdentityId member is declared as. A continued-fraction
+# entry has a _Cf left side and, as its right side, the pair of forms
+# (numerator, denominator); a lemma has one form on each side. A form is a
+# tuple of terms (see _t), summed. The domain: takes_k, k's lower bound
+# k_min (None: every k), and m_step, the entry being stated only for
+# multiples of it.
 class _Entry(NamedTuple):
-    lhs: Callable
-    rhs: Callable
+    lhs: _Cf | tuple[tuple, ...]
+    rhs: tuple[tuple[tuple, ...], tuple[tuple, ...]] | tuple[tuple, ...]
     takes_k: bool = False
     k_min: int | None = None
     m_step: int = 1
@@ -115,85 +180,67 @@ class IdentityId(Enum):
         member.lhs, member.rhs, member.takes_k, member.k_min, member.m_step = fields
         return member
 
-    ID117 = _Entry(
-        lambda m, k: [(4, m), (3, 1)],
-        lambda m, k: (fib_comb(3 * m + 3), fib_comb(3 * m)),
-    )
-    ID118 = _Entry(
-        lambda m, k: [(4, m), (5, 1)],
-        lambda m, k: (fib_comb(3 * m + 4), fib_comb(3 * m + 1)),
-    )
-    ID_LUCAS7 = _Entry(
-        lambda m, k: [(4, m), (7, 1)],
-        lambda m, k: (lucas(3 * m + 4), lucas(3 * m + 1)),
-    )
+    ID117 = _Entry(_Cf(4, tail=3), ((_t(1, "fib_comb", 3, 3),), (_t(1, "fib_comb", 3, 0),)))
+    ID118 = _Entry(_Cf(4, tail=5), ((_t(1, "fib_comb", 3, 4),), (_t(1, "fib_comb", 3, 1),)))
+    ID_LUCAS7 = _Entry(_Cf(4, tail=7), ((_t(1, "lucas", 3, 4),), (_t(1, "lucas", 3, 1),)))
     THM1_GIBONACCI = _Entry(
-        lambda m, k: [(4, m), (2 * k + 3, 1)],
-        lambda m, k: (gibonacci(k, 3 * m + 4), gibonacci(k, 3 * m + 1)),
+        _Cf(4, tail=_Lin(3, 2)),
+        ((_t(1, "gibonacci", 3, 4, p=_K),), (_t(1, "gibonacci", 3, 1, p=_K),)),
         takes_k=True,
     )
     THM2_FIB_FORM = _Entry(
-        lambda m, k: [(4, m), (2 * k + 3, 1)],
-        lambda m, k: (fib(3 * m + 4) + k * fib(3 * m + 3), fib(3 * m + 1) + k * fib(3 * m)),
+        _Cf(4, tail=_Lin(3, 2)),
+        (
+            (_t(1, "fib", 3, 4), _t(_K, "fib", 3, 3)),
+            (_t(1, "fib", 3, 1), _t(_K, "fib", 3, 0)),
+        ),
         takes_k=True,
     )
     THM3_ONES = _Entry(
-        lambda m, k: [(1, m), (k, 1)],
-        lambda m, k: (fib(m + 2) + (k - 1) * fib(m + 1), fib(m + 1) + (k - 1) * fib(m)),
+        _Cf(1, tail=_K),
+        (
+            (_t(1, "fib", 1, 2), _t(_Lin(-1, 1), "fib", 1, 1)),
+            (_t(1, "fib", 1, 1), _t(_Lin(-1, 1), "fib", 1, 0)),
+        ),
         takes_k=True,
     )
-    THM4_ELEVEN3 = _Entry(
-        lambda m, k: [(11, m), (3, 1)],
-        lambda m, k: (fib(5 * m + 4), fib(5 * m - 1)),
-    )
+    THM4_ELEVEN3 = _Entry(_Cf(11, tail=3), ((_t(1, "fib", 5, 4),), (_t(1, "fib", 5, -1),)))
     THM5_SWAPPED_LUCAS = _Entry(
-        lambda m, k: [(11, m + 1)],
-        lambda m, k: (
-            lucas_swapped(5 * m + 5) - lucas_swapped(5 * m - 5),
-            lucas_swapped(5 * m) - lucas_swapped(5 * m - 10),
+        _Cf(11, extra=1),
+        (
+            (_t(1, "lucas_swapped", 5, 5), _t(-1, "lucas_swapped", 5, -5)),
+            (_t(1, "lucas_swapped", 5, 0), _t(-1, "lucas_swapped", 5, -10)),
         ),
     )
-    THM6_ELEVEN_FIB = _Entry(
-        lambda m, k: [(11, m + 1)],
-        lambda m, k: (fib(5 * m + 10), fib(5 * m + 5)),
-    )
+    THM6_ELEVEN_FIB = _Entry(_Cf(11, extra=1), ((_t(1, "fib", 5, 10),), (_t(1, "fib", 5, 5),)))
     THM7_FOURS = _Entry(
-        lambda m, k: [(4, m + 1)],
-        lambda m, k: (scaled_fib(3, m + 2), scaled_fib(3, m + 1)),
+        _Cf(4, extra=1),
+        ((_t(1, "scaled_fib", 1, 2, p=3),), (_t(1, "scaled_fib", 1, 1, p=3),)),
     )
     THM8_TWENTYNINES = _Entry(
-        lambda m, k: [(29, m + 1)],
-        lambda m, k: (scaled_fib(7, m + 2), scaled_fib(7, m + 1)),
+        _Cf(29, extra=1),
+        ((_t(1, "scaled_fib", 1, 2, p=7),), (_t(1, "scaled_fib", 1, 1, p=7),)),
     )
     COR_GENERAL_LUCAS = _Entry(
-        lambda m, k: [(lucas(2 * k + 1), m + 1)],
-        lambda m, k: (scaled_fib(2 * k + 1, m + 2), scaled_fib(2 * k + 1, m + 1)),
+        _Cf(lambda k: lucas(2 * k + 1), extra=1),
+        ((_t(1, "scaled_fib", 1, 2, p=_Lin(1, 2)),), (_t(1, "scaled_fib", 1, 1, p=_Lin(1, 2)),)),
         takes_k=True,
         k_min=0,
     )
-    EXT_ELEVEN8 = _Entry(
-        lambda m, k: [(11, m), (8, 1)],
-        lambda m, k: (fib(5 * m + 6), fib(5 * m + 1)),
-    )
-    EXT_ELEVEN13 = _Entry(
-        lambda m, k: [(11, m), (13, 1)],
-        lambda m, k: (fib(5 * m + 7), fib(5 * m + 2)),
-    )
-    LEM_3F = _Entry(lambda m, k: 3 * fib(m), lambda m, k: fib(m + 2) + fib(m - 2))
+    EXT_ELEVEN8 = _Entry(_Cf(11, tail=8), ((_t(1, "fib", 5, 6),), (_t(1, "fib", 5, 1),)))
+    EXT_ELEVEN13 = _Entry(_Cf(11, tail=13), ((_t(1, "fib", 5, 7),), (_t(1, "fib", 5, 2),)))
+    LEM_3F = _Entry((_t(3, "fib", 1, 0),), (_t(1, "fib", 1, 2), _t(1, "fib", 1, -2)))
     LEM_4F = _Entry(
-        lambda m, k: 4 * fib(m),
-        lambda m, k: fib(m + 2) + fib(m) + fib(m - 2),
+        (_t(4, "fib", 1, 0),),
+        (_t(1, "fib", 1, 2), _t(1, "fib", 1, 0), _t(1, "fib", 1, -2)),
     )
-    LEM_L32 = _Entry(lambda m, k: lucas(m), lambda m, k: fib(m + 1) + fib(m - 1))
-    LEM_F9 = _Entry(lambda m, k: fib(m + 9), lambda m, k: fib(m - 1) + 11 * fib(m + 4))
-    LEM_11F = _Entry(
-        lambda m, k: 11 * fib(m + 4),
-        lambda m, k: fib(m) + fib(m + 2) + fib(m + 4) + fib(m + 6) + fib(m + 8),
-    )
-    LEM_29F = _Entry(lambda m, k: fib(m) + 29 * fib(m + 7), lambda m, k: fib(m + 14))
+    LEM_L32 = _Entry((_t(1, "lucas", 1, 0),), (_t(1, "fib", 1, 1), _t(1, "fib", 1, -1)))
+    LEM_F9 = _Entry((_t(1, "fib", 1, 9),), (_t(1, "fib", 1, -1), _t(11, "fib", 1, 4)))
+    LEM_11F = _Entry((_t(11, "fib", 1, 4),), tuple(_t(1, "fib", 1, b) for b in (0, 2, 4, 6, 8)))
+    LEM_29F = _Entry((_t(1, "fib", 1, 0), _t(29, "fib", 1, 7)), (_t(1, "fib", 1, 14),))
     LEM_BRIDGE = _Entry(
-        lambda m, k: 5 * (lucas_swapped(m) - lucas_swapped(m - 10)),
-        lambda m, k: fib(m + 5),
+        (_t(5, "lucas_swapped", 1, 0), _t(-5, "lucas_swapped", 1, -10)),
+        (_t(1, "fib", 1, 5),),
         m_step=5,
     )
 
@@ -201,11 +248,20 @@ class IdentityId(Enum):
     def is_lemma(self) -> bool:
         return self.name.startswith("LEM_")
 
+    @property
+    def forms(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+        """The entry's two linear forms: (numerator, denominator), or a lemma's (lhs, rhs)."""
+        return (self.lhs, self.rhs) if self.is_lemma else self.rhs
+
 
 class Status(Enum):
     PASS = auto()
     FAIL = auto()
     SKIPPED = auto()
+
+
+# Read on every case; a module global is cheaper to load than an Enum attribute.
+_PASS, _FAIL, _SKIPPED = Status.PASS, Status.FAIL, Status.SKIPPED
 
 
 class CaseParams(NamedTuple):
@@ -264,45 +320,75 @@ def _cf_entry(ident: IdentityId, params: CaseParams) -> IdentityId:
     return _validate(ident, params)
 
 
+# --- the reference route: every value computed directly ---------------------
+
+
+def _runs(left: _Cf, m: int, k: int | None) -> list[tuple[int, int]]:
+    """The (value, count) runs of a left side at (m, k)."""
+    runs = [(left.base(k), m + left.extra)]
+    if left.tail is not None:
+        runs.append((left.tail(k), 1))
+    return runs
+
+
+def _form_value(form: tuple[tuple, ...], m: int, k: int | None) -> int:
+    """The sum of coef(k) * X(a*m + b) over the form's terms, each X called directly."""
+    total = 0
+    for coef, x, a, b, p in form:
+        fn = getattr(sequences, x)
+        n = a * m + b
+        total += coef(k) * (fn(n) if p is None else fn(p(k), n))
+    return total
+
+
 def lhs_terms(ident: IdentityId, params: CaseParams) -> list[int]:
     """The exact term list the identity prescribes for these parameters."""
-    return _expand(_cf_entry(ident, params).lhs(params.m, params.k))
+    return _expand(_runs(_cf_entry(ident, params).lhs, *params))
 
 
 def rhs_value(ident: IdentityId, params: CaseParams) -> Rational | None:
     """The identity's stated ratio, reduced, or None when its denominator is zero."""
-    num, den = _cf_entry(ident, params).rhs(params.m, params.k)
+    num, den = (_form_value(form, *params) for form in _cf_entry(ident, params).rhs)
     return None if den == 0 else Rational(num, den)
 
 
-def _cf_outcome(entry: IdentityId | _Entry, params: CaseParams) -> CheckOutcome:
-    """check() on a case its caller has validated."""
-    try:
-        lhs = evaluate_runs(entry.lhs(params.m, params.k))
-    except UndefinedValue:
-        lhs = None
-    num, den = entry.rhs(params.m, params.k)
+def _cf_outcome(lhs: Rational | None, num: int, den: int) -> CheckOutcome:
+    """The outcome of comparing a left side (None: undefined) with the ratio num/den."""
     if den == 0:
         if lhs is None:
-            return CheckOutcome(Status.SKIPPED, None, None, "both sides undefined")
-        return CheckOutcome(Status.FAIL, lhs, None, "right side undefined")
+            return CheckOutcome(_SKIPPED, None, None, "both sides undefined")
+        return CheckOutcome(_FAIL, lhs, None, "right side undefined")
     if lhs is None:
-        return CheckOutcome(Status.FAIL, None, Rational(num, den), "left side undefined")
+        return CheckOutcome(_FAIL, None, Rational(num, den), "left side undefined")
     # lhs is reduced with lhs.den > 0, so num/den equals it iff (num, den)
     # is an integer multiple of (lhs.num, lhs.den).
     g, rem = divmod(den, lhs.den)
     if rem == 0 and num == g * lhs.num:
-        return CheckOutcome(Status.PASS, lhs, lhs)
-    return CheckOutcome(Status.FAIL, lhs, Rational(num, den), "values differ")
+        return CheckOutcome(_PASS, lhs, lhs)
+    return CheckOutcome(_FAIL, lhs, Rational(num, den), "values differ")
 
 
-def _lemma_outcome(entry: IdentityId, params: CaseParams) -> CheckOutcome:
-    """check_lemma() on a case its caller has validated."""
-    lhs, rhs = entry.lhs(params.m, params.k), entry.rhs(params.m, params.k)
+def _lemma_outcome(lhs: int, rhs: int) -> CheckOutcome:
+    """The outcome of one lemma instance, lhs = rhs."""
     if lhs == rhs:
         value = Rational(lhs)
-        return CheckOutcome(Status.PASS, value, value)
-    return CheckOutcome(Status.FAIL, Rational(lhs), Rational(rhs), "values differ")
+        return CheckOutcome(_PASS, value, value)
+    return CheckOutcome(_FAIL, Rational(lhs), Rational(rhs), "values differ")
+
+
+def _cf_case(entry: IdentityId, params: CaseParams) -> CheckOutcome:
+    """check() on a case its caller has validated."""
+    try:
+        lhs = evaluate_runs(_runs(entry.lhs, *params))
+    except UndefinedValue:
+        lhs = None
+    num, den = (_form_value(form, *params) for form in entry.rhs)
+    return _cf_outcome(lhs, num, den)
+
+
+def _lemma_case(entry: IdentityId, params: CaseParams) -> CheckOutcome:
+    """check_lemma() on a case its caller has validated."""
+    return _lemma_outcome(_form_value(entry.lhs, *params), _form_value(entry.rhs, *params))
 
 
 def check(ident: IdentityId, params: CaseParams) -> CheckOutcome:
@@ -311,27 +397,27 @@ def check(ident: IdentityId, params: CaseParams) -> CheckOutcome:
     Undefinedness is data, not an error: both sides undefined is SKIPPED,
     one side undefined is a FAIL.
     """
-    return _cf_outcome(_cf_entry(ident, params), params)
+    return _cf_case(_cf_entry(ident, params), params)
 
 
 def check_lemma(ident: IdentityId, params: CaseParams) -> CheckOutcome:
     """Check one lemma instance as an exact integer equation."""
     if not ident.is_lemma:
         raise NotALemma(f"{ident.name} is not a lemma; use check()")
-    return _lemma_outcome(_validate(ident, params), params)
+    return _lemma_case(_validate(ident, params), params)
 
 
 def run_case(ident: IdentityId, params: CaseParams) -> CheckOutcome:
     """Check one case of either kind: check() for identities, check_lemma() for lemmas."""
-    return (_lemma_outcome if ident.is_lemma else _cf_outcome)(_validate(ident, params), params)
+    return (_lemma_case if ident.is_lemma else _cf_case)(_validate(ident, params), params)
 
 
 def _case_grid(
     ident: IdentityId,
     m_range: tuple[int, int],
     k_range: tuple[int, int] | None,
-) -> Iterator[CaseParams]:
-    """The grid's cases in (m, k) order, after checking the grid as a whole.
+) -> tuple[range, range | tuple[None]]:
+    """The grid's m values and k values ((None,): the entry takes no k), after checking it.
 
     Every check that can fail runs here, before the first case is made:
     the ranges must be nonempty, k must be given exactly when the entry
@@ -357,10 +443,7 @@ def _case_grid(
     ms = range(m_lo + -m_lo % step, m_hi + 1, step)
     if not ms:
         raise BadDomain(f"{ident.name} is stated for multiples of {step}, none in {m_lo}..{m_hi}")
-    if ident.takes_k:
-        ks = range(k_lo, k_hi + 1)
-        return (CaseParams(m, k) for m in ms for k in ks)
-    return map(CaseParams, ms)
+    return ms, range(k_lo, k_hi + 1) if ident.takes_k else (None,)
 
 
 def iter_sweep(
@@ -371,12 +454,14 @@ def iter_sweep(
     """Check every case in the parameter grid, yielding (params, outcome) in (m, k) order.
 
     The grid is checked when this is called, so a bad range raises before
-    any case runs; the cases then run one at a time as the result is
-    consumed, each through run_case(). The m interval is filtered to the
-    entry's domain (multiples of 5 for LEM_BRIDGE).
+    any case runs; the cases are then computed by the stepped engine as the
+    result is consumed, and equal run_case() on each of them. The m interval
+    is filtered to the entry's domain (multiples of 5 for LEM_BRIDGE).
     """
     grid = _case_grid(ident, m_range, k_range)
-    return ((params, run_case(ident, params)) for params in grid)
+    from ._engine import sweep_cases  # compiled only by the commands that sweep
+
+    return sweep_cases(ident, *grid)
 
 
 def sweep(

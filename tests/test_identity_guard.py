@@ -1,4 +1,4 @@
-"""Which error each identity entry point raises first, and how often a case is validated.
+"""Which error each identity entry point raises first, and when a case is validated.
 
 The table pins today's behaviour of every public entry point on every
 catalog entry: a bad case must raise the same exception class, in the
@@ -180,7 +180,30 @@ def test_one_validation_per_case(validate_calls, call):
         (I.LEM_BRIDGE, (0, 30), None, 7),
     ],
 )
-def test_sweep_validates_each_case_once(validate_calls, ident, m_range, k_range, cases):
-    report = identities.sweep(ident, m_range, k_range)
-    assert len(report.cases) == cases
-    assert validate_calls == [(ident, params) for params, _ in report.cases]
+def test_sweep_checks_the_grid_before_any_case(monkeypatch, ident, m_range, k_range, cases):
+    # A sweep checks its grid as a whole, once, instead of validating each
+    # case: every case decision must come after that check, each case is
+    # decided once, and every case yielded lies in the entry's domain.
+    events = []
+
+    def recorded(name, real):
+        def wrapper(*args):
+            events.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(identities, real.__name__, wrapper)
+
+    recorded("grid", identities._case_grid)
+    recorded("case", identities._cf_outcome)
+    recorded("case", identities._lemma_outcome)
+
+    stream = identities.iter_sweep(ident, m_range, k_range)
+    assert events == ["grid"]  # checked on the call, before any case exists
+    got = list(stream)
+    assert events == ["grid"] + ["case"] * cases
+
+    for params, _ in got:
+        identities._validate(ident, params)  # raises for a case outside the domain
+    ks = [None] if k_range is None else range(k_range[0], k_range[1] + 1)
+    ms = [m for m in range(m_range[0], m_range[1] + 1) if m % ident.m_step == 0]
+    assert [params for params, _ in got] == [CaseParams(m, k) for m in ms for k in ks]

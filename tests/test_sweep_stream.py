@@ -1,9 +1,10 @@
 """Streaming sweeps and the work neighbouring cases share.
 
 A CLI sweep prints each case as it is checked, so its memory must not grow
-with the grid. Cases share kernel results through two bounded memos, and
-a passing case's right side is decided by one exact division, without
-gcd. Each shortcut is checked here against a route that does not take it.
+with the grid. The stepped engine carries kernel results from one m to the
+next instead of recomputing them, and a passing case's right side is
+decided by one exact division, without gcd. Each shortcut is checked here
+against a route that does not take it.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import cfkit
 from cfkit import cli, contfrac, identities, rational, sequences
-from cfkit.contfrac import expand_rational
+from cfkit.contfrac import evaluate, expand_rational
 from cfkit.errors import BadDomain
 from cfkit.identities import CaseParams, IdentityId, Status
 from cfkit.rational import Rational
@@ -98,17 +99,29 @@ def gcd_calls(monkeypatch):
     return calls
 
 
-def test_thm2_grid_reuses_kernel_work_and_skips_gcd(gcd_calls):
-    sequences._fib_pair.cache_clear()
-    contfrac._run_power.cache_clear()
+def _counted(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_thm2_grid_reuses_kernel_work_and_skips_gcd(monkeypatch, gcd_calls):
+    fib_calls = _counted(monkeypatch, sequences, "_fib_pair")
+    power_calls = _counted(monkeypatch, contfrac, "_run_power")
     argv = "sweep THM2_FIB_FORM --m 0..200 --k -96..104 --json".split()
     assert _quiet_run(argv) == 0  # every case passes
-    fib_info, power_info = sequences._fib_pair.cache_info(), contfrac._run_power.cache_info()
-    # 804 distinct indices, about half shared with the previous m; without
-    # the memos these were 161 604 and 33 969 calls.
-    assert fib_info.misses <= 1000
-    assert power_info.misses <= 201
-    assert fib_info.hits + fib_info.misses == 4 * 201 * 201
+    # The state is seeded once and then stepped: two kernel calls for each
+    # of the four terms and two for each term's step constants, one power
+    # for the prefix [4]^0 and one for its step. Computed case by case,
+    # these were 4 * 201 * 201 = 161 604 kernel calls and 40 401 powers.
+    assert len(fib_calls) == 16
+    assert power_calls == [(4, 0), (4, 1)]
     assert gcd_calls == []
 
 
@@ -123,10 +136,8 @@ def test_failing_cases_reduce_their_right_side(gcd_calls):
 
 
 def _outcome(lhs, num, den):
-    """_cf_outcome() on a synthetic entry whose left side evaluates to lhs."""
-    runs = [(a, 1) for a in expand_rational(lhs)]
-    entry = identities._Entry(lambda m, k: runs, lambda m, k: (num, den))
-    return identities._cf_outcome(entry, CaseParams(0))
+    """_cf_outcome(), which both routes decide a case with, on a left side evaluating to lhs."""
+    return identities._cf_outcome(evaluate(expand_rational(lhs)), num, den)
 
 
 _value = st.integers(-(10**30), 10**30)
@@ -162,7 +173,10 @@ def test_zero_denominator_is_an_undefined_right_side(lhs, num):
     assert (outcome.status, outcome.rhs, outcome.note) == (Status.FAIL, None, "right side undefined")
 
 
-# --- the bounded memos -------------------------------------------------------
+# --- the kernels, called in any order -----------------------------------------
+
+# Named for the memos these once exercised; with the memos gone they check
+# that calls in any order give the values of the plain recurrence.
 
 _N = 3000
 _FIBS, _LUCAS = [0, 1], [2, 1]
@@ -178,8 +192,6 @@ def test_memoised_kernel_matches_recurrence_in_any_order(indices):
         assert sequences.fib(n) == _FIBS[abs(n)] * (-1 if n < 0 and n % 2 == 0 else 1)
         assert sequences.lucas(n) == _LUCAS[abs(n)] * (-1 if n < 0 and n % 2 else 1)
         assert sequences._fib_pair(abs(n)) == (_FIBS[abs(n)], _FIBS[abs(n) + 1])
-        info = sequences._fib_pair.cache_info()
-        assert info.currsize <= info.maxsize == sequences._MEMO_SIZE
 
 
 @settings(deadline=None)
@@ -190,8 +202,6 @@ def test_memoised_run_power_matches_repeated_multiplication(calls):
         for _ in range(n):
             p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
         assert contfrac._run_power(a, n) == (p, p_prev, q, q_prev)
-        info = contfrac._run_power.cache_info()
-        assert info.currsize <= info.maxsize
 
 
 # --- the import path ---------------------------------------------------------
