@@ -14,47 +14,13 @@ is no floating point anywhere. The public surface:
                                  (iter_sweep streams a grid case by case)
                                  and the uniform-base pattern fitter
   * cli                          the `cfkit` command-line front end
+
+Names are loaded on first use (PEP 562): `import cfkit` imports no
+submodule, and `cfkit.fib` or `cfkit.identities` imports the one module it
+needs. The command line relies on this to load only what a subcommand runs.
 """
 
-from .contfrac import (
-    ConvergentTable,
-    SurdExpansion,
-    build_uniform,
-    convergents,
-    eval_fold,
-    evaluate,
-    evaluate_runs,
-    expand_rational,
-    parse_cf,
-    parse_runs,
-    surd_cf,
-)
-from .identities import (
-    CaseParams,
-    CheckOutcome,
-    IdentityId,
-    Status,
-    SweepReport,
-    check,
-    check_lemma,
-    fit_uniform,
-    iter_sweep,
-    lhs_terms,
-    rhs_value,
-    run_case,
-    sweep,
-)
-from .rational import Rational
-from .sequences import (
-    fib,
-    fib_comb,
-    gibonacci,
-    lucas,
-    lucas_odd_index_of,
-    lucas_swapped,
-    scaled_fib,
-)
-from .tiling import count_board, count_bracelet, count_stacked
+import sys
 
 __version__ = "0.1.0"
 
@@ -95,3 +61,42 @@ __all__ = [
     "surd_cf",
     "sweep",
 ]
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "contfrac": (
+            "ConvergentTable", "SurdExpansion", "build_uniform", "convergents", "eval_fold", "evaluate",
+            "evaluate_runs", "expand_rational", "parse_cf", "parse_runs", "surd_cf",
+        ),
+        "identities": (
+            "CaseParams", "CheckOutcome", "IdentityId", "Status", "SweepReport", "check", "check_lemma",
+            "fit_uniform", "iter_sweep", "lhs_terms", "rhs_value", "run_case", "sweep",
+        ),
+        "rational": ("Rational",),
+        "sequences": ("fib", "fib_comb", "gibonacci", "lucas", "lucas_odd_index_of", "lucas_swapped", "scaled_fib"),
+        "tiling": ("count_board", "count_bracelet", "count_stacked"),
+    }.items()
+    for name in names
+}
+_SUBMODULES = {"cli", "contfrac", "errors", "identities", "rational", "sequences", "tiling"}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name, name if name in _SUBMODULES else None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ and sys.modules rather than importlib, which a bare
+    # interpreter has not loaded.
+    qualified = f"{__name__}.{module}"
+    __import__(qualified)
+    value = sys.modules[qualified]
+    if module != name:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

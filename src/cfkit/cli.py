@@ -20,23 +20,30 @@ Exit codes: 0 success (all PASS), 1 at least one FAIL, 2 usage error,
 3 evaluation or domain error, 141 standard output closed before the
 command finished writing (a broken pipe, as in `cfkit sweep ... | head`;
 128 + SIGPIPE, the code a shell reports for a process that signal ends).
+
+A launch loads only what its subcommand runs. This module imports argparse
+and `errors` alone; each handler imports the modules it calls (contfrac for
+eval/expand/convergents/surd, sequences for seq, tiling for oracle,
+identities for check/sweep/fit) and json only when it writes --json.
+Without cached bytecode (PYTHONDONTWRITEBYTECODE, a read-only install)
+every launch compiles each module it imports, so a module a command does
+not import is compile time it does not spend. When argv begins with a subcommand, the parser holds that
+subcommand alone; otherwise (`cfkit --help`, an unknown name) it holds all
+nine, so the help and the errors list every subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import contfrac, identities, sequences, tiling
-from .errors import CFKitError, EmptyCF, ExtraParam, MissingParam, ParseError
-from .identities import CaseParams, CheckOutcome, IdentityId, Status
-from .rational import Rational
+from .errors import CFKitError, EmptyCF, ExtraParam, MissingParam, ParseError, UnknownIdentity
 
-_USAGE_ERRORS = (ParseError, EmptyCF, MissingParam, ExtraParam)
-# Read on every case of a sweep; a module global is cheaper to load than an Enum attribute.
-_PASS, _FAIL = Status.PASS, Status.FAIL
+# Annotations below name cfkit types (Rational, IdentityId, CaseParams,
+# CheckOutcome) that are imported only where a handler uses them; with
+# postponed evaluation they are never resolved at run time.
+_USAGE_ERRORS = (ParseError, EmptyCF, MissingParam, ExtraParam, UnknownIdentity)
 
 
 def _range_pair(text: str) -> tuple[int, int]:
@@ -63,14 +70,18 @@ def _nonneg_int(text: str) -> int:
 
 
 def _identity(name: str) -> IdentityId:
+    from .identities import IdentityId
+
     try:
         return IdentityId[name]
     except KeyError:
         known = ", ".join(i.name for i in IdentityId)
-        raise ValueError(f"unknown identity '{name}'; choose one of: {known}") from None
+        raise UnknownIdentity(f"unknown identity '{name}'; choose one of: {known}") from None
 
 
 def _parse_rational(text: str) -> Rational:
+    from .rational import Rational
+
     num, sep, den = text.partition("/")
     try:
         if sep:
@@ -109,8 +120,8 @@ def _case_json(name: str, params: CaseParams, outcome: CheckOutcome) -> str:
     "lhs", "rhs", "status", "note"}: an undefined side's key is left out,
     big integers are decimal strings, and m and k are JSON numbers. Names,
     statuses and notes are plain ASCII without quotes or backslashes, so they
-    need no escaping. A passing case's two sides are equal, so its digits
-    are converted once.
+    need no escaping. A passing case carries one Rational as both sides, so
+    its digits are converted once.
     """
     m, k = params
     status, lhs, rhs, note = outcome
@@ -119,7 +130,7 @@ def _case_json(name: str, params: CaseParams, outcome: CheckOutcome) -> str:
         left = f'{{"num": "{lhs.num}", "den": "{lhs.den}"}}'
         sides = f', "lhs": {left}'
     if rhs is not None:
-        right = left if status is _PASS else f'{{"num": "{rhs.num}", "den": "{rhs.den}"}}'
+        right = left if rhs is lhs else f'{{"num": "{rhs.num}", "den": "{rhs.den}"}}'
         sides += f', "rhs": {right}'
     k_field = "" if k is None else f', "k": {k}'
     return (
@@ -142,8 +153,12 @@ def _case_text(params: CaseParams, outcome: CheckOutcome) -> str:
 
 
 def _cmd_eval(args) -> int:
+    from . import contfrac
+
     value = contfrac.evaluate_runs(contfrac.parse_runs(args.cf))
     if args.json:
+        import json
+
         print(json.dumps(_rat_json(value)))
     elif args.digits is not None:
         print(_decimal(value, args.digits))
@@ -153,8 +168,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from . import contfrac
+
     terms = contfrac.expand_rational(_parse_rational(args.rational))
     if args.json:
+        import json
+
         print(json.dumps({"terms": [str(t) for t in terms]}))
     else:
         print("[" + ",".join(str(t) for t in terms) + "]")
@@ -162,7 +181,11 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_convergents(args) -> int:
+    from . import contfrac
+
     table = contfrac.convergents(contfrac.parse_cf(args.cf))
+    if args.json:
+        import json
     for i, (p, q) in enumerate(zip(table.p, table.q)):
         if args.json:
             print(json.dumps({"i": i, "p": str(p), "q": str(q)}))
@@ -185,6 +208,8 @@ _SEQ_KINDS = {
 
 
 def _cmd_seq(args) -> int:
+    from . import sequences
+
     name, needs = _SEQ_KINDS[args.kind]
     extras = {"k": args.k, "t": args.t}
     if needs is not None and extras[needs] is None:
@@ -196,6 +221,8 @@ def _cmd_seq(args) -> int:
         raise MissingParam(f"empty index range {args.start}..{args.stop}")
     fn = getattr(sequences, name)
     leading = () if needs is None else (extras[needs],)
+    if args.json:
+        import json
     for n in range(args.start, args.stop + 1):
         value = fn(*leading, n)
         if args.json:
@@ -210,6 +237,8 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import tiling
+
     if args.kind in ("board", "bracelet"):
         try:
             n = int(args.arg)
@@ -224,37 +253,49 @@ def _cmd_oracle(args) -> int:
             raise MissingParam("oracle stacked needs a,b,c,... integer heights") from None
         count = tiling.count_stacked(heights)
         payload = {"kind": "stacked", "heights": heights, "count": str(count)}
-    print(json.dumps(payload) if args.json else count)
+    if args.json:
+        import json
+
+        print(json.dumps(payload))
+    else:
+        print(count)
     return 0
 
 
 def _cmd_check(args) -> int:
+    from . import identities
+
     ident = _identity(args.identity)
     if args.m is None:
         raise MissingParam(f"check {ident.name} needs --m")
-    params = CaseParams(args.m, args.k)
+    params = identities.CaseParams(args.m, args.k)
     outcome = identities.run_case(ident, params)
     print(_case_json(ident.name, params, outcome) if args.json else _case_text(params, outcome))
-    return 1 if outcome.status is Status.FAIL else 0
+    return 1 if outcome.status is identities.Status.FAIL else 0
 
 
 def _cmd_sweep(args) -> int:
+    from . import identities
+
     ident = _identity(args.identity)
     name, write = ident.name, sys.stdout.write
+    passing, failing = identities.Status.PASS, identities.Status.FAIL
     passed = failed = skipped = 0
     for params, outcome in identities.iter_sweep(ident, args.m, args.k):
         status = outcome.status
-        if status is _PASS:
+        if status is passing:
             passed += 1
-        elif status is _FAIL:
+        elif status is failing:
             failed += 1
         else:
             skipped += 1
         if args.json:
             write(_case_json(name, params, outcome) + "\n")
-        elif status is not _PASS:
+        elif status is not passing:
             write(_case_text(params, outcome) + "\n")
     if args.json:
+        import json
+
         print(json.dumps({"identity": ident.name, "pass": passed, "fail": failed, "skip": skipped}))
     else:
         print(f"pass={passed} fail={failed} skip={skipped}")
@@ -262,8 +303,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from . import identities
+
     t = identities.fit_uniform(args.c, args.n_max)
     if args.json:
+        import json
+
         print(json.dumps({"c": str(args.c), "t": t}))
     else:
         print("NONE" if t is None else t)
@@ -271,8 +316,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_surd(args) -> int:
+    from . import contfrac
+
     expansion = contfrac.surd_cf(args.d, args.max_terms)
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {
@@ -288,78 +337,117 @@ def _cmd_surd(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+# name -> (handler, help, arguments as (flags, options) pairs). Every
+# subcommand also takes --json.
+_SUBCOMMANDS = {
+    "eval": (
+        _cmd_eval,
+        "exact value of a continued fraction",
+        [
+            (("cf",), {"help": 'continued fraction text, e.g. "[2,3,7]" or "[4x10,3]"'}),
+            (("--digits",), {"type": _nonneg_int, "help": "also render D decimal digits (text mode only)"}),
+        ],
+    ),
+    "expand": (
+        _cmd_expand,
+        "canonical expansion of NUM/DEN",
+        [(("rational",), {"help": "exact rational, e.g. 51/22"})],
+    ),
+    "convergents": (_cmd_convergents, "full convergent table", [(("cf",), {})]),
+    "seq": (
+        _cmd_seq,
+        "sequence values over an index range",
+        [
+            (("kind",), {"choices": tuple(_SEQ_KINDS)}),
+            (("--from",), {"dest": "start", "type": int, "required": True}),
+            (("--to",), {"dest": "stop", "type": int, "required": True}),
+            (("--k",), {"type": int, "help": "family parameter (gib)"}),
+            (("--t",), {"type": int, "help": "odd order (scaled)"}),
+        ],
+    ),
+    "oracle": (
+        _cmd_oracle,
+        "brute-force tiling counts",
+        [
+            (("kind",), {"choices": ("board", "bracelet", "stacked")}),
+            (("arg",), {"help": "length, or a,b,c,... heights for stacked"}),
+        ],
+    ),
+    "check": (
+        _cmd_check,
+        "check a single identity case",
+        [(("identity",), {}), (("--m",), {"type": int}), (("--k",), {"type": int})],
+    ),
+    "sweep": (
+        _cmd_sweep,
+        "check an identity over ranges",
+        [
+            (("identity",), {}),
+            (("--m",), {"type": _range_pair, "required": True, "metavar": "LO..HI"}),
+            (("--k",), {"type": _range_pair, "metavar": "LO..HI"}),
+            (("--jobs",), {"type": int, "help": "accepted for compatibility; has no effect (cases run serially)"}),
+        ],
+    ),
+    "fit": (
+        _cmd_fit,
+        "fit [c,c,...,c] to a scaled-Fibonacci family",
+        [(("c",), {"type": int}), (("--n-max",), {"dest": "n_max", "type": int, "default": 10})],
+    ),
+    "surd": (
+        _cmd_surd,
+        "periodic expansion of sqrt(d)",
+        [
+            (("d",), {"type": int}),
+            (("--max-terms",), {"dest": "max_terms", "type": _nonneg_int, "default": 10_000}),
+        ],
+    ),
+}
 
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for `command` alone, or for every subcommand when it is None.
+
+    argparse runs only the subparser that argv names, so the others are left
+    out; the metavar keeps every name in the usage line that a top-level
+    error prints. `cfkit --help` and an unknown name take the None path, in
+    which each subcommand is listed with its help.
+    """
     parser = argparse.ArgumentParser(
         prog="cfkit",
         description="Exact continued-fraction arithmetic and identity verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", parents=[common], help="exact value of a continued fraction")
-    p.add_argument("cf", help='continued fraction text, e.g. "[2,3,7]" or "[4x10,3]"')
-    p.add_argument("--digits", type=_nonneg_int, help="also render D decimal digits (text mode only)")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("expand", parents=[common], help="canonical expansion of NUM/DEN")
-    p.add_argument("rational", help="exact rational, e.g. 51/22")
-    p.set_defaults(handler=_cmd_expand)
-
-    p = sub.add_parser("convergents", parents=[common], help="full convergent table")
-    p.add_argument("cf")
-    p.set_defaults(handler=_cmd_convergents)
-
-    p = sub.add_parser("seq", parents=[common], help="sequence values over an index range")
-    p.add_argument("kind", choices=tuple(_SEQ_KINDS))
-    p.add_argument("--from", dest="start", type=int, required=True)
-    p.add_argument("--to", dest="stop", type=int, required=True)
-    p.add_argument("--k", type=int, help="family parameter (gib)")
-    p.add_argument("--t", type=int, help="odd order (scaled)")
-    p.set_defaults(handler=_cmd_seq)
-
-    p = sub.add_parser("oracle", parents=[common], help="brute-force tiling counts")
-    p.add_argument("kind", choices=("board", "bracelet", "stacked"))
-    p.add_argument("arg", help="length, or a,b,c,... heights for stacked")
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("check", parents=[common], help="check a single identity case")
-    p.add_argument("identity")
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("sweep", parents=[common], help="check an identity over ranges")
-    p.add_argument("identity")
-    p.add_argument("--m", type=_range_pair, required=True, metavar="LO..HI")
-    p.add_argument("--k", type=_range_pair, metavar="LO..HI")
-    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect (cases run serially)")
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("fit", parents=[common], help="fit [c,c,...,c] to a scaled-Fibonacci family")
-    p.add_argument("c", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int, default=10)
-    p.set_defaults(handler=_cmd_fit)
-
-    p = sub.add_parser("surd", parents=[common], help="periodic expansion of sqrt(d)")
-    p.add_argument("d", type=int)
-    p.add_argument("--max-terms", dest="max_terms", type=_nonneg_int, default=10_000)
-    p.set_defaults(handler=_cmd_surd)
-
+    # Unset on the full parser, so that argv without a subcommand still gets
+    # "the following arguments are required: command".
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        handler, help_text, arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
-_VALUE_OPTIONS = {"--m", "--k", "--from", "--to"}
+def _command(argv: list[str]) -> str | None:
+    """The subcommand argv names, if it begins with one; None sends parsing to the full parser."""
+    return argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+
+
+# Every option that takes a value. A token after one of them is its value,
+# not a positional.
+_VALUE_OPTIONS = {"--m", "--k", "--from", "--to", "--t", "--digits", "--jobs", "--n-max", "--max-terms"}
 
 
 def _glue_negative_values(argv: list[str]) -> list[str]:
     """Keep values that start with '-' and a digit from being read as option names.
 
     argparse takes a plain negative integer as a value already. Any other
-    such token is joined to a preceding --m/--k/--from/--to (--k=-50..50);
+    such token is joined to a preceding value option (--k=-50..50);
     otherwise it is a positional (expand -13/3) and moves behind one closing
-    '--', as do the tokens after a '--' of the caller's own.
+    '--', as do the positionals after it, in order, and the tokens after a
+    '--' of the caller's own.
     """
     out: list[str] = []
     tail: list[str] = []
@@ -367,11 +455,14 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
         if tok == "--":
             tail += argv[i + 1 :]
             break
+        is_value = bool(out) and out[-1] in _VALUE_OPTIONS
         if tok[:1] == "-" and tok[1:2].isdigit() and not tok[1:].isdigit():
-            if out and out[-1] in _VALUE_OPTIONS:
+            if is_value:
                 out[-1] += "=" + tok
             else:
                 tail.append(tok)
+        elif tail and not is_value and (tok[:1] != "-" or tok[1:].isdigit()):
+            tail.append(tok)
         else:
             out.append(tok)
     return [*out, "--", *tail] if tail else out
@@ -379,9 +470,10 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 def run(argv: list[str]) -> int:
     """Parse argv, execute, and map errors onto the documented exit codes."""
-    parser = _build_parser()
+    argv = _glue_negative_values(argv)
+    parser = _build_parser(_command(argv))
     try:
-        args = parser.parse_args(_glue_negative_values(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

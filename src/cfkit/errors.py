@@ -74,3 +74,7 @@ class MissingParam(CFKitError):
 
 class ExtraParam(CFKitError):
     """A sweep supplied a parameter range the identity's signature lacks."""
+
+
+class UnknownIdentity(CFKitError):
+    """A catalog name was given that no IdentityId member has."""

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfkit import cli
 from cfkit.cli import _decimal, run
+from cfkit.errors import UnknownIdentity
 from cfkit.rational import Rational
 
 
@@ -88,6 +93,108 @@ def test_expand_error_codes(capsys):
     invoke(capsys, ["expand", "five"], expect_code=2)
 
 
+@pytest.mark.parametrize(
+    "argv, stray",
+    [
+        ("expand -13/3 extra", "extra"),
+        ("expand -13/3 extra --json", "extra"),
+        ("expand -13/3 extra -7/2", "extra -7/2"),
+        ("expand --json -13/3 -4 5", "-4 5"),
+    ],
+)
+def test_stray_token_after_negative_value_is_the_one_reported(capsys, argv, stray):
+    err = invoke(capsys, argv.split(), expect_code=2).err
+    assert err.rstrip().endswith(f"error: unrecognized arguments: {stray}")
+
+
+@pytest.mark.parametrize(
+    "argv, glued",
+    [
+        # a negative value after a value option joins it
+        ("sweep X --m 0..2 --k -3..3", "sweep X --m 0..2 --k=-3..3"),
+        ("eval [1] --digits -1.5", "eval [1] --digits=-1.5"),
+        # a plain negative integer is a value already
+        ("check X --m -1", "check X --m -1"),
+        # a negative positional moves behind '--' with the positionals after it, in order
+        ("expand -13/3", "expand -- -13/3"),
+        ("expand -13/3 extra --json", "expand --json -- -13/3 extra"),
+        ("expand -13/3 --m 4 extra", "expand --m 4 -- -13/3 extra"),
+        ("expand -13/3 -- extra", "expand -- -13/3 extra"),
+        ("expand 13/3 extra", "expand 13/3 extra"),
+    ],
+)
+def test_glue_negative_values(argv, glued):
+    assert cli._glue_negative_values(argv.split()) == glued.split()
+
+
+def test_value_options_are_the_parsers():
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    taking_a_value = {
+        flag
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if action.option_strings and action.nargs is None
+        for flag in action.option_strings
+    }
+    assert taking_a_value == cli._VALUE_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["eval", "[1]"], "eval"),
+        (["sweep", "--json"], "sweep"),
+        (["-h", "check"], None),
+        (["--json", "sweep", "ID117"], None),
+        (["--", "expand", "5/3"], None),
+        (["bogus", "eval"], None),
+        ([], None),
+    ],
+)
+def test_command_is_the_first_token(argv, command):
+    assert cli._command(argv) == command
+
+
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            args = exc.code
+    return args, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eval [2,3,7] --digits 4",
+        "eval [1] extra",
+        "eval",
+        "eval --digits -1 [1]",
+        "eval --help",
+        "expand -- -13/3 extra",
+        "seq fib --from 0",
+        "seq nope --from 0 --to 1",
+        "oracle board",
+        "check ID117 --m 2 --k 1 --json",
+        "sweep ID117 --m 5..0",
+        "sweep THM2_FIB_FORM --m 0..2 --k=-3..3 --jobs 2",
+        "fit --n-max 3",
+        "surd 19 --max-terms x",
+        "convergents [1] --json",
+    ],
+)
+def test_parser_of_the_named_subcommand_acts_like_the_full_one(monkeypatch, argv):
+    # Same namespace (or exit code), stdout and stderr, usage lines included.
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = argv.split()
+    command = cli._command(argv)
+    assert command is not None
+    assert _parse(cli._build_parser(command), argv) == _parse(cli._build_parser(), argv)
+
+
 def test_convergents_text(capsys):
     out = invoke(capsys, ["convergents", "[2,3,7]"]).out
     assert out.splitlines() == ["0: 2/1", "1: 7/3", "2: 51/22"]
@@ -165,6 +272,14 @@ def test_check_usage_errors(capsys):
     invoke(capsys, ["check", "NO_SUCH_IDENTITY", "--m", "1"], expect_code=2)
     invoke(capsys, ["check", "ID117", "--m", "1", "--k", "2"], expect_code=2)
     invoke(capsys, ["check", "THM2_FIB_FORM", "--m", "1"], expect_code=2)
+
+
+def test_unknown_identity_is_a_typed_usage_error(capsys):
+    with pytest.raises(UnknownIdentity):
+        cli._identity("NO_SUCH_IDENTITY")
+    for argv in (["check", "NO_SUCH_IDENTITY", "--m", "1"], ["sweep", "NO_SUCH_IDENTITY", "--m", "0..1"]):
+        err = invoke(capsys, argv, expect_code=2).err
+        assert err.startswith("error: unknown identity 'NO_SUCH_IDENTITY'; choose one of: ID117, ID118,")
 
 
 def test_sweep_summary_line(capsys):

@@ -4,7 +4,8 @@ Each command's stdout is hashed with sha256 and compared, together with
 its exit code, against a digest recorded from a known-good build. The list
 covers every subcommand in text and --json form, one small sweep of every
 catalog entry, `sweep --jobs` (accepted and without effect) and the usage
-(exit 2) and domain (exit 3) errors. stderr is not pinned. A change that
+(exit 2) and domain (exit 3) errors, and argparse's help text for the
+program and for each subcommand. stderr is not pinned. A change that
 alters stdout on purpose must update the digest it changes and say why.
 """
 
@@ -112,6 +113,21 @@ GOLDEN = [
     ('fit -5', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('surd 19 --max-terms -1', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('nope', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    # argparse's own output: help on stdout (exit 0) at a width of 80
+    # columns, and an unknown subcommand (exit 2)
+    ('--help', 0, 'aa569163ff24eceb08066fe0d1ee269370231749f5caf60f660a880347c5d0a4'),
+    ('-h eval', 0, 'aa569163ff24eceb08066fe0d1ee269370231749f5caf60f660a880347c5d0a4'),
+    ('eval --help', 0, 'ca57f52a571d6022cf44a18a01409fccdd93991ad3465dbcda0dbcded4f26795'),
+    ('expand --help', 0, 'e5fe59d09381382b2b145ba1247ee1dd7c6ad7197c41c33b71303e0442f5fd92'),
+    ('convergents --help', 0, 'a34857f6e3af0f24df0f366771988a23e095459265521ac3694638e2ee423fc3'),
+    ('seq --help', 0, '428d0356c5cd1827338fb16770bfde000123ef0dadfd98640c0779ddcac0e137'),
+    ('oracle --help', 0, '5a679c350c0a43c5ee12d08b14ff60d062a6bd2db686dc46af72d83a0ad3fc08'),
+    ('check --help', 0, '5f2057b00867eb433ee175d4cefebb65dc6f381e4a5f4d52f4038fb94aa7dae1'),
+    ('sweep --help', 0, '45d280c380d0760a710ba5a4176761af356760cd52a8eb20691a4de45f684f96'),
+    ('sweep ID117 --m 0..2 -h', 0, '45d280c380d0760a710ba5a4176761af356760cd52a8eb20691a4de45f684f96'),
+    ('fit --help', 0, '905846426a3bc50de55bd3a3ae4fce45225225d31cbc4eb8278a3c8891085742'),
+    ('surd --help', 0, '4a428727beb0aa8a6ddacabbe087c049fb109cd5a7bc094f276b587db7981aee'),
+    ('bogus', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     # domain and evaluation errors (exit 3)
     ('eval [1,0]', 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('expand 5/0', 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -137,7 +153,8 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
-def test_cli_stdout_is_pinned(capsys, command, code, digest):
+def test_cli_stdout_is_pinned(capsys, monkeypatch, command, code, digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     assert run(shlex.split(command)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:500]
