@@ -24,44 +24,6 @@ import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CaseParams",
-    "CheckOutcome",
-    "ConvergentTable",
-    "IdentityId",
-    "Rational",
-    "Status",
-    "SurdExpansion",
-    "SweepReport",
-    "build_uniform",
-    "check",
-    "check_lemma",
-    "convergents",
-    "count_board",
-    "count_bracelet",
-    "count_stacked",
-    "eval_fold",
-    "evaluate",
-    "evaluate_runs",
-    "expand_rational",
-    "fib",
-    "fib_comb",
-    "fit_uniform",
-    "gibonacci",
-    "iter_sweep",
-    "lhs_terms",
-    "lucas",
-    "lucas_odd_index_of",
-    "lucas_swapped",
-    "parse_cf",
-    "parse_runs",
-    "rhs_value",
-    "run_case",
-    "scaled_fib",
-    "surd_cf",
-    "sweep",
-]
-
 # public name -> the submodule that defines it
 _EXPORTS = {
     name: module
@@ -80,6 +42,7 @@ _EXPORTS = {
     }.items()
     for name in names
 }
+__all__ = sorted(_EXPORTS)
 _SUBMODULES = {"cli", "contfrac", "errors", "identities", "rational", "sequences", "tiling"}
 
 

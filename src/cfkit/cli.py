@@ -27,15 +27,20 @@ eval/expand/convergents/surd, sequences for seq, tiling for oracle,
 identities for check/sweep/fit) and json only when it writes --json.
 Without cached bytecode (PYTHONDONTWRITEBYTECODE, a read-only install)
 every launch compiles each module it imports, so a module a command does
-not import is compile time it does not spend. When argv begins with a subcommand, the parser holds that
-subcommand alone; otherwise (`cfkit --help`, an unknown name) it holds all
-nine, so the help and the errors list every subcommand.
+not import is compile time it does not spend. When argv begins with a
+subcommand, the parser holds that subcommand alone; otherwise (`cfkit
+--help`, an unknown name) it holds all nine, so the help and the errors
+list every subcommand.
+
+A token that starts with '-' and a digit is a value (`--k -50..50`,
+`expand -13/3`), never an option name.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .errors import CFKitError, EmptyCF, ExtraParam, MissingParam, ParseError, UnknownIdentity
@@ -404,6 +409,21 @@ _SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token starting with '-' and a digit as a value.
+
+    argparse reads only plain negative numbers (-5, -1.5, -.5) as values; any
+    other token that starts with '-' is an option name to it. Its test is the
+    private `_negative_number_matcher`, which this widens to take -3..3 and
+    -13/3 too. `add_subparsers` builds each subparser from type(self), so
+    every subcommand gets the same rule.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser for `command` alone, or for every subcommand when it is None.
 
@@ -412,7 +432,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     error prints. `cfkit --help` and an unknown name take the None path, in
     which each subcommand is listed with its help.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfkit",
         description="Exact continued-fraction arithmetic and identity verification.",
     )
@@ -435,42 +455,8 @@ def _command(argv: list[str]) -> str | None:
     return argv[0] if argv and argv[0] in _SUBCOMMANDS else None
 
 
-# Every option that takes a value. A token after one of them is its value,
-# not a positional.
-_VALUE_OPTIONS = {"--m", "--k", "--from", "--to", "--t", "--digits", "--jobs", "--n-max", "--max-terms"}
-
-
-def _glue_negative_values(argv: list[str]) -> list[str]:
-    """Keep values that start with '-' and a digit from being read as option names.
-
-    argparse takes a plain negative integer as a value already. Any other
-    such token is joined to a preceding value option (--k=-50..50);
-    otherwise it is a positional (expand -13/3) and moves behind one closing
-    '--', as do the positionals after it, in order, and the tokens after a
-    '--' of the caller's own.
-    """
-    out: list[str] = []
-    tail: list[str] = []
-    for i, tok in enumerate(argv):
-        if tok == "--":
-            tail += argv[i + 1 :]
-            break
-        is_value = bool(out) and out[-1] in _VALUE_OPTIONS
-        if tok[:1] == "-" and tok[1:2].isdigit() and not tok[1:].isdigit():
-            if is_value:
-                out[-1] += "=" + tok
-            else:
-                tail.append(tok)
-        elif tail and not is_value and (tok[:1] != "-" or tok[1:].isdigit()):
-            tail.append(tok)
-        else:
-            out.append(tok)
-    return [*out, "--", *tail] if tail else out
-
-
 def run(argv: list[str]) -> int:
     """Parse argv, execute, and map errors onto the documented exit codes."""
-    argv = _glue_negative_values(argv)
     parser = _build_parser(_command(argv))
     try:
         args = parser.parse_args(argv)

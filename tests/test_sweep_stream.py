@@ -173,37 +173,6 @@ def test_zero_denominator_is_an_undefined_right_side(lhs, num):
     assert (outcome.status, outcome.rhs, outcome.note) == (Status.FAIL, None, "right side undefined")
 
 
-# --- the kernels, called in any order -----------------------------------------
-
-# Named for the memos these once exercised; with the memos gone they check
-# that calls in any order give the values of the plain recurrence.
-
-_N = 3000
-_FIBS, _LUCAS = [0, 1], [2, 1]
-while len(_FIBS) < _N + 2:
-    _FIBS.append(_FIBS[-1] + _FIBS[-2])
-    _LUCAS.append(_LUCAS[-1] + _LUCAS[-2])
-
-
-@settings(deadline=None)
-@given(st.lists(st.integers(-_N, _N), min_size=1, max_size=120))
-def test_memoised_kernel_matches_recurrence_in_any_order(indices):
-    for n in indices:
-        assert sequences.fib(n) == _FIBS[abs(n)] * (-1 if n < 0 and n % 2 == 0 else 1)
-        assert sequences.lucas(n) == _LUCAS[abs(n)] * (-1 if n < 0 and n % 2 else 1)
-        assert sequences._fib_pair(abs(n)) == (_FIBS[abs(n)], _FIBS[abs(n) + 1])
-
-
-@settings(deadline=None)
-@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 200)), min_size=1, max_size=40))
-def test_memoised_run_power_matches_repeated_multiplication(calls):
-    for a, n in calls:
-        p, p_prev, q, q_prev = 1, 0, 0, 1
-        for _ in range(n):
-            p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
-        assert contfrac._run_power(a, n) == (p, p_prev, q, q_prev)
-
-
 # --- the import path ---------------------------------------------------------
 
 
