@@ -43,12 +43,12 @@ import os
 import re
 import sys
 
-from .errors import CFKitError, EmptyCF, ExtraParam, MissingParam, ParseError, UnknownIdentity
+from .errors import CFKitError, EmptyCF, EmptyRange, ExtraParam, MissingParam, ParseError, UnknownIdentity
 
 # Annotations below name cfkit types (Rational, IdentityId, CaseParams,
 # CheckOutcome) that are imported only where a handler uses them; with
 # postponed evaluation they are never resolved at run time.
-_USAGE_ERRORS = (ParseError, EmptyCF, MissingParam, ExtraParam, UnknownIdentity)
+_USAGE_ERRORS = (ParseError, EmptyCF, EmptyRange, MissingParam, ExtraParam, UnknownIdentity)
 
 
 def _range_pair(text: str) -> tuple[int, int]:
@@ -200,8 +200,9 @@ def _cmd_convergents(args) -> int:
 
 
 # kind -> (function in `sequences`, the extra parameter it takes first or None).
-# The function is looked up by name on each command, so a wrapper put on the
-# module attribute (as perfbench/launch.py does) sees every call.
+# seq reads its values from sequences.walk(), which looks the function up by
+# name, so a wrapper put on the module attribute (as perfbench/launch.py does)
+# sees the seed calls; the stepped values do not pass through it.
 _SEQ_KINDS = {
     "fib": ("fib", None),
     "fibc": ("fib_comb", None),
@@ -223,13 +224,11 @@ def _cmd_seq(args) -> int:
         if option != needs and value is not None:
             raise ExtraParam(f"seq {args.kind} takes no --{option}")
     if args.start > args.stop:
-        raise MissingParam(f"empty index range {args.start}..{args.stop}")
-    fn = getattr(sequences, name)
+        raise EmptyRange(f"empty index range {args.start}..{args.stop}")
     leading = () if needs is None else (extras[needs],)
     if args.json:
         import json
-    for n in range(args.start, args.stop + 1):
-        value = fn(*leading, n)
+    for n, value in zip(range(args.start, args.stop + 1), sequences.walk(name, leading, args.start, 1)):
         if args.json:
             obj = {"kind": args.kind, "n": n}
             if needs is not None:

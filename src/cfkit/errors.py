@@ -72,6 +72,10 @@ class MissingParam(CFKitError):
     """A sweep omitted a parameter range the identity's signature requires."""
 
 
+class EmptyRange(CFKitError, ValueError):
+    """A sweep or seq range runs from a larger value to a smaller one."""
+
+
 class ExtraParam(CFKitError):
     """A sweep supplied a parameter range the identity's signature lacks."""
 

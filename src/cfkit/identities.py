@@ -18,9 +18,8 @@ Two routes read the same table:
   * iter_sweep() is the stepped engine. It checks the whole grid against
     the domain when it is called, seeds its state at the first m, and then
     carries it from each m to the next: the left prefix [c]^(m+e) by one
-    matrix product, and each term of a form by one constant step of its
-    Fibonacci-type sequence, (x_n, x_{n+1}) -> (x_{n+d}, x_{n+d+1}) =
-    (F_{d-1} x_n + F_d x_{n+1}, F_d x_n + F_{d+1} x_{n+1}). A form is
+    matrix product, and each term of a form by sequences.walk(), one
+    constant step of its Fibonacci-type sequence per m. A form is
     P(m) + k*Q(m), computed once per m; the case then costs one leaf
     product for its tail. Where the base or a sequence depends on k
     (COR_GENERAL_LUCAS, THM1_GIBONACCI) the engine keeps one state per k,
@@ -34,11 +33,10 @@ The two sides stay independent in both routes: the left side uses only the
 continued-fraction recurrence and the right side only the sequence values,
 and they share no value. In particular S_t(n) = F(tn)/F(t) is stepped as F
 at stride t, never with the left side's recurrence b_{n+1} = L_t b_n + b_{n-1}.
-The engine hands a case to run_case() where a term sits in the irregular
-start of its sequence: l_n obeys x_{n+1} = x_n + x_{n-1} only from n = 2 on,
-so THM5_SWAPPED_LUCAS for m <= 2 and LEM_BRIDGE for m <= 10 take the
-reference route. Every other value obeys it at every index, negative F
-indices included.
+l_n obeys x_{n+1} = x_n + x_{n-1} only from n = 2 on, so walk() calls it
+directly below that index (THM5_SWAPPED_LUCAS for m <= 2, LEM_BRIDGE for
+m <= 10) and steps it from there. Every other value obeys the recurrence at
+every index, negative F indices included.
 
 Each outcome is PASS/FAIL/SKIPPED; SKIPPED is reserved for cases whose two
 sides are both undefined (a one-sided undefined is a FAIL). The right side
@@ -101,6 +99,7 @@ from . import sequences
 from .contfrac import _expand, evaluate_runs
 from .errors import (
     BadDomain,
+    EmptyRange,
     ExtraParam,
     MissingParam,
     NotACFIdentity,
@@ -136,7 +135,8 @@ def _t(coef: int | _Lin, x: str, a: int, b: int, p: int | _Lin | None = None) ->
     X is the `sequences` function named x, called as X(n), or as X(p(k), n)
     when p is given (gibonacci's k, scaled_fib's t); an integer coef or p is
     a constant. X is looked up by name on each call, so a wrapper put on the
-    module attribute sees every call.
+    module attribute sees every call of the reference route and the seed
+    calls of a sweep's walks.
     """
     return _lin(coef), x, a, b, None if p is None else _lin(p)
 
@@ -426,13 +426,13 @@ def _case_grid(
     """
     m_lo, m_hi = m_range
     if m_lo > m_hi:
-        raise ValueError(f"empty m range {m_lo}..{m_hi}")
+        raise EmptyRange(f"empty m range {m_lo}..{m_hi}")
     if ident.takes_k:
         if k_range is None:
             raise MissingParam(f"{ident.name} needs a k range")
         k_lo, k_hi = k_range
         if k_lo > k_hi:
-            raise ValueError(f"empty k range {k_lo}..{k_hi}")
+            raise EmptyRange(f"empty k range {k_lo}..{k_hi}")
     elif k_range is not None:
         raise ExtraParam(f"{ident.name} takes no k range")
     if m_lo < 0:

@@ -9,10 +9,9 @@ other sequences are closed forms in F. The tests keep the O(n) recurrence
 as their oracle.
 
 The kernel keeps nothing between calls: each call costs its own O(log n)
-squarings. A sweep calls it only to seed its state and then steps each
-pair of values along the recurrence itself (see `identities`), so work is
-shared between neighbouring cases by the caller that knows which values
-the next case needs.
+squarings. Runs of values at a fixed stride come from walk(), which calls
+the kernel only for its seed and then steps a pair of values along the
+recurrence; sweeps and the `seq` command both read their values from it.
 """
 
 from __future__ import annotations
@@ -120,6 +119,45 @@ def scaled_fib(t: int, n: int) -> int:
     value, rem = divmod(fib(t * n), fib(t))
     assert rem == 0
     return value
+
+
+# Iterator is named only in an annotation, which postponed evaluation never
+# resolves, so this module imports nothing for it.
+def walk(name: str, lead: tuple[int, ...], start: int, stride: int) -> Iterator[int]:
+    """X(*lead, start), X(*lead, start + stride), ... for the function X named name; stride >= 0.
+
+    The first value is a direct call, so a bad index or order raises where
+    X raises. Every later value costs one constant step of a Fibonacci-type
+    pair, (y_i, y_{i+1}) -> (y_{i+D}, y_{i+D+1}) =
+    (F_{D-1} y_i + F_D y_{i+1}, F_D y_i + F_{D+1} y_{i+1}). y is X itself,
+    stepped by D = stride, except for scaled_fib: there y is F at stride
+    t, D = t*stride, and each value is divided by F_t, so S_t is never
+    stepped with the recurrence b_{n+1} = L_t b_n + b_{n-1} of its
+    continued fraction. lucas_swapped obeys the recurrence only from index
+    2 on, so its values below that are direct calls. X is looked up in the
+    module globals, so a wrapper put on the module attribute sees the seed
+    calls.
+    """
+    fn = globals()[name]
+    n = start
+    if name == "lucas_swapped":
+        while n < 2:
+            yield fn(n)
+            n += stride
+    y = fn(*lead, n)
+    yield y
+    if name == "scaled_fib":
+        s = lead[0]
+        d = fib(s)
+        y, y_next = fib(s * n), fib(s * n + 1)
+    else:
+        s = d = 1
+        y_next = fn(*lead, n + 1)
+    f, f_next = fib(s * stride), fib(s * stride + 1)
+    f_prev = f_next - f
+    while True:
+        y, y_next = f_prev * y + f * y_next, f * y + f_next * y_next
+        yield y if d == 1 else y // d
 
 
 def lucas_odd_index_of(c: int) -> int | None:

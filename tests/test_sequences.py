@@ -14,6 +14,7 @@ from cfkit.sequences import (
     lucas_odd_index_of,
     lucas_swapped,
     scaled_fib,
+    walk,
 )
 
 
@@ -182,6 +183,36 @@ def test_scaled_fib_satisfies_lucas_recurrence():
     for t in (1, 3, 5, 7, 9, 11):
         for n in range(1, 101):
             assert scaled_fib(t, n + 1) == lucas(t) * scaled_fib(t, n) + scaled_fib(t, n - 1)
+
+
+_KINDS = st.one_of(
+    st.sampled_from([("fib", ()), ("fib_comb", ()), ("lucas", ()), ("lucas_swapped", ())]),
+    st.tuples(st.just("gibonacci"), st.tuples(st.integers(-50, 50))),
+    # odd t <= 9, and orders scaled_fib rejects
+    st.tuples(st.just("scaled_fib"), st.tuples(st.integers(-2, 9))),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_KINDS, st.integers(-15, 15), st.integers(1, 12))
+@example(("lucas_swapped", ()), -1, 1)  # crosses the irregular start at 2
+@example(("lucas_swapped", ()), -10, 5)
+@example(("fib", ()), -7, 3)
+@example(("scaled_fib", (9,)), 0, 12)
+@example(("scaled_fib", (4,)), 3, 1)  # even order
+@example(("gibonacci", (-7,)), -1, 2)  # negative index
+def test_walk_equals_direct_calls(kind, start, stride):
+    name, lead = kind
+    fn = globals()[name]
+    values = walk(name, lead, start, stride)
+    try:
+        fn(*lead, start)
+    except (NegativeIndex, EvenOrder) as exc:
+        with pytest.raises(type(exc)):
+            next(values)
+        return
+    indices = range(start, start + 25 * stride, stride)
+    assert list(islice(values, len(indices))) == [fn(*lead, n) for n in indices]
 
 
 def test_lucas_odd_index_of():

@@ -2,8 +2,8 @@
 
 iter_sweep() seeds its state once and steps it in m; run_case() computes
 every value directly. On any window of any catalog entry the two must give
-the same (params, outcome) sequence, including where the engine hands a
-case to run_case() and where a side is undefined.
+the same (params, outcome) sequence, including where a term sits in the
+irregular start of lucas_swapped and where a side is undefined.
 """
 
 import pytest
@@ -41,9 +41,9 @@ def _windows(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(_windows())
-@example((I.THM5_SWAPPED_LUCAS, (0, 6), None))  # crosses the fallback boundary at m = 3
+@example((I.THM5_SWAPPED_LUCAS, (0, 6), None))  # l(5m - 10) leaves the irregular start at m = 3
 @example((I.THM5_SWAPPED_LUCAS, (2, 3), None))
-@example((I.LEM_BRIDGE, (0, 40), None))  # crosses it at m = 15
+@example((I.LEM_BRIDGE, (0, 40), None))  # l(m - 10) leaves it at m = 15
 @example((I.LEM_BRIDGE, (7, 23), None))
 @example((I.THM3_ONES, (0, 3), (-3, 3)))  # SKIPPED at (1, 0)
 @example((I.THM3_ONES, (1, 1), (-1, 1)))
@@ -56,32 +56,6 @@ def test_engine_matches_run_case(window):
     assert got == [(params, identities.run_case(ident, params)) for params in _grid(ident, m_range, k_range)]
 
 
-@pytest.mark.parametrize(
-    "ident, m_range, reference",
-    [
-        (I.THM5_SWAPPED_LUCAS, (0, 8), [0, 1, 2]),  # l(5m - 10) has an index below 2
-        (I.THM5_SWAPPED_LUCAS, (2, 8), [2]),
-        (I.THM5_SWAPPED_LUCAS, (3, 8), []),
-        (I.LEM_BRIDGE, (0, 40), [0, 5, 10]),  # l(m - 10) has an index below 2
-        (I.LEM_BRIDGE, (11, 40), []),
-        (I.THM4_ELEVEN3, (0, 8), []),  # F(5m - 1) at m = 0 is F(-1); F obeys the recurrence there
-        (I.LEM_3F, (0, 8), []),
-    ],
-)
-def test_only_the_irregular_start_takes_the_reference_route(monkeypatch, ident, m_range, reference):
-    seen = []
-    real = identities.run_case
-
-    def recorded(ident, params):
-        seen.append(params.m)
-        return real(ident, params)
-
-    monkeypatch.setattr(identities, "run_case", recorded)
-    cases = list(identities.iter_sweep(ident, m_range))
-    assert seen == reference
-    assert len(cases) == len(_grid(ident, m_range, None))
-
-
 def test_state_per_k_only_where_k_changes_a_base_or_a_sequence():
     per_k = {ident for ident in IdentityId if _engine._state_depends_on_k(ident)}
     assert per_k == {I.THM1_GIBONACCI, I.COR_GENERAL_LUCAS}
@@ -89,16 +63,12 @@ def test_state_per_k_only_where_k_changes_a_base_or_a_sequence():
 
 @pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.name)
 def test_stepped_state_equals_direct_values(ident):
-    # Not only the outcomes: after every step, each form's value is the
-    # exact sum of coef(k) * X(a*m + b), and the prefix is [c]^(m+e).
+    # Not only the outcomes: from m = 0, irregular starts included, each
+    # form's value is the exact sum of coef(k) * X(a*m + b) at every m, and
+    # the prefix is [c]^(m+e).
     k = 2 if ident.takes_k else None
-    m0 = _engine._first_regular_m(ident)
-    m0 += -m0 % ident.m_step
-    state = _engine._State(ident, k, m0, ident.m_step)
-    for m in range(m0, m0 + 12 * ident.m_step, ident.m_step):
-        if m > m0:
-            state.advance()
-        matrix, *parts = state.values()
+    ms = range(0, 12 * ident.m_step, ident.m_step)
+    for m, (matrix, *parts) in zip(ms, _engine._state(ident, k, ms)):
         for (p, q), form in zip(parts, ident.forms):
             assert p + (q * k if q else 0) == identities._form_value(form, m, k)
         if not ident.is_lemma:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import cfkit
 from cfkit import cli, contfrac, identities, rational, sequences
 from cfkit.contfrac import evaluate, expand_rational
-from cfkit.errors import BadDomain
+from cfkit.errors import BadDomain, EmptyRange
 from cfkit.identities import CaseParams, IdentityId, Status
 from cfkit.rational import Rational
 
@@ -70,9 +70,16 @@ def test_bad_grid_raises_before_any_case(monkeypatch, ident, m_range):
     def no_case(*_):
         raise AssertionError("a case ran")
 
-    monkeypatch.setattr(identities, "run_case", no_case)
+    monkeypatch.setattr(sequences, "walk", no_case)
     with pytest.raises(BadDomain):
         identities.iter_sweep(ident, m_range)  # raises on the call, not on next()
+
+
+@pytest.mark.parametrize("ident, m_range, k_range", [(I.ID117, (5, 1), None), (I.THM2_FIB_FORM, (0, 3), (2, -2))])
+def test_empty_range_raises_a_typed_error(ident, m_range, k_range):
+    with pytest.raises(EmptyRange):
+        identities.iter_sweep(ident, m_range, k_range)
+    assert issubclass(EmptyRange, ValueError)  # what a library caller caught before it had a type
 
 
 def test_bridge_grid_starts_at_the_first_multiple_of_5():
