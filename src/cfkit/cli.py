@@ -24,7 +24,9 @@ command finished writing (a broken pipe, as in `cfkit sweep ... | head`;
 A launch loads only what its subcommand runs. This module imports argparse
 and `errors` alone; each handler imports the modules it calls (contfrac for
 eval/expand/convergents/surd, sequences for seq, tiling for oracle,
-identities for check/sweep/fit) and json only when it writes --json.
+identities for check/sweep/fit). json is imported only for the --json
+output of eval, expand, oracle, fit, surd and the sweep summary; the lines
+of check, seq, convergents and sweep cases are written from templates.
 Without cached bytecode (PYTHONDONTWRITEBYTECODE, a read-only install)
 every launch compiles each module it imports, so a module a command does
 not import is compile time it does not spend. When argv begins with a
@@ -189,13 +191,13 @@ def _cmd_convergents(args) -> int:
     from . import contfrac
 
     table = contfrac.convergents(contfrac.parse_cf(args.cf))
-    if args.json:
-        import json
+    write = sys.stdout.write
+    # Each --json line is the bytes of json.dumps({"i": i, "p": str(p), "q": str(q)}).
     for i, (p, q) in enumerate(zip(table.p, table.q)):
         if args.json:
-            print(json.dumps({"i": i, "p": str(p), "q": str(q)}))
+            write(f'{{"i": {i}, "p": "{p}", "q": "{q}"}}\n')
         else:
-            print(f"{i}: {p}/{q}")
+            write(f"{i}: {p}/{q}\n")
     return 0
 
 
@@ -226,17 +228,15 @@ def _cmd_seq(args) -> int:
     if args.start > args.stop:
         raise EmptyRange(f"empty index range {args.start}..{args.stop}")
     leading = () if needs is None else (extras[needs],)
-    if args.json:
-        import json
+    write = sys.stdout.write
+    # Each --json line is the bytes of json.dumps({"kind", "n"[, needs], "value"}),
+    # with the value a decimal string; kind names need no escaping.
+    param = "" if needs is None else f', "{needs}": {extras[needs]}'
     for n, value in zip(range(args.start, args.stop + 1), sequences.walk(name, leading, args.start, 1)):
         if args.json:
-            obj = {"kind": args.kind, "n": n}
-            if needs is not None:
-                obj[needs] = extras[needs]
-            obj["value"] = str(value)
-            print(json.dumps(obj))
+            write(f'{{"kind": "{args.kind}", "n": {n}{param}, "value": "{value}"}}\n')
         else:
-            print(f"{n}\t{value}")
+            write(f"{n}\t{value}\n")
     return 0
 
 

@@ -2,7 +2,10 @@
 
 These are oracles: each function enumerates explicit tilings one by one
 and never applies a Fibonacci-style recurrence or any identity it might
-be used to check. Size bounds keep the exhaustive enumeration fast.
+be used to check. One enumerator serves all three counters. It backtracks
+over a single mutable list of piece widths, in lexicographic order (squares
+first), and yields every tiling as its own tuple. Size bounds keep the
+exhaustive enumeration fast.
 """
 
 from __future__ import annotations
@@ -18,15 +21,26 @@ STACK_MAX_HEIGHT = 12
 
 
 def _tilings(length: int) -> Iterator[tuple[int, ...]]:
-    """Yield every tiling of a 1 x length board as a tuple of piece widths."""
-    if length == 0:
-        yield ()
-        return
-    for rest in _tilings(length - 1):
-        yield (1,) + rest
-    if length >= 2:
-        for rest in _tilings(length - 2):
-            yield (2,) + rest
+    """Yield every tiling of a 1 x length board as a tuple of piece widths.
+
+    Starts from all squares. After each tiling it pops pieces off the end
+    until it pops a square that has room for a domino in its place, puts
+    the domino there and fills the rest of the board with squares.
+    """
+    widths = [1] * length
+    filled = length  # cells the pieces in `widths` cover
+    while True:
+        yield tuple(widths)
+        while widths:
+            piece = widths.pop()
+            filled -= piece
+            if piece == 1 and filled + 2 <= length:
+                break
+        else:
+            return
+        widths.append(2)
+        widths += [1] * (length - filled - 2)
+        filled = length
 
 
 def count_board(n: int) -> int:

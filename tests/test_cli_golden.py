@@ -43,6 +43,12 @@ GOLDEN = [
     ('seq gib --from 0 --to 10 --k 3 --json', 0, '93a31b30d8c1ca621c19c0ced23128f3befeec382452a119aa2824ba5b5ee522'),
     ('seq scaled --from 0 --to 8 --t 5', 0, '8d5a5b32f3b5b769e10431e560115057980c4ceec711979ff362599149f4e0e8'),
     ('seq scaled --from 0 --to 8 --t 5 --json', 0, '4cf8a45290ecfbfb01212a2ed8128b6736271fe7d7ac965b15786b8a06b6438f'),
+    # --json lines with a negative parameter, values and first term
+    ('seq gib --k -2 --from 0 --to 3 --json', 0, '53cf91789d179532b089969d99586e49efe7e74db5b0c9e3a2a1bc9346ba2471'),
+    ('seq scaled --t 3 --from 0 --to 3 --json', 0, '04702f16f9803115c02e4633637a261b0cc578e9fa5213562b207ec9ecca5a27'),
+    ('seq fib --from -3 --to 12 --json', 0, '9f260da252580add2eb7e4826cbd424e363c545c5af1901ab066ba66b291535d'),
+    ('convergents [-3,1,2]', 0, 'f8520132eb01822e54f46d3d294b034e67b90e52ec92caef9586cdb86bb72aa1'),
+    ('convergents [-3,1,2] --json', 0, 'fffbed355ad3cfef753fdb6f54a103858d263f97690f820166c4afd4a97ac41c'),
     ('oracle board 10', 0, '69a9cd8a9e12b122cdf59392131bf6c83e7360c2f745921e76f48a16f1cc541a'),
     ('oracle board 10 --json', 0, 'f5632e80659f2e8757b20163650e00aaaaa29f9ff15f47defe13d096ba58cc28'),
     ('oracle bracelet 9', 0, '461144ccfd56ee3cf0f9a9d80e520c5b872166b23092d5fd838ecbdb46d64dab'),

@@ -1,10 +1,11 @@
-"""Case lines are written from templates; they must equal what json.dumps() wrote.
+"""Case, seq and convergents lines come from templates; they must equal what json.dumps() wrote.
 
-`_case_json_dict` and `_case_text_bits` below are the builders the CLI used
-before its lines came from f-string templates. They stay here as the
-reference: for every shape a case line can take, the template's line must
-equal json.dumps() of the reference object (and parse back to it), and the
-text line must equal the reference's space-joined fields.
+`_case_json_dict`, `_case_text_bits`, `_seq_json_dict` and
+`_convergent_json_dict` below are the builders the CLI used before its
+lines came from f-string templates. They stay here as the reference: for
+every shape a line can take, the template's line must equal json.dumps() of
+the reference object (and parse back to it), and the text line must equal
+the reference's fields.
 """
 
 import json
@@ -15,7 +16,8 @@ import sys
 import pytest
 
 import cfkit
-from cfkit import cli, identities
+from cfkit import cli, contfrac, identities, sequences
+from cfkit.errors import CFKitError
 from cfkit.identities import CaseParams, CheckOutcome, IdentityId, Status
 from cfkit.rational import Rational
 
@@ -156,6 +158,109 @@ def test_sweep_lines(capsys, ident, m_range, k_range):
     cli.run(argv)
     *lines, _ = capsys.readouterr().out.splitlines()
     assert lines == [_case_text_bits(p, o) for p, o in cases if o.status is not Status.PASS]
+
+
+# --- seq and convergents ----------------------------------------------------
+
+
+def _seq_json_dict(kind, n, needs, param, value):
+    obj = {"kind": kind, "n": n}
+    if needs is not None:
+        obj[needs] = param
+    obj["value"] = str(value)
+    return obj
+
+
+def _convergent_json_dict(i, p, q):
+    return {"i": i, "p": str(p), "q": str(q)}
+
+
+# Every seq kind with its extra parameter, if any: gib over k in -3..3 and
+# scaled over t in -2..4, where only t = 1 and t = 3 are valid orders.
+SEQ_CASES = (
+    [(kind, None) for kind, (_, needs) in cli._SEQ_KINDS.items() if needs is None]
+    + [("gib", k) for k in range(-3, 4)]
+    + [("scaled", t) for t in range(-2, 5)]
+)
+
+
+def _seq_argv(kind, param, start, stop):
+    argv = ["seq", kind, "--from", str(start), "--to", str(stop)]
+    needs = cli._SEQ_KINDS[kind][1]
+    return argv if needs is None else argv + [f"--{needs}", str(param)]
+
+
+@pytest.mark.parametrize("kind, param", SEQ_CASES, ids=[f"{k}-{p}" for k, p in SEQ_CASES])
+def test_seq_lines_equal_direct_calls(capsys, kind, param):
+    name, needs = cli._SEQ_KINDS[kind]
+    function = getattr(sequences, name)
+    leading = () if needs is None else (param,)
+    for start in (-3, -1, 0, 1, 2):
+        indices = range(start, 13)  # every range crosses 2, and all but the last cross 0 and 1
+        argv = _seq_argv(kind, param, start, indices[-1])
+        try:
+            values = [function(*leading, n) for n in indices]
+        except CFKitError as exc:
+            # The first index raises; seq must fail the same way in both forms.
+            for form in ([], ["--json"]):
+                assert cli.run(argv + form) == 3, argv
+                assert capsys.readouterr() == ("", f"error: {exc}\n")
+            continue
+
+        assert cli.run(argv) == 0
+        assert capsys.readouterr() == ("".join(f"{n}\t{v}\n" for n, v in zip(indices, values)), "")
+
+        assert cli.run(argv + ["--json"]) == 0
+        out, err = capsys.readouterr()
+        reference = [_seq_json_dict(kind, n, needs, param, v) for n, v in zip(indices, values)]
+        assert (out.splitlines(), err) == ([json.dumps(obj) for obj in reference], "")
+        assert [json.loads(line) for line in out.splitlines()] == reference
+
+
+# Exit code, stdout and stderr of each failing seq command, recorded from the
+# build whose lines came from json.dumps(); with --json they are the same.
+SEQ_ERRORS = [
+    ("seq fibc --from -2 --to 3", 3, "error: f_n is a tiling count, undefined for n = -2\n"),
+    ("seq gib --from -1 --to 3 --k 1", 3, "error: G is defined for n >= 0, got -1\n"),
+    ("seq scaled --from 0 --to 3 --t 2", 3, "error: order must be odd and positive, got 2\n"),
+    ("seq scaled --t -3 --from 0 --to 1", 3, "error: order must be odd and positive, got -3\n"),
+    ("seq scaled --t 1 --from -1 --to 1", 3, "error: scaled Fibonacci is defined for n >= 0, got -1\n"),
+    ("seq gib --from 0 --to 3", 2, "error: seq gib needs --k\n"),
+    ("seq scaled --from 0 --to 3 --k 2", 2, "error: seq scaled needs --t\n"),
+    ("seq fib --from 0 --to 3 --k 1 --t 1", 2, "error: seq fib takes no --k\n"),
+    ("seq lucas --from 3 --to 1", 2, "error: empty index range 3..1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", SEQ_ERRORS, ids=[a for a, _, _ in SEQ_ERRORS])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_seq_errors_are_unchanged(capsys, argv, code, err, as_json):
+    assert cli.run(argv.split() + ["--json"] * as_json) == code
+    assert capsys.readouterr() == ("", err)
+
+
+def test_seq_unknown_kind_is_an_argparse_error(capsys):
+    # argparse words the list of choices differently across Python versions;
+    # the exit code and the start of its message are the same everywhere.
+    assert cli.run(["seq", "nope", "--from", "0", "--to", "1", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cfkit seq: error: argument kind: invalid choice: 'nope'" in err
+
+
+@pytest.mark.parametrize("cf", ["[2,3,7]", "[-3,1,2]", "[0]", "[1x40]", "[5,-2,3x3]", "[999999999999x3,1]"])
+def test_convergent_lines_equal_json_dumps(capsys, cf):
+    table = contfrac.convergents(contfrac.parse_cf(cf))
+    rows = list(enumerate(zip(table.p, table.q)))
+
+    assert cli.run(["convergents", cf, "--json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reference = [_convergent_json_dict(i, p, q) for i, (p, q) in rows]
+    assert lines == [json.dumps(obj) for obj in reference]
+    assert [json.loads(line) for line in lines] == reference
+
+    assert cli.run(["convergents", cf]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{i}: {p}/{q}" for i, (p, q) in rows]
 
 
 # --- a reader that stops early ------------------------------------------------

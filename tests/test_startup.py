@@ -51,10 +51,13 @@ LOADS = {
     "eval [2,3,7] --json": _CF | {"json"},
     "expand 5/3": _CF,
     "convergents [1,2]": _CF,
+    "convergents [1,2] --json": _CF,  # lines from a template, no json
     "surd 19": _CF,
     "seq fib --from 0 --to 3": {"cfkit.cli", "cfkit.errors", "cfkit.sequences"},
+    "seq gib --k 2 --from 0 --to 3 --json": {"cfkit.cli", "cfkit.errors", "cfkit.sequences"},
     "oracle board 5": {"cfkit.cli", "cfkit.errors", "cfkit.tiling"},
     "check ID117 --m 2": _IDENTITIES,
+    "check ID117 --m 2 --json": _IDENTITIES,
     "fit 29": _IDENTITIES,
     "sweep ID117 --m 0..3": _IDENTITIES | {"cfkit._engine"},
     "sweep ID117 --m 0..3 --json": _IDENTITIES | {"cfkit._engine", "json"},

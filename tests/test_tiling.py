@@ -1,11 +1,44 @@
 import random
+from itertools import islice
 
 import pytest
 
 from cfkit.contfrac import convergents
 from cfkit.errors import BoundExceeded
 from cfkit.sequences import fib_comb, lucas
-from cfkit.tiling import count_board, count_bracelet, count_stacked
+from cfkit.tiling import BOARD_MAX, BRACELET_MAX, _tilings, count_board, count_bracelet, count_stacked
+
+
+def _recursive_tilings(length):
+    """The enumerator `tiling` used before it backtracked: a chain of nested generators."""
+    if length == 0:
+        yield ()
+        return
+    for rest in _recursive_tilings(length - 1):
+        yield (1,) + rest
+    if length >= 2:
+        for rest in _recursive_tilings(length - 2):
+            yield (2,) + rest
+
+
+# Both tests read at most one tiling more than there are, so an enumerator
+# that never stops fails them instead of hanging.
+
+
+@pytest.mark.parametrize("n", range(16))
+def test_tilings_equal_the_recursive_reference_in_order(n):
+    reference = list(_recursive_tilings(n))
+    assert list(islice(_tilings(n), len(reference) + 1)) == reference
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_every_tiling_is_explicit_and_covers_the_board(n):
+    tilings = list(islice(_tilings(n), fib_comb(n) + 1))
+    for tiling in tilings:
+        assert type(tiling) is tuple
+        assert set(tiling) <= {1, 2}
+        assert sum(tiling) == n
+    assert tilings == sorted(set(tilings))  # distinct, squares first
 
 
 def test_board_counts():
@@ -15,7 +48,7 @@ def test_board_counts():
 
 
 def test_board_matches_combinatorial_fibonacci():
-    for n in range(23):
+    for n in range(BOARD_MAX + 1):
         assert count_board(n) == fib_comb(n)
 
 
@@ -33,7 +66,7 @@ def test_bracelet_counts():
 
 
 def test_bracelet_matches_lucas():
-    for n in range(19):
+    for n in range(BRACELET_MAX + 1):
         assert count_bracelet(n) == lucas(n)
 
 
