@@ -17,9 +17,10 @@ memory does not grow with the grid. Big integers are serialized as decimal
 strings, never as JSON numbers.
 
 Exit codes: 0 success (all PASS), 1 at least one FAIL, 2 usage error,
-3 evaluation or domain error, 141 standard output closed before the
-command finished writing (a broken pipe, as in `cfkit sweep ... | head`;
-128 + SIGPIPE, the code a shell reports for a process that signal ends).
+3 evaluation or domain error, 4 internal error (a bug, not a verdict;
+stdout may be cut short), 141 standard output closed before the command
+finished writing (a broken pipe, as in `cfkit sweep ... | head`; 128 +
+SIGPIPE, the code a shell reports for a process that signal ends).
 
 A launch loads only what its subcommand runs. This module imports argparse
 and `errors` alone; each handler imports the modules it calls (contfrac for
@@ -45,12 +46,11 @@ import os
 import re
 import sys
 
-from .errors import CFKitError, EmptyCF, EmptyRange, ExtraParam, MissingParam, ParseError, UnknownIdentity
+from .errors import CFKitError, EmptyRange, ExtraParam, MissingParam, ParseError, UnknownIdentity
 
 # Annotations below name cfkit types (Rational, IdentityId, CaseParams,
 # CheckOutcome) that are imported only where a handler uses them; with
 # postponed evaluation they are never resolved at run time.
-_USAGE_ERRORS = (ParseError, EmptyCF, EmptyRange, MissingParam, ExtraParam, UnknownIdentity)
 
 
 def _range_pair(text: str) -> tuple[int, int]:
@@ -463,15 +463,14 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CFKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
+    except BrokenPipeError:
+        raise  # main() exits 141
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4  # a bug, not a verdict
 
 
 _BROKEN_PIPE = 141  # 128 + SIGPIPE

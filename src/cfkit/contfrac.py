@@ -55,6 +55,7 @@ from .errors import (
     PerfectSquare,
     PeriodNotFound,
     UndefinedValue,
+    UsageError,
 )
 from .rational import Rational
 
@@ -176,7 +177,7 @@ def evaluate_runs(runs) -> Rational:
     flat: list[int] = []
     for a, count in runs:
         if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+            raise UsageError(f"count must be >= 0, got {count}")
         if count < _LEAF_TERMS:
             flat += [a] * count
             continue
@@ -233,7 +234,7 @@ def expand_rational(r: Rational) -> list[int]:
 def build_uniform(c: int, count: int, tail: int | None = None) -> list[int]:
     """`count` copies of c, then the tail term if given."""
     if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+        raise UsageError(f"count must be >= 0, got {count}")
     terms = [c] * count
     if tail is not None:
         terms.append(tail)
@@ -281,7 +282,7 @@ def parse_runs(text: str) -> list[tuple[int, int]]:
         if signed and pos < n and text[pos] in "+-":
             pos += 1
         digits = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos].isdecimal():
             pos += 1
         if pos == digits:
             raise ParseError("expected an integer", start)
@@ -335,7 +336,7 @@ def surd_cf(d: int, max_terms: int = 10_000) -> SurdExpansion:
     max_terms.
     """
     if d < 1:
-        raise ValueError(f"expected a positive integer, got {d}")
+        raise UsageError(f"expected a positive integer, got {d}")
     a0 = isqrt(d)
     if a0 * a0 == d:
         raise PerfectSquare(f"{d} is a perfect square")

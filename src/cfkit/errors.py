@@ -1,8 +1,16 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library; each carries its CLI exit code as `exit_code`."""
 
 
 class CFKitError(Exception):
-    """Base class for every library-specific error."""
+    """Base class for every library-specific error: exit 3 (an evaluation or domain error)."""
+
+    exit_code = 3
+
+
+class UsageError(CFKitError, ValueError):
+    """Bad input (exit 2): malformed, or naming nothing. Also a ValueError, for library callers."""
+
+    exit_code = 2
 
 
 class ZeroDenominator(CFKitError):
@@ -21,11 +29,11 @@ class IntermediateZero(CFKitError):
     """The right-to-left fold hit a zero partial value before a reciprocal."""
 
 
-class EmptyCF(CFKitError):
+class EmptyCF(UsageError):
     """A continued fraction needs at least one term."""
 
 
-class ParseError(CFKitError):
+class ParseError(UsageError):
     """Continued-fraction text violates the grammar.
 
     Carries the character offset of the offending token in `position`.
@@ -56,11 +64,11 @@ class BoundExceeded(CFKitError):
     """Brute-force enumeration was asked for more than its size bound."""
 
 
-class NotACFIdentity(CFKitError):
+class NotACFIdentity(UsageError):
     """The catalog entry is a lemma, not a continued-fraction identity."""
 
 
-class NotALemma(CFKitError, ValueError):
+class NotALemma(UsageError):
     """The catalog entry is a continued-fraction identity, not a lemma."""
 
 
@@ -68,17 +76,17 @@ class BadDomain(CFKitError):
     """A catalog case was requested outside the identity's parameter domain."""
 
 
-class MissingParam(CFKitError):
-    """A sweep omitted a parameter range the identity's signature requires."""
+class MissingParam(UsageError):
+    """A case or range omitted a parameter the identity's signature requires."""
 
 
-class EmptyRange(CFKitError, ValueError):
+class EmptyRange(UsageError):
     """A sweep or seq range runs from a larger value to a smaller one."""
 
 
-class ExtraParam(CFKitError):
-    """A sweep supplied a parameter range the identity's signature lacks."""
+class ExtraParam(UsageError):
+    """A case or range supplied a parameter the identity's signature lacks."""
 
 
-class UnknownIdentity(CFKitError):
+class UnknownIdentity(UsageError):
     """A catalog name was given that no IdentityId member has."""

@@ -14,7 +14,7 @@ Two routes read the same table:
     (value, count) runs with evaluate_runs() under the forward convergent
     semantics and calls every X of the right side directly. check(),
     check_lemma(), lhs_terms() and rhs_value() take the same route; each
-    validates its case exactly once.
+    validates its case exactly once, as the one-case grid of a sweep.
   * iter_sweep() is the stepped engine. It checks the whole grid against
     the domain when it is called, seeds its state at the first m, and then
     carries it from each m to the next: the left prefix [c]^(m+e) by one
@@ -105,6 +105,7 @@ from .errors import (
     NotACFIdentity,
     NotALemma,
     UndefinedValue,
+    UsageError,
 )
 from .rational import Rational
 from .sequences import lucas, lucas_odd_index_of, scaled_fib
@@ -298,18 +299,9 @@ class SweepReport(NamedTuple):
 
 
 def _validate(ident: IdentityId, params: CaseParams) -> IdentityId:
-    """The entry, after checking that the case lies in its domain."""
-    if params.m < 0:
-        raise BadDomain(f"m must be >= 0, got {params.m}")
-    if ident.takes_k:
-        if params.k is None:
-            raise MissingParam(f"{ident.name} needs parameter k")
-    elif params.k is not None:
-        raise ExtraParam(f"{ident.name} takes no parameter k")
-    if ident.k_min is not None and params.k < ident.k_min:
-        raise BadDomain(f"{ident.name} needs k >= {ident.k_min}, got {params.k}")
-    if params.m % ident.m_step:
-        raise BadDomain(f"{ident.name} is stated for multiples of {ident.m_step}, got m = {params.m}")
+    """The entry, after checking that the case lies in its domain, as the one-case grid."""
+    m, k = params
+    _case_grid(ident, (m, m), None if k is None else (k, k))
     return ident
 
 
@@ -422,19 +414,19 @@ def _case_grid(
     Every check that can fail runs here, before the first case is made:
     the ranges must be nonempty, k must be given exactly when the entry
     takes it, and the grid must lie in the entry's domain and hold at
-    least one case of it.
+    least one case of it. A single case is checked as its one-case grid.
     """
     m_lo, m_hi = m_range
     if m_lo > m_hi:
         raise EmptyRange(f"empty m range {m_lo}..{m_hi}")
     if ident.takes_k:
         if k_range is None:
-            raise MissingParam(f"{ident.name} needs a k range")
+            raise MissingParam(f"{ident.name} needs k")
         k_lo, k_hi = k_range
         if k_lo > k_hi:
             raise EmptyRange(f"empty k range {k_lo}..{k_hi}")
     elif k_range is not None:
-        raise ExtraParam(f"{ident.name} takes no k range")
+        raise ExtraParam(f"{ident.name} takes no k")
     if m_lo < 0:
         raise BadDomain(f"m must be >= 0, got {m_lo}")
     if ident.k_min is not None and k_lo < ident.k_min:
@@ -442,7 +434,7 @@ def _case_grid(
     step = ident.m_step
     ms = range(m_lo + -m_lo % step, m_hi + 1, step)
     if not ms:
-        raise BadDomain(f"{ident.name} is stated for multiples of {step}, none in {m_lo}..{m_hi}")
+        raise BadDomain(f"{ident.name} is stated for multiples of {step}, none in m = {m_lo}..{m_hi}")
     return ms, range(k_lo, k_hi + 1) if ident.takes_k else (None,)
 
 
@@ -481,10 +473,8 @@ def fit_uniform(c: int, n_max: int) -> int | None:
     returns None when c is not an odd-index Lucas number or any length
     breaks the pattern.
     """
-    if c < 1:
-        raise ValueError(f"expected c >= 1, got {c}")
     if n_max < 3:
-        raise ValueError(f"need n_max >= 3 for a meaningful fit, got {n_max}")
+        raise UsageError(f"need n_max >= 3 for a meaningful fit, got {n_max}")
     t = lucas_odd_index_of(c)
     if t is None:
         return None

@@ -16,7 +16,7 @@ recurrence; sweeps and the `seq` command both read their values from it.
 
 from __future__ import annotations
 
-from .errors import EvenOrder, NegativeIndex
+from .errors import EvenOrder, NegativeIndex, UsageError
 
 
 # F_0 .. F_255: the fast-doubling walk below starts from the top eight bits
@@ -167,7 +167,7 @@ def lucas_odd_index_of(c: int) -> int | None:
     so the scan stops as soon as they pass c.
     """
     if c < 1:
-        raise ValueError(f"expected c >= 1, got {c}")
+        raise UsageError(f"expected c >= 1, got {c}")
     t = 1
     while True:
         value = lucas(t)

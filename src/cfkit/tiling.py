@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, UsageError
 
 BOARD_MAX = 25
 BRACELET_MAX = 20
@@ -46,7 +46,7 @@ def _tilings(length: int) -> Iterator[tuple[int, ...]]:
 def count_board(n: int) -> int:
     """Number of square/domino tilings of a board of length n (n = 0 has one: the empty tiling)."""
     if n < 0:
-        raise ValueError(f"board length must be >= 0, got {n}")
+        raise UsageError(f"board length must be >= 0, got {n}")
     if n > BOARD_MAX:
         raise BoundExceeded(f"board enumeration is bounded at {BOARD_MAX}, got {n}")
     return sum(1 for _ in _tilings(n))
@@ -61,7 +61,7 @@ def count_bracelet(n: int) -> int:
     n = 0 has two tilings by convention: the empty tiling in each phase.
     """
     if n < 0:
-        raise ValueError(f"bracelet length must be >= 0, got {n}")
+        raise UsageError(f"bracelet length must be >= 0, got {n}")
     if n > BRACELET_MAX:
         raise BoundExceeded(f"bracelet enumeration is bounded at {BRACELET_MAX}, got {n}")
     if n == 0:
@@ -83,9 +83,9 @@ def count_stacked(heights: Sequence[int]) -> int:
     """
     heights = list(heights)
     if not heights:
-        raise ValueError("height vector must not be empty")
+        raise UsageError("height vector must not be empty")
     if any(h < 1 for h in heights):
-        raise ValueError("stack capacities must be >= 1")
+        raise UsageError("stack capacities must be >= 1")
     if len(heights) > STACK_MAX_CELLS:
         raise BoundExceeded(f"stacked enumeration is bounded at {STACK_MAX_CELLS} cells")
     if max(heights) > STACK_MAX_HEIGHT:

@@ -2,12 +2,13 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfkit import cli
+from cfkit import cli, contfrac, errors
 from cfkit.cli import _decimal, run
 from cfkit.errors import UnknownIdentity
 from cfkit.rational import Rational
@@ -366,3 +367,94 @@ def test_surd(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     invoke(capsys, [], expect_code=2)
+
+
+# Every error class, by the exit code the CLI reports for it. Written out,
+# so that a new class must be placed on one side on purpose.
+USAGE_ERRORS = {
+    "UsageError", "EmptyCF", "ParseError", "EmptyRange", "MissingParam", "ExtraParam",
+    "UnknownIdentity", "NotALemma", "NotACFIdentity",
+}
+DOMAIN_ERRORS = {
+    "CFKitError", "ZeroDenominator", "ZeroReciprocal", "UndefinedValue", "IntermediateZero",
+    "PerfectSquare", "PeriodNotFound", "NegativeIndex", "EvenOrder", "BoundExceeded", "BadDomain",
+}
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, errors.CFKitError)
+]
+
+
+def test_error_classes_are_split_into_usage_and_domain():
+    assert {cls.__name__ for cls in ERROR_CLASSES} == USAGE_ERRORS | DOMAIN_ERRORS
+    assert not USAGE_ERRORS & DOMAIN_ERRORS
+    for cls in ERROR_CLASSES:
+        # a usage error is still a ValueError to a library caller
+        assert issubclass(cls, ValueError) == (cls.__name__ in USAGE_ERRORS), cls
+        assert len(cls.__bases__) == 1 or cls is errors.UsageError, cls
+
+
+def _raiser(exc):
+    def raise_it(*args):
+        raise exc
+
+    return raise_it
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch, cls):
+    exc = cls("boom", 0) if cls is errors.ParseError else cls("boom")
+    monkeypatch.setattr(contfrac, "evaluate_runs", _raiser(exc))
+    captured = invoke(capsys, ["eval", "[1]"], expect_code=2 if cls.__name__ in USAGE_ERRORS else 3)
+    assert captured.out == "" and captured.err.startswith("error: boom")
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), ValueError("boom"), MemoryError()])
+def test_an_error_from_outside_the_library_is_an_internal_error(capsys, monkeypatch, exc):
+    monkeypatch.setattr(contfrac, "evaluate_runs", _raiser(exc))
+    captured = invoke(capsys, ["eval", "[1]"], expect_code=4)
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error") and captured.err.count("\n") == 1
+
+
+def test_broken_pipe_reaches_main(monkeypatch):
+    monkeypatch.setattr(contfrac, "evaluate_runs", _raiser(BrokenPipeError()))
+    with pytest.raises(BrokenPipeError):
+        run(["eval", "[1]"])
+
+
+def test_over_limit_output_is_an_internal_error(capsys, monkeypatch):
+    # str() of the 6 000-digit value exceeds the interpreter's default
+    # integer-string limit; that is a limit of this program, not bad input.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        captured = invoke(capsys, ["eval", "[4x10000,3]"], expect_code=4)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: ValueError: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # the library's own checks of these inputs are usage errors
+        ("oracle board -1", 2, "board length must be >= 0, got -1"),
+        ("oracle bracelet -1", 2, "bracelet length must be >= 0, got -1"),
+        ("oracle stacked 0,1", 2, "stack capacities must be >= 1"),
+        ("surd 0", 2, "expected a positive integer, got 0"),
+        ("fit 0", 2, "expected c >= 1, got 0"),
+        ("fit 0 --n-max 2", 2, "need n_max >= 3 for a meaningful fit, got 2"),
+        # a superscript digit is no digit of an integer; an Arabic-Indic one is
+        ("eval [²]", 2, "expected an integer (at position 1)"),
+        ("eval [3x²]", 2, "expected an integer (at position 3)"),
+        # a case both malformed and out of the domain: its shape is checked first
+        ("check ID117 --m -1 --k 1", 2, "ID117 takes no k"),
+        ("sweep ID117 --m -1..-1 --k 1..1", 2, "ID117 takes no k"),
+        ("check THM2_FIB_FORM --m -1", 2, "THM2_FIB_FORM needs k"),
+        ("sweep THM2_FIB_FORM --m -1..-1", 2, "THM2_FIB_FORM needs k"),
+        ("check LEM_BRIDGE --m 7", 3, "LEM_BRIDGE is stated for multiples of 5, none in m = 7..7"),
+    ],
+)
+def test_rejected_input_message_and_code(capsys, argv, code, message):
+    assert invoke(capsys, argv.split(), expect_code=code).err == f"error: {message}\n"

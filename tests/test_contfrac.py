@@ -300,6 +300,14 @@ def test_parse_errors_carry_positions():
         parse_cf("[4x-2]")
     with pytest.raises(ParseError):
         parse_cf("[4,]")
+    # '²'.isdigit() holds, but int() rejects it: it is no decimal digit
+    with pytest.raises(ParseError) as err:
+        parse_cf("[²]")
+    assert err.value.position == 1
+    with pytest.raises(ParseError) as err:
+        parse_cf("[3x²]")
+    assert err.value.position == 3
+    assert parse_cf("[٣,2]") == [3, 2]  # Arabic-Indic digits are decimal
 
 
 def test_parse_runs_keeps_items_unexpanded():

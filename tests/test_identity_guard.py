@@ -66,9 +66,10 @@ ENTRY_POINTS = {
 
 # "valid" with a lemma under check/lhs_terms/rhs_value, or a
 # continued-fraction entry under check_lemma, is the wrong-checker case.
-# A sweep checks its ranges' shape (k given or not) before their domain,
-# and a LEM_BRIDGE sweep over m = -1 or m = 7 holds no multiple of 5 in
-# the domain, so it raises BadDomain.
+# Every entry point checks a case's shape (k given or not) before its
+# domain, because a case is checked as the one-case grid a sweep checks;
+# a LEM_BRIDGE case at m = -1 or m = 7 holds no multiple of 5 in the
+# domain, so it raises BadDomain.
 TABLE = """
 case              kind    check           check_lemma     lhs_terms       rhs_value       run_case        sweep
 negative_m        cf      BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       BadDomain
@@ -101,11 +102,11 @@ valid             cf_k    ok              NotALemma       ok              ok    
 valid             cor     ok              NotALemma       ok              ok              ok              ok
 valid             lemma   NotACFIdentity  ok              NotACFIdentity  NotACFIdentity  ok              ok
 valid             bridge  NotACFIdentity  ok              NotACFIdentity  NotACFIdentity  ok              ok
-negative_m_bad_k  cf      BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       ExtraParam
-negative_m_bad_k  cf_k    BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       MissingParam
-negative_m_bad_k  cor     BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       MissingParam
-negative_m_bad_k  lemma   NotACFIdentity  BadDomain       NotACFIdentity  NotACFIdentity  BadDomain       ExtraParam
-negative_m_bad_k  bridge  NotACFIdentity  BadDomain       NotACFIdentity  NotACFIdentity  BadDomain       ExtraParam
+negative_m_bad_k  cf      ExtraParam      NotALemma       ExtraParam      ExtraParam      ExtraParam      ExtraParam
+negative_m_bad_k  cf_k    MissingParam    NotALemma       MissingParam    MissingParam    MissingParam    MissingParam
+negative_m_bad_k  cor     MissingParam    NotALemma       MissingParam    MissingParam    MissingParam    MissingParam
+negative_m_bad_k  lemma   NotACFIdentity  ExtraParam      NotACFIdentity  NotACFIdentity  ExtraParam      ExtraParam
+negative_m_bad_k  bridge  NotACFIdentity  ExtraParam      NotACFIdentity  NotACFIdentity  ExtraParam      ExtraParam
 """
 
 
@@ -141,6 +142,36 @@ def test_first_error_raised(case, function):
             got[ident.name] = type(exc).__name__
     want = {ident.name: EXPECTED[case, KIND[ident], function] for ident in IdentityId}
     assert got == want
+
+
+def _first_error(function, ident, params):
+    """The class and message of the error `function` raises on the case, or None."""
+    try:
+        ENTRY_POINTS[function](ident, params)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+# The entry points that take each kind of entry; each decides a case alike.
+AGREEING = {
+    "cf": ("check", "lhs_terms", "rhs_value", "run_case", "sweep"),
+    "lemma": ("check_lemma", "run_case", "sweep"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_entry_points_agree_on_each_case(case):
+    # Not only the class: the same message too, because each entry point
+    # runs the one check of _case_grid.
+    disagreements = {}
+    for ident in IdentityId:
+        params = CASES[case](ident)
+        functions = AGREEING["lemma" if ident.is_lemma else "cf"]
+        got = {function: _first_error(function, ident, params) for function in functions}
+        if len(set(got.values())) != 1:
+            disagreements[ident.name] = got
+    assert disagreements == {}
 
 
 @pytest.fixture
