@@ -25,9 +25,9 @@ SIGPIPE, the code a shell reports for a process that signal ends).
 A launch loads only what its subcommand runs. This module imports argparse
 and `errors` alone; each handler imports the modules it calls (contfrac for
 eval/expand/convergents/surd, sequences for seq, tiling for oracle,
-identities for check/sweep/fit). json is imported only for the --json
-output of eval, expand, oracle, fit, surd and the sweep summary; the lines
-of check, seq, convergents and sweep cases are written from templates.
+identities for check/sweep/fit). Every --json line is written from a
+template whose bytes equal json.dumps() of its object, so no command
+imports json.
 Without cached bytecode (PYTHONDONTWRITEBYTECODE, a read-only install)
 every launch compiles each module it imports, so a module a command does
 not import is compile time it does not spend. When argv begins with a
@@ -87,15 +87,18 @@ def _identity(name: str) -> IdentityId:
 
 
 def _parse_rational(text: str) -> Rational:
+    """NUM or NUM/DEN: signed decimal integers, with whitespace around each token.
+
+    int() runs only on digits the pattern has accepted, so a numeral over the
+    interpreter's integer-string digit limit fails there, as it does in eval.
+    """
     from .rational import Rational
 
-    num, sep, den = text.partition("/")
-    try:
-        if sep:
-            return Rational(int(num), int(den))
-        return Rational(int(num))
-    except ValueError as exc:
-        raise ParseError(f"expected NUM/DEN, got '{text}'", 0) from exc
+    match = re.fullmatch(r"\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+)\s*)?", text)
+    if match is None:
+        raise ParseError(f"expected NUM/DEN, got '{text}'", 0)
+    num, den = match.groups()
+    return Rational(int(num), 1 if den is None else int(den))
 
 
 def _decimal(r: Rational, digits: int) -> str:
@@ -116,8 +119,13 @@ def _zero_padded(n: int, width: int) -> str:
     return _zero_padded(hi, width - width // 2) + _zero_padded(lo, width // 2)
 
 
-def _rat_json(r: Rational) -> dict:
-    return {"num": str(r.num), "den": str(r.den)}
+def _rat_json(r: Rational) -> str:
+    return f'{{"num": "{r.num}", "den": "{r.den}"}}'
+
+
+def _strings_json(values) -> str:
+    """A JSON array of the values as strings; each is digits and a sign, so none needs escaping."""
+    return "[" + ", ".join(f'"{v}"' for v in values) + "]"
 
 
 def _case_json(name: str, params: CaseParams, outcome: CheckOutcome) -> str:
@@ -134,10 +142,10 @@ def _case_json(name: str, params: CaseParams, outcome: CheckOutcome) -> str:
     status, lhs, rhs, note = outcome
     sides = ""
     if lhs is not None:
-        left = f'{{"num": "{lhs.num}", "den": "{lhs.den}"}}'
+        left = _rat_json(lhs)
         sides = f', "lhs": {left}'
     if rhs is not None:
-        right = left if rhs is lhs else f'{{"num": "{rhs.num}", "den": "{rhs.den}"}}'
+        right = left if rhs is lhs else _rat_json(rhs)
         sides += f', "rhs": {right}'
     k_field = "" if k is None else f', "k": {k}'
     return (
@@ -164,9 +172,7 @@ def _cmd_eval(args) -> int:
 
     value = contfrac.evaluate_runs(contfrac.parse_runs(args.cf))
     if args.json:
-        import json
-
-        print(json.dumps(_rat_json(value)))
+        print(_rat_json(value))
     elif args.digits is not None:
         print(_decimal(value, args.digits))
     else:
@@ -179,9 +185,7 @@ def _cmd_expand(args) -> int:
 
     terms = contfrac.expand_rational(_parse_rational(args.rational))
     if args.json:
-        import json
-
-        print(json.dumps({"terms": [str(t) for t in terms]}))
+        print(f'{{"terms": {_strings_json(terms)}}}')
     else:
         print("[" + ",".join(str(t) for t in terms) + "]")
     return 0
@@ -249,20 +253,15 @@ def _cmd_oracle(args) -> int:
         except ValueError:
             raise MissingParam(f"oracle {args.kind} needs an integer length") from None
         count = tiling.count_board(n) if args.kind == "board" else tiling.count_bracelet(n)
-        payload = {"kind": args.kind, "n": n, "count": str(count)}
+        field = f'"n": {n}'
     else:
         try:
             heights = [int(part) for part in args.arg.split(",")]
         except ValueError:
             raise MissingParam("oracle stacked needs a,b,c,... integer heights") from None
         count = tiling.count_stacked(heights)
-        payload = {"kind": "stacked", "heights": heights, "count": str(count)}
-    if args.json:
-        import json
-
-        print(json.dumps(payload))
-    else:
-        print(count)
+        field = f'"heights": [{", ".join(map(str, heights))}]'
+    print(f'{{"kind": "{args.kind}", {field}, "count": "{count}"}}' if args.json else count)
     return 0
 
 
@@ -298,9 +297,7 @@ def _cmd_sweep(args) -> int:
         elif status is not passing:
             write(_case_text(params, outcome) + "\n")
     if args.json:
-        import json
-
-        print(json.dumps({"identity": ident.name, "pass": passed, "fail": failed, "skip": skipped}))
+        print(f'{{"identity": "{name}", "pass": {passed}, "fail": {failed}, "skip": {skipped}}}')
     else:
         print(f"pass={passed} fail={failed} skip={skipped}")
     return 1 if failed else 0
@@ -311,9 +308,7 @@ def _cmd_fit(args) -> int:
 
     t = identities.fit_uniform(args.c, args.n_max)
     if args.json:
-        import json
-
-        print(json.dumps({"c": str(args.c), "t": t}))
+        print(f'{{"c": "{args.c}", "t": {"null" if t is None else t}}}')
     else:
         print("NONE" if t is None else t)
     return 0
@@ -324,17 +319,7 @@ def _cmd_surd(args) -> int:
 
     expansion = contfrac.surd_cf(args.d, args.max_terms)
     if args.json:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "d": str(args.d),
-                    "a0": str(expansion.a0),
-                    "period": [str(a) for a in expansion.period],
-                }
-            )
-        )
+        print(f'{{"d": "{args.d}", "a0": "{expansion.a0}", "period": {_strings_json(expansion.period)}}}')
     else:
         period = ",".join(str(a) for a in expansion.period)
         print(f"a0={expansion.a0} period=[{period}]")

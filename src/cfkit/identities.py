@@ -108,7 +108,7 @@ from .errors import (
     UsageError,
 )
 from .rational import Rational
-from .sequences import lucas, lucas_odd_index_of, scaled_fib
+from .sequences import lucas, lucas_odd_index_of
 
 
 class _Lin:
@@ -468,18 +468,15 @@ def sweep(
 def fit_uniform(c: int, n_max: int) -> int | None:
     """Fit the uniform continued fraction [c, c, ..., c] to a scaled-Fibonacci family.
 
-    Returns the odd t with lucas(t) = c, provided [c]*n evaluates to
-    scaled_fib(t, n+1) / scaled_fib(t, n) for every 1 <= n <= n_max;
-    returns None when c is not an odd-index Lucas number or any length
-    breaks the pattern.
+    Returns the odd t with lucas(t) = c, provided COR_GENERAL_LUCAS passes at
+    k = (t-1)/2 for every m < n_max, that is [c]*n = S_t(n+1) / S_t(n) for
+    every 1 <= n <= n_max; returns None when c is not an odd-index Lucas
+    number or any length breaks the pattern.
     """
     if n_max < 3:
         raise UsageError(f"need n_max >= 3 for a meaningful fit, got {n_max}")
     t = lucas_odd_index_of(c)
     if t is None:
         return None
-    for n in range(1, n_max + 1):
-        expected = Rational(scaled_fib(t, n + 1), scaled_fib(t, n))
-        if evaluate_runs([(c, n)]) != expected:
-            return None
-    return t
+    cases = (run_case(IdentityId.COR_GENERAL_LUCAS, CaseParams(m, t // 2)) for m in range(n_max))
+    return t if all(outcome.status is _PASS for outcome in cases) else None

@@ -96,6 +96,38 @@ def test_expand_error_codes(capsys):
 
 
 @pytest.mark.parametrize(
+    "text, terms",
+    [(" 5 / 3 ", "[1,1,2]"), ("+5/-3", "[-2,3]"), ("007/3", "[2,3]"), ("-0/4", "[0]"), ("٣/4", "[0,1,3]")],
+)
+def test_expand_reads_signed_decimal_digits_with_spacing(capsys, text, terms):
+    assert invoke(capsys, ["expand", text]).out == terms + "\n"
+
+
+@pytest.mark.parametrize("text", ["3_0/4", "3_0", "5/1_0", "5/", "/5", "1/2/3", "5.0/3", "0x10/3", "", "5 3/4"])
+def test_expand_rejects_what_is_not_num_slash_den(capsys, text):
+    captured = invoke(capsys, ["expand", text], expect_code=2)
+    assert (captured.out, captured.err) == ("", f"error: expected NUM/DEN, got '{text}' (at position 0)\n")
+
+
+def test_an_underscore_is_no_digit_in_eval_either(capsys):
+    invoke(capsys, ["eval", "[3_0]"], expect_code=2)
+
+
+@pytest.mark.parametrize("argv", [["expand", "1" * 5000 + "/7"], ["expand", "7/" + "1" * 5000], ["eval", "[" + "7" * 5000 + "]"]])
+def test_over_limit_input_is_an_internal_error_in_eval_and_expand(capsys, argv):
+    # A well-formed numeral over the interpreter's integer-string limit is a
+    # limit of this program, not bad input, whichever command reads it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        captured = invoke(capsys, argv, expect_code=4)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: ValueError: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv, stray",
     [
         ("expand -13/3 extra", "extra"),

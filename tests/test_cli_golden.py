@@ -126,6 +126,9 @@ GOLDEN = [
     ('sweep ID117 --m -1..-1 --k 1..1', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('check ID117 --m -1 --k 1', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('surd 19 --max-terms -1', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    # an underscore is no digit, as in the continued-fraction grammar (the
+    # row exited 0 with [7,2] before)
+    ('expand 3_0/4', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('nope', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     # argparse's own output: help on stdout (exit 0) at a width of 80
     # columns, and an unknown subcommand (exit 2)
@@ -142,6 +145,9 @@ GOLDEN = [
     ('fit --help', 0, '905846426a3bc50de55bd3a3ae4fce45225225d31cbc4eb8278a3c8891085742'),
     ('surd --help', 0, '4a428727beb0aa8a6ddacabbe087c049fb109cd5a7bc094f276b587db7981aee'),
     ('bogus', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    # a well-formed numeral over the interpreter's 4 300-digit integer-string
+    # limit is an internal error, as in eval (the row exited 2 before)
+    ('expand ' + '1' * 5000 + '/7', 4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     # domain and evaluation errors (exit 3)
     ('eval [1,0]', 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('expand 5/0', 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -166,7 +172,9 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+@pytest.mark.parametrize(
+    "command, code, digest", GOLDEN, ids=[c if len(c) <= 80 else f"{c[:40]}...({len(c)} chars)" for c, _, _ in GOLDEN]
+)
 def test_cli_stdout_is_pinned(capsys, monkeypatch, command, code, digest):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     assert run(shlex.split(command)) == code

@@ -1,11 +1,12 @@
-"""Case, seq and convergents lines come from templates; they must equal what json.dumps() wrote.
+"""Every --json line comes from a template; it must equal what json.dumps() wrote.
 
-`_case_json_dict`, `_case_text_bits`, `_seq_json_dict` and
-`_convergent_json_dict` below are the builders the CLI used before its
-lines came from f-string templates. They stay here as the reference: for
-every shape a line can take, the template's line must equal json.dumps() of
-the reference object (and parse back to it), and the text line must equal
-the reference's fields.
+`_case_json_dict`, `_case_text_bits`, `_seq_json_dict`,
+`_convergent_json_dict` and the objects of `LINES` below are what the CLI
+built before its lines came from f-string templates. They stay here as the
+reference: for every shape a line can take, the template's line must equal
+json.dumps() of the reference object (and parse back to it), and the text
+line must equal the reference's fields. No command imports json, so this
+module is where the two are compared.
 """
 
 import json
@@ -16,7 +17,7 @@ import sys
 import pytest
 
 import cfkit
-from cfkit import cli, contfrac, identities, sequences
+from cfkit import cli, contfrac, identities, sequences, tiling
 from cfkit.errors import CFKitError
 from cfkit.identities import CaseParams, CheckOutcome, IdentityId, Status
 from cfkit.rational import Rational
@@ -261,6 +262,68 @@ def test_convergent_lines_equal_json_dumps(capsys, cf):
 
     assert cli.run(["convergents", cf]) == 0
     assert capsys.readouterr().out.splitlines() == [f"{i}: {p}/{q}" for i, (p, q) in rows]
+
+
+# --- eval, expand, oracle, fit, surd and the sweep summary -------------------
+
+
+def _value(cf):
+    return contfrac.evaluate_runs(contfrac.parse_runs(cf))
+
+
+def _terms(num, den):
+    return {"terms": [str(t) for t in contfrac.expand_rational(Rational(num, den))]}
+
+
+def _surd(d):
+    expansion = contfrac.surd_cf(d, 10_000)
+    return {"d": str(d), "a0": str(expansion.a0), "period": [str(a) for a in expansion.period]}
+
+
+def _summary(ident, m_range, k_range=None):
+    report = identities.sweep(ident, m_range, k_range)
+    return {"identity": ident.name, "pass": report.passed, "fail": report.failed, "skip": report.skipped}
+
+
+# argv -> the object of the last line that argv with --json prints.
+LINES = {
+    "eval [2,3,7]": lambda: _rat_json(_value("[2,3,7]")),
+    "eval [-3,1,2]": lambda: _rat_json(_value("[-3,1,2]")),
+    "eval [-99999999999999999999x2,7]": lambda: _rat_json(_value("[-99999999999999999999x2,7]")),
+    "eval [4x40,3]": lambda: _rat_json(_value("[4x40,3]")),
+    "eval [-5]": lambda: _rat_json(_value("[-5]")),
+    "expand -13/3": lambda: _terms(-13, 3),
+    "expand 5": lambda: _terms(5, 1),
+    "expand -123456789012345678901234567/89": lambda: _terms(-123456789012345678901234567, 89),
+    "oracle board 10": lambda: {"kind": "board", "n": 10, "count": str(tiling.count_board(10))},
+    "oracle board 0": lambda: {"kind": "board", "n": 0, "count": str(tiling.count_board(0))},
+    "oracle bracelet 9": lambda: {"kind": "bracelet", "n": 9, "count": str(tiling.count_bracelet(9))},
+    "oracle stacked 2,3,7": lambda: {"kind": "stacked", "heights": [2, 3, 7], "count": str(tiling.count_stacked([2, 3, 7]))},
+    "oracle stacked 5": lambda: {"kind": "stacked", "heights": [5], "count": str(tiling.count_stacked([5]))},
+    "fit 29": lambda: {"c": "29", "t": identities.fit_uniform(29, 10)},
+    "fit 1": lambda: {"c": "1", "t": identities.fit_uniform(1, 10)},
+    "fit 18": lambda: {"c": "18", "t": identities.fit_uniform(18, 10)},
+    "surd 19": lambda: _surd(19),
+    "surd 2": lambda: _surd(2),
+    "sweep ID117 --m 0..6": lambda: _summary(I.ID117, (0, 6)),
+    "sweep THM5_SWAPPED_LUCAS --m 0..6": lambda: _summary(I.THM5_SWAPPED_LUCAS, (0, 6)),
+    "sweep THM3_ONES --m 0..4 --k -2..2": lambda: _summary(I.THM3_ONES, (0, 4), (-2, 2)),
+}
+
+
+def test_lines_cover_null_fail_and_skip():
+    assert LINES["fit 29"]()["t"] == 7 and LINES["fit 18"]()["t"] is None
+    assert LINES["sweep THM5_SWAPPED_LUCAS --m 0..6"]()["fail"] > 0
+    assert LINES["sweep THM3_ONES --m 0..4 --k -2..2"]()["skip"] > 0
+
+
+@pytest.mark.parametrize("argv", LINES)
+def test_other_lines_equal_json_dumps(capsys, argv):
+    reference = LINES[argv]()
+    cli.run(argv.split() + ["--json"])
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line == json.dumps(reference)
+    assert json.loads(line) == reference
 
 
 # --- a reader that stops early ------------------------------------------------

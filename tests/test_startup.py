@@ -1,8 +1,9 @@
 """A launch loads only what its command runs, and the package namespace is lazy.
 
 Each row of LOADS runs one command through `cfkit.cli.run` in a fresh
-interpreter and names every cfkit submodule (and json) it may load: no
-more, no fewer. The `cfkit` namespace resolves its public names and
+interpreter and names every cfkit submodule it may load: no more, no
+fewer. json is watched too, and no command loads it: every --json line is
+written from a template. The `cfkit` namespace resolves its public names and
 submodules on first use (PEP 562); the tests below check that it still
 behaves like the eager one.
 """
@@ -44,23 +45,27 @@ def test_import_cfkit_loads_no_submodule():
 _CF = {"cfkit.cli", "cfkit.errors", "cfkit.contfrac", "cfkit.rational"}
 _IDENTITIES = _CF | {"cfkit.identities", "cfkit.sequences"}
 
-# argv -> every cfkit submodule (and json) it loads; README's Start-up table.
+# argv -> every cfkit submodule it loads (and never json); README's Start-up table.
 LOADS = {
     "eval [2,3,7]": _CF,
     "eval [2,3,7] --digits 5": _CF,
-    "eval [2,3,7] --json": _CF | {"json"},
+    "eval [2,3,7] --json": _CF,
     "expand 5/3": _CF,
+    "expand -13/3 --json": _CF,
     "convergents [1,2]": _CF,
-    "convergents [1,2] --json": _CF,  # lines from a template, no json
+    "convergents [1,2] --json": _CF,
     "surd 19": _CF,
+    "surd 19 --json": _CF,
     "seq fib --from 0 --to 3": {"cfkit.cli", "cfkit.errors", "cfkit.sequences"},
     "seq gib --k 2 --from 0 --to 3 --json": {"cfkit.cli", "cfkit.errors", "cfkit.sequences"},
     "oracle board 5": {"cfkit.cli", "cfkit.errors", "cfkit.tiling"},
+    "oracle stacked 2,3 --json": {"cfkit.cli", "cfkit.errors", "cfkit.tiling"},
     "check ID117 --m 2": _IDENTITIES,
     "check ID117 --m 2 --json": _IDENTITIES,
     "fit 29": _IDENTITIES,
+    "fit 29 --json": _IDENTITIES,
     "sweep ID117 --m 0..3": _IDENTITIES | {"cfkit._engine"},
-    "sweep ID117 --m 0..3 --json": _IDENTITIES | {"cfkit._engine", "json"},
+    "sweep ID117 --m 0..3 --json": _IDENTITIES | {"cfkit._engine"},
 }
 
 
