@@ -62,8 +62,10 @@ def sweep_cases(
     ident: IdentityId, ms: range, ks: range | tuple[None]
 ) -> Iterator[tuple[CaseParams, CheckOutcome]]:
     """Every case of the grid ms x ks, from states seeded at ms[0] and stepped in m."""
-    # The comparison run_case() decides with, looked up when the sweep starts.
-    cf_outcome, lemma_outcome = identities._cf_outcome, identities._lemma_outcome
+    # identities._outcome, the one comparison run_case() decides every case
+    # with, looked up when the sweep starts. A lemma first = second is
+    # decided as first against the ratio second/1.
+    outcome_of = identities._outcome
     tail = None if ident.is_lemma else ident.lhs.tail
     if tail is not None:
         t0, t1 = tail.c0, tail.c1  # inlined below; a call per case would cost as much as the product
@@ -77,11 +79,11 @@ def sweep_cases(
             first = a0 + k * b0 if b0 else a0
             second = a1 + k * b1 if b1 else a1
             if matrix is None:
-                outcome = lemma_outcome(first, second)
+                outcome = outcome_of(Rational._coprime(first, 1), second, 1)
             else:
                 p, p_prev, q, q_prev = matrix
                 if tail is not None:
                     t = t0 + t1 * k if t1 else t0
                     p, q = t * p + p_prev, t * q + q_prev
-                outcome = cf_outcome(Rational._coprime(p, q) if q else None, first, second)
+                outcome = outcome_of(Rational._coprime(p, q) if q else None, first, second)
             yield CaseParams(m, k), outcome

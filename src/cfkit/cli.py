@@ -58,12 +58,9 @@ def _range_pair(text: str) -> tuple[int, int]:
     if not sep:
         raise argparse.ArgumentTypeError(f"expected LO..HI, got '{text}'")
     try:
-        pair = (int(lo), int(hi))
+        return int(lo), int(hi)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected LO..HI, got '{text}'") from exc
-    if pair[0] > pair[1]:
-        raise argparse.ArgumentTypeError(f"empty range '{text}'")
-    return pair
 
 
 def _nonneg_int(text: str) -> int:

@@ -10,11 +10,13 @@ the domain: whether k is taken, k's lower bound, and the m step.
 
 Two routes read the same table:
 
-  * run_case() is the reference. It evaluates the left side's
-    (value, count) runs with evaluate_runs() under the forward convergent
-    semantics and calls every X of the right side directly. check(),
-    check_lemma(), lhs_terms() and rhs_value() take the same route; each
-    validates its case exactly once, as the one-case grid of a sweep.
+  * run_case() is the reference, and the one worker that checks a case.
+    It validates the case exactly once, as the one-case grid of a sweep,
+    evaluates the left side's (value, count) runs with evaluate_runs()
+    under the forward convergent semantics and calls every X of the forms
+    directly. check() and check_lemma() check the entry's kind in front of
+    it; lhs_terms() and rhs_value() make the same kind check and the same
+    validation, then compute one side each.
   * iter_sweep() is the stepped engine. It checks the whole grid against
     the domain when it is called, seeds its state at the first m, and then
     carries it from each m to the next: the left prefix [c]^(m+e) by one
@@ -44,8 +46,9 @@ is an unreduced (num, den) pair. The left side p/q comes out already
 reduced (its final matrix has determinant +-1), so a case passes exactly
 when den = g*q and num = g*p for some integer g: one exact division decides
 it, the passing case reuses the left Rational as its right side, and only a
-failing right side is reduced by gcd. Both routes decide a case with the
-same comparison.
+failing right side is reduced by gcd. Both routes decide every case, of
+both kinds, with the same comparison, _outcome(): a lemma lhs = rhs is
+decided as the integer lhs against the ratio rhs/1.
 
 Catalog, with F = fib, f = fib_comb, L = lucas, l = lucas_swapped,
 G_k(n) = gibonacci(k, n) and S_t(n) = scaled_fib(t, n); m >= 0 throughout:
@@ -247,7 +250,7 @@ class IdentityId(Enum):
 
     @property
     def is_lemma(self) -> bool:
-        return self.name.startswith("LEM_")
+        return not isinstance(self.lhs, _Cf)
 
     @property
     def forms(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
@@ -298,18 +301,18 @@ class SweepReport(NamedTuple):
         return sum(o.status is Status.SKIPPED for _, o in self.cases)
 
 
-def _validate(ident: IdentityId, params: CaseParams) -> IdentityId:
-    """The entry, after checking that the case lies in its domain, as the one-case grid."""
+def _case(ident: IdentityId, params: CaseParams) -> tuple[int, int | None]:
+    """The case's (m, k), after checking that it lies in the entry's domain, as the one-case grid."""
     m, k = params
     _case_grid(ident, (m, m), None if k is None else (k, k))
-    return ident
+    return m, k
 
 
-def _cf_entry(ident: IdentityId, params: CaseParams) -> IdentityId:
-    """A continued-fraction entry, after validating the case."""
+def _cf_entry(ident: IdentityId) -> IdentityId:
+    """The entry, after checking that it is a continued-fraction identity."""
     if ident.is_lemma:
         raise NotACFIdentity(f"{ident.name} has no continued-fraction side")
-    return _validate(ident, params)
+    return ident
 
 
 # --- the reference route: every value computed directly ---------------------
@@ -335,16 +338,17 @@ def _form_value(form: tuple[tuple, ...], m: int, k: int | None) -> int:
 
 def lhs_terms(ident: IdentityId, params: CaseParams) -> list[int]:
     """The exact term list the identity prescribes for these parameters."""
-    return _expand(_runs(_cf_entry(ident, params).lhs, *params))
+    return _expand(_runs(_cf_entry(ident).lhs, *_case(ident, params)))
 
 
 def rhs_value(ident: IdentityId, params: CaseParams) -> Rational | None:
     """The identity's stated ratio, reduced, or None when its denominator is zero."""
-    num, den = (_form_value(form, *params) for form in _cf_entry(ident, params).rhs)
+    m, k = _case(_cf_entry(ident), params)
+    num, den = (_form_value(form, m, k) for form in ident.rhs)
     return None if den == 0 else Rational(num, den)
 
 
-def _cf_outcome(lhs: Rational | None, num: int, den: int) -> CheckOutcome:
+def _outcome(lhs: Rational | None, num: int, den: int) -> CheckOutcome:
     """The outcome of comparing a left side (None: undefined) with the ratio num/den."""
     if den == 0:
         if lhs is None:
@@ -360,27 +364,17 @@ def _cf_outcome(lhs: Rational | None, num: int, den: int) -> CheckOutcome:
     return CheckOutcome(_FAIL, lhs, Rational(num, den), "values differ")
 
 
-def _lemma_outcome(lhs: int, rhs: int) -> CheckOutcome:
-    """The outcome of one lemma instance, lhs = rhs."""
-    if lhs == rhs:
-        value = Rational(lhs)
-        return CheckOutcome(_PASS, value, value)
-    return CheckOutcome(_FAIL, Rational(lhs), Rational(rhs), "values differ")
-
-
-def _cf_case(entry: IdentityId, params: CaseParams) -> CheckOutcome:
-    """check() on a case its caller has validated."""
+def run_case(ident: IdentityId, params: CaseParams) -> CheckOutcome:
+    """Check one case of either kind; a lemma lhs = rhs is decided as the ratio rhs/1."""
+    m, k = _case(ident, params)
+    first, second = (_form_value(form, m, k) for form in ident.forms)
+    if ident.is_lemma:
+        return _outcome(Rational(first), second, 1)
     try:
-        lhs = evaluate_runs(_runs(entry.lhs, *params))
+        lhs = evaluate_runs(_runs(ident.lhs, m, k))
     except UndefinedValue:
         lhs = None
-    num, den = (_form_value(form, *params) for form in entry.rhs)
-    return _cf_outcome(lhs, num, den)
-
-
-def _lemma_case(entry: IdentityId, params: CaseParams) -> CheckOutcome:
-    """check_lemma() on a case its caller has validated."""
-    return _lemma_outcome(_form_value(entry.lhs, *params), _form_value(entry.rhs, *params))
+    return _outcome(lhs, first, second)
 
 
 def check(ident: IdentityId, params: CaseParams) -> CheckOutcome:
@@ -389,19 +383,14 @@ def check(ident: IdentityId, params: CaseParams) -> CheckOutcome:
     Undefinedness is data, not an error: both sides undefined is SKIPPED,
     one side undefined is a FAIL.
     """
-    return _cf_case(_cf_entry(ident, params), params)
+    return run_case(_cf_entry(ident), params)
 
 
 def check_lemma(ident: IdentityId, params: CaseParams) -> CheckOutcome:
     """Check one lemma instance as an exact integer equation."""
     if not ident.is_lemma:
         raise NotALemma(f"{ident.name} is not a lemma; use check()")
-    return _lemma_case(_validate(ident, params), params)
-
-
-def run_case(ident: IdentityId, params: CaseParams) -> CheckOutcome:
-    """Check one case of either kind: check() for identities, check_lemma() for lemmas."""
-    return (_lemma_case if ident.is_lemma else _cf_case)(_validate(ident, params), params)
+    return run_case(ident, params)
 
 
 def _case_grid(

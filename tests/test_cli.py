@@ -194,6 +194,7 @@ def _parse(parser, argv):
         "oracle board",
         "check ID117 --m 2 --k 1 --json",
         "sweep ID117 --m 5..0",
+        "sweep ID117 --m 5.0",
         "sweep THM2_FIB_FORM --m 0..2 --k=-3..3 --jobs 2",
         "fit --n-max 3",
         "surd 19 --max-terms x",
@@ -486,6 +487,9 @@ def test_over_limit_output_is_an_internal_error(capsys, monkeypatch):
         ("check THM2_FIB_FORM --m -1", 2, "THM2_FIB_FORM needs k"),
         ("sweep THM2_FIB_FORM --m -1..-1", 2, "THM2_FIB_FORM needs k"),
         ("check LEM_BRIDGE --m 7", 3, "LEM_BRIDGE is stated for multiples of 5, none in m = 7..7"),
+        # an empty range is rejected by the library, as in iter_sweep()
+        ("sweep ID117 --m 5..3", 2, "empty m range 5..3"),
+        ("sweep THM2_FIB_FORM --m 0..3 --k 2..-2", 2, "empty k range 2..-2"),
     ],
 )
 def test_rejected_input_message_and_code(capsys, argv, code, message):

@@ -54,6 +54,12 @@ def test_lemmas_have_no_cf_side():
         rhs_value(I.LEM_BRIDGE, CaseParams(5))
 
 
+def test_the_lemmas_are_exactly_the_lem_entries():
+    lemmas = {ident.name for ident in IdentityId if ident.is_lemma}
+    assert lemmas == {"LEM_3F", "LEM_4F", "LEM_L32", "LEM_F9", "LEM_11F", "LEM_29F", "LEM_BRIDGE"}
+    assert lemmas == {ident.name for ident in IdentityId if ident.name.startswith("LEM_")}
+
+
 def test_rhs_values():
     assert rhs_value(I.THM2_FIB_FORM, CaseParams(2, 3)) == Rational(157, 37)
     assert rhs_value(I.THM6_ELEVEN_FIB, CaseParams(2)) == Rational(1353, 122)

@@ -177,13 +177,13 @@ def test_entry_points_agree_on_each_case(case):
 @pytest.fixture
 def validate_calls(monkeypatch):
     calls = []
-    real = identities._validate
+    real = identities._case
 
     def counted(ident, params):
         calls.append((ident, params))
         return real(ident, params)
 
-    monkeypatch.setattr(identities, "_validate", counted)
+    monkeypatch.setattr(identities, "_case", counted)
     return calls
 
 
@@ -225,8 +225,7 @@ def test_sweep_checks_the_grid_before_any_case(monkeypatch, ident, m_range, k_ra
         monkeypatch.setattr(identities, real.__name__, wrapper)
 
     recorded("grid", identities._case_grid)
-    recorded("case", identities._cf_outcome)
-    recorded("case", identities._lemma_outcome)
+    recorded("case", identities._outcome)
 
     stream = identities.iter_sweep(ident, m_range, k_range)
     assert events == ["grid"]  # checked on the call, before any case exists
@@ -234,7 +233,7 @@ def test_sweep_checks_the_grid_before_any_case(monkeypatch, ident, m_range, k_ra
     assert events == ["grid"] + ["case"] * cases
 
     for params, _ in got:
-        identities._validate(ident, params)  # raises for a case outside the domain
+        identities._case(ident, params)  # raises for a case outside the domain
     ks = [None] if k_range is None else range(k_range[0], k_range[1] + 1)
     ms = [m for m in range(m_range[0], m_range[1] + 1) if m % ident.m_step == 0]
     assert [params for params, _ in got] == [CaseParams(m, k) for m in ms for k in ks]

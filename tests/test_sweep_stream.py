@@ -16,7 +16,7 @@ import tracemalloc
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cfkit
@@ -143,8 +143,8 @@ def test_failing_cases_reduce_their_right_side(gcd_calls):
 
 
 def _outcome(lhs, num, den):
-    """_cf_outcome(), which both routes decide a case with, on a left side evaluating to lhs."""
-    return identities._cf_outcome(evaluate(expand_rational(lhs)), num, den)
+    """identities._outcome(), which both routes decide a case with, on a left side evaluating to lhs."""
+    return identities._outcome(evaluate(expand_rational(lhs)), num, den)
 
 
 _value = st.integers(-(10**30), 10**30)
@@ -178,6 +178,27 @@ def test_division_check_agrees_with_reduction(lhs, num, den):
 def test_zero_denominator_is_an_undefined_right_side(lhs, num):
     outcome = _outcome(lhs, num, 0)
     assert (outcome.status, outcome.rhs, outcome.note) == (Status.FAIL, None, "right side undefined")
+
+
+# Integers past 64 bits, negative ones, and pairs with a = b.
+_side = st.integers(-(2**100), 2**100)
+_lemma_sides = st.one_of(st.tuples(_side, _side), _side.map(lambda a: (a, a)))
+
+
+@given(_lemma_sides)
+@example((-(2**70), -(2**70)))
+@example((2**64 + 1, 2**64))
+@example((-3, 3))
+def test_a_lemma_is_decided_as_its_right_side_over_one(sides):
+    # A lemma a = b is the comparison of the left side a with the ratio b/1.
+    a, b = sides
+    outcome = identities._outcome(Rational(a), b, 1)
+    if a == b:
+        assert outcome.status is Status.PASS
+        assert outcome.rhs is outcome.lhs
+        assert (outcome.lhs.num, outcome.lhs.den, outcome.note) == (a, 1, "")
+    else:
+        assert outcome == (Status.FAIL, Rational(a), Rational(b), "values differ")
 
 
 # --- the import path ---------------------------------------------------------
