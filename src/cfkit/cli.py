@@ -11,10 +11,11 @@
     cfkit surd 19                     periodic expansion of sqrt(d)
 
 Every subcommand accepts --json for machine-readable output; sweeps emit
-one JSON object per case followed by a summary object. A sweep prints each
-case as soon as it is checked and counts the tallies as it goes, so its
-memory does not grow with the grid. Big integers are serialized as decimal
-strings, never as JSON numbers.
+one JSON object per case followed by a summary object. A sweep writes its
+lines in blocks of about 8 KB as it checks the cases (to a terminal, each
+line at once) and counts the tallies as it goes, so its memory stays flat
+however large the grid. Big integers are serialized as decimal strings,
+never as JSON numbers.
 
 Exit codes: 0 success (all PASS), 1 at least one FAIL, 2 usage error,
 3 evaluation or domain error, 4 internal error (a bug, not a verdict;
@@ -281,22 +282,31 @@ def _cmd_sweep(args) -> int:
     name, write = ident.name, sys.stdout.write
     passing, failing = identities.Status.PASS, identities.Status.FAIL
     passed = failed = skipped = 0
-    for params, outcome in identities.iter_sweep(ident, args.m, args.k):
-        status = outcome.status
-        if status is passing:
-            passed += 1
-        elif status is failing:
-            failed += 1
-        else:
-            skipped += 1
-        if args.json:
-            write(_case_json(name, params, outcome) + "\n")
-        elif status is not passing:
-            write(_case_text(params, outcome) + "\n")
-    if args.json:
-        print(f'{{"identity": "{name}", "pass": {passed}, "fail": {failed}, "skip": {skipped}}}')
-    else:
-        print(f"pass={passed} fail={failed} skip={skipped}")
+    # Lines go out in blocks of over 8 KB, one write each, so an unbuffered
+    # stdout (python -u) makes no system call per case; a terminal gets each
+    # line at once. A write that raises (a closed pipe) empties `pending` first.
+    pending, block = "", 0 if sys.stdout.isatty() else 8192
+    try:
+        for params, outcome in identities.iter_sweep(ident, args.m, args.k):
+            status = outcome.status
+            if status is passing:
+                passed += 1
+            elif status is failing:
+                failed += 1
+            else:
+                skipped += 1
+            if args.json:
+                pending += _case_json(name, params, outcome) + "\n"
+            elif status is not passing:
+                pending += _case_text(params, outcome) + "\n"
+            if len(pending) > block:
+                text, pending = pending, ""
+                write(text)
+        summary = f'{{"identity": "{name}", "pass": {passed}, "fail": {failed}, "skip": {skipped}}}'
+        pending += (summary if args.json else f"pass={passed} fail={failed} skip={skipped}") + "\n"
+    finally:
+        if pending:  # the cases checked before an error go out too
+            write(pending)
     return 1 if failed else 0
 
 

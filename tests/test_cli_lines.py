@@ -329,20 +329,32 @@ def test_other_lines_equal_json_dumps(capsys, argv):
 # --- a reader that stops early ------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "sweep THM2_FIB_FORM --m 0..200 --k -100..100 --json",
-        "seq fib --from 0 --to 3000",
-    ],
-)
+CLOSED_PIPE = [
+    "sweep THM2_FIB_FORM --m 0..200 --k -100..100 --json",
+    "seq fib --from 0 --to 3000",
+]
+
+
+@pytest.mark.parametrize("argv", CLOSED_PIPE)
 def test_closed_pipe_exits_141_without_a_traceback(argv):
+    _read_one_line_then_close(argv.split())
+
+
+@pytest.mark.parametrize("argv", CLOSED_PIPE)
+def test_closed_pipe_exits_141_on_an_unbuffered_stdout(argv):
+    # Under python -u every write reaches the pipe as it is made.
+    _read_one_line_then_close(argv.split(), ["-u"])
+
+
+def _read_one_line_then_close(argv, flags=()):
     # Read one line, then close the pipe; the command has megabytes left to
-    # write, so its next write finds no reader.
+    # write, so its next write finds no reader. stdout is buffered unless
+    # flags holds -u, whatever PYTHONUNBUFFERED says here.
     src = os.path.dirname(os.path.dirname(cfkit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "cfkit", *argv.split()],
+        [sys.executable, *flags, "-m", "cfkit", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfkit import _engine, contfrac, identities
-from cfkit.identities import CaseParams, IdentityId
+from cfkit.identities import CaseParams, CheckOutcome, IdentityId, Status
 
 I = IdentityId
 
@@ -50,10 +50,29 @@ def _windows(draw):
 @example((I.THM2_FIB_FORM, (3, 5), (-500, 500)))  # a wide k window
 @example((I.THM1_GIBONACCI, (9, 12), (-40, -20)))
 @example((I.COR_GENERAL_LUCAS, (17, 20), (0, 9)))
+@example((I.THM7_FOURS, (0, 12), None))  # a row without a tail
+@example((I.EXT_ELEVEN8, (0, 12), None))  # a row with a constant tail
 def test_engine_matches_run_case(window):
     ident, m_range, k_range = window
     got = list(identities.iter_sweep(ident, m_range, k_range))
     assert got == [(params, identities.run_case(ident, params)) for params in _grid(ident, m_range, k_range)]
+
+
+@pytest.mark.parametrize(
+    "ident, m_range, k_range",
+    [
+        (I.THM2_FIB_FORM, (0, 4), (-3, 3)),  # one state for the grid
+        (I.THM1_GIBONACCI, (0, 4), (-3, 3)),  # one state per k
+        (I.LEM_BRIDGE, (0, 30), None),  # a lemma; it fails from m = 20 on
+    ],
+)
+def test_engine_yields_the_named_records(ident, m_range, k_range):
+    cases = list(identities.iter_sweep(ident, m_range, k_range))
+    assert any(outcome.status is Status.PASS for _, outcome in cases)
+    for params, outcome in cases:
+        assert type(params) is CaseParams and type(outcome) is CheckOutcome
+        if outcome.status is Status.PASS:
+            assert outcome.note == "" and outcome.rhs is outcome.lhs
 
 
 def test_state_per_k_only_where_k_changes_a_base_or_a_sequence():

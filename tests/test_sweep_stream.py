@@ -1,14 +1,16 @@
 """Streaming sweeps and the work neighbouring cases share.
 
-A CLI sweep prints each case as it is checked, so its memory must not grow
-with the grid. The stepped engine carries kernel results from one m to the
-next instead of recomputing them, and a passing case's right side is
-decided by one exact division, without gcd. Each shortcut is checked here
-against a route that does not take it.
+A CLI sweep writes its lines in blocks of about 8 KB as the cases are
+checked, so its memory must not grow with the grid, and a sweep cut short
+still shows every case checked before the cut. The stepped engine carries
+kernel results from one m to the next instead of recomputing them, and a
+passing case's right side is decided by one exact division, without gcd.
+Each shortcut is checked here against a route that does not take it.
 """
 
 import contextlib
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cfkit
-from cfkit import cli, contfrac, identities, rational, sequences
+from cfkit import _engine, cli, contfrac, identities, rational, sequences
 from cfkit.contfrac import evaluate, expand_rational
 from cfkit.errors import BadDomain, EmptyRange
 from cfkit.identities import CaseParams, IdentityId, Status
@@ -60,6 +62,74 @@ def test_cli_sweep_memory_does_not_grow_with_the_grid():
     # Ten times the cases; what a materialised report would need grows
     # by megabytes, a stream by the few digits k adds to each number.
     assert large < small + 32 * 1024, (small, large)
+
+
+class _Recorder(io.TextIOBase):
+    """A text stream that keeps each write as one item; a terminal if `tty`."""
+
+    def __init__(self, tty=False):
+        self.writes, self.tty = [], tty
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def isatty(self):
+        return self.tty
+
+
+_GRID = "sweep THM2_FIB_FORM --m 0..20 --k -50..50 --json".split()  # 2 121 cases
+
+
+def test_cli_sweep_writes_blocks_not_lines():
+    out = _Recorder()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(_GRID) == 0
+    text = "".join(out.writes)
+    assert text.count("\n") == 2121 + 1  # every case, then the summary
+    assert all(block.endswith("\n") for block in out.writes)  # no line is split
+    assert len(out.writes) <= len(text) // 8192 + 2, len(out.writes)
+
+
+@pytest.mark.parametrize("argv", [_GRID, "sweep LEM_BRIDGE --m 0..300".split()])
+def test_cli_sweep_writes_each_line_at_once_to_a_terminal(argv):
+    # Text mode writes only the lines that are not PASS; LEM_BRIDGE fails from m = 20 on.
+    out = _Recorder(tty=True)
+    with contextlib.redirect_stdout(out):
+        cli.run(argv)
+    assert len(out.writes) > 1
+    assert all(line.count("\n") == 1 and line.endswith("\n") for line in out.writes)
+
+
+@pytest.mark.parametrize("n", [0, 1, 37, 300])
+def test_a_sweep_cut_short_shows_every_case_checked(capsys, monkeypatch, n):
+    cli.run(_GRID)
+    complete = capsys.readouterr().out.splitlines()
+    real = _engine.sweep_cases
+
+    def cut_short(*grid):
+        yield from itertools.islice(real(*grid), n)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(_engine, "sweep_cases", cut_short)
+    assert cli.run(_GRID) == 4
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == complete[:n]
+    assert captured.err == "error: internal error: RuntimeError: boom\n"
+
+
+def test_a_sweep_over_the_digit_limit_keeps_the_lines_before_it(capsys):
+    # Case 116 has a value past the interpreter's default 4 300-digit
+    # integer-string limit. This changes once the CLI lifts the limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = cli.run("sweep THM6_ELEVEN_FIB --m 4000..4200 --json".split())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out = capsys.readouterr().out
+    assert code == 4
+    assert len(out.splitlines()) == 115 and out.endswith("\n")
 
 
 @pytest.mark.parametrize(
