@@ -4,10 +4,13 @@ It reads the catalog's table (see `identities`). A state is the zip of the
 left prefix's matrices and the two forms' values at each m of the grid:
 one matrix power seeds the prefix and one product carries it to the next
 m, and each term of a form is a `sequences.walk` at the stride of the
-grid, which seeds it with direct calls and steps it from then on. A case
-then costs one product for its tail and the exact division that decides
-it. iter_sweep() imports this module on first use, so commands that do
-not sweep do not compile it.
+grid, which seeds it with direct calls and steps it from then on; a form
+is P(m) + k*Q(m), made once per m. Where k changes the base or a sequence
+there is one state per k, so memory grows with the k range and not with
+the m range. A case then costs one product for its tail and one call of
+identities._verdict(), and comes out as a plain tuple of ints and its
+Status, with no record. iter_sweep() imports this module on first use,
+so commands that do not sweep do not compile it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from itertools import accumulate, repeat
 
 from . import contfrac, identities, sequences
 from .contfrac import _mul
-from .identities import CaseParams, CheckOutcome, IdentityId, _Lin
-from .rational import Rational
+from .identities import IdentityId, _Lin
 
 
 def _prefix(ident: IdentityId, k: int | None, m: int, m_step: int) -> Iterator:
@@ -58,14 +60,16 @@ def _state_depends_on_k(ident: IdentityId) -> bool:
     return any(p is not None and p.c1 for form in ident.forms for *_, p in form)
 
 
-def sweep_cases(
-    ident: IdentityId, ms: range, ks: range | tuple[None]
-) -> Iterator[tuple[CaseParams, CheckOutcome]]:
-    """Every case of the grid ms x ks, from states seeded at ms[0] and stepped in m."""
-    # identities._outcome, the one comparison run_case() decides every case
-    # with, looked up when the sweep starts. A lemma first = second is
-    # decided as first against the ratio second/1.
-    outcome_of = identities._outcome
+def sweep_cases(ident: IdentityId, ms: range, ks: range | tuple[None]) -> Iterator[tuple]:
+    """Every case of the grid ms x ks as (m, k, status, p, q, num, den), in (m, k) order.
+
+    The states are seeded at ms[0] and stepped in m. p/q is the left side,
+    coprime with q >= 0 (q = 0: undefined), num/den the stated ratio; a
+    lemma first = second is first/1 against second/1.
+    """
+    # identities._verdict, the one comparison run_case() decides every case
+    # with, looked up when the sweep starts.
+    verdict = identities._verdict
     tail = None if ident.is_lemma else ident.lhs.tail
     if tail is not None:
         t0, t1 = tail.c0, tail.c1  # inlined below; a call per case would cost as much as the product
@@ -79,11 +83,12 @@ def sweep_cases(
             first = a0 + k * b0 if b0 else a0
             second = a1 + k * b1 if b1 else a1
             if matrix is None:
-                outcome = outcome_of(Rational._coprime(first, 1), second, 1)
-            else:
-                p, p_prev, q, q_prev = matrix
-                if tail is not None:
-                    t = t0 + t1 * k if t1 else t0
-                    p, q = t * p + p_prev, t * q + q_prev
-                outcome = outcome_of(Rational._coprime(p, q) if q else None, first, second)
-            yield CaseParams(m, k), outcome
+                yield m, k, verdict(first, 1, second, 1), first, 1, second, 1
+                continue
+            p, p_prev, q, q_prev = matrix
+            if tail is not None:
+                t = t0 + t1 * k if t1 else t0
+                p, q = t * p + p_prev, t * q + q_prev
+            if q < 0:
+                p, q = -p, -q
+            yield m, k, verdict(p, q, first, second), p, q, first, second

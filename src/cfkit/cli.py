@@ -11,11 +11,11 @@
     cfkit surd 19                     periodic expansion of sqrt(d)
 
 Every subcommand accepts --json for machine-readable output; sweeps emit
-one JSON object per case followed by a summary object. A sweep writes its
-lines in blocks of about 8 KB as it checks the cases (to a terminal, each
-line at once) and counts the tallies as it goes, so its memory stays flat
-however large the grid. Big integers are serialized as decimal strings,
-never as JSON numbers.
+one JSON object per case followed by a summary object. sweep, seq and
+convergents write their lines in blocks of about 8 KB as they make them
+(to a terminal, each line at once), and a sweep counts the tallies as it
+goes, so its memory stays flat however large the grid. Big integers are
+serialized as decimal strings, never as JSON numbers.
 
 Exit codes: 0 success (all PASS), 1 at least one FAIL, 2 usage error,
 3 evaluation or domain error, 4 internal error (a bug, not a verdict;
@@ -126,25 +126,51 @@ def _strings_json(values) -> str:
     return "[" + ", ".join(f'"{v}"' for v in values) + "]"
 
 
+def _write_lines(lines) -> None:
+    """Write the lines (newline-ended) in blocks of over 8 KB, so python -u makes no write per line.
+
+    A terminal gets each line at once. When `lines` raises, the lines before go
+    out; a write that raises (a closed pipe) empties `pending` first.
+    """
+    write = sys.stdout.write
+    pending, block = "", 0 if sys.stdout.isatty() else 8192
+    try:
+        for line in lines:
+            pending += line
+            if len(pending) > block:
+                text, pending = pending, ""
+                write(text)
+    finally:
+        if pending:
+            write(pending)
+
+
+def _pass_json(name: str, m: int, k: int | None, p: int, q: int) -> str:
+    """A passing case as a JSON line from plain ints; both sides are p/q as _rat_json() writes it."""
+    side = f'{{"num": "{p}", "den": "{q}"}}'
+    k_field = "" if k is None else f', "k": {k}'
+    return (
+        f'{{"identity": "{name}", "params": {{"m": {m}{k_field}}}, "lhs": {side}, "rhs": {side}, '
+        '"status": "PASS", "note": ""}'
+    )
+
+
 def _case_json(name: str, params: CaseParams, outcome: CheckOutcome) -> str:
-    """One case as a JSON object, written from one template.
+    """One case as a JSON object, written from one template (a PASS from _pass_json()'s).
 
     The bytes are those of json.dumps() on the object {"identity", "params",
     "lhs", "rhs", "status", "note"}: an undefined side's key is left out,
     big integers are decimal strings, and m and k are JSON numbers. Names,
     statuses and notes are plain ASCII without quotes or backslashes, so they
-    need no escaping. A passing case carries one Rational as both sides, so
-    its digits are converted once.
+    need no escaping.
     """
     m, k = params
     status, lhs, rhs, note = outcome
-    sides = ""
-    if lhs is not None:
-        left = _rat_json(lhs)
-        sides = f', "lhs": {left}'
+    if status.name == "PASS":
+        return _pass_json(name, m, k, lhs.num, lhs.den)
+    sides = "" if lhs is None else f', "lhs": {_rat_json(lhs)}'
     if rhs is not None:
-        right = left if rhs is lhs else _rat_json(rhs)
-        sides += f', "rhs": {right}'
+        sides += f', "rhs": {_rat_json(rhs)}'
     k_field = "" if k is None else f', "k": {k}'
     return (
         f'{{"identity": "{name}", "params": {{"m": {m}{k_field}}}{sides}, '
@@ -193,13 +219,9 @@ def _cmd_convergents(args) -> int:
     from . import contfrac
 
     table = contfrac.convergents(contfrac.parse_cf(args.cf))
-    write = sys.stdout.write
     # Each --json line is the bytes of json.dumps({"i": i, "p": str(p), "q": str(q)}).
-    for i, (p, q) in enumerate(zip(table.p, table.q)):
-        if args.json:
-            write(f'{{"i": {i}, "p": "{p}", "q": "{q}"}}\n')
-        else:
-            write(f"{i}: {p}/{q}\n")
+    rows = enumerate(zip(table.p, table.q))
+    _write_lines(f'{{"i": {i}, "p": "{p}", "q": "{q}"}}\n' if args.json else f"{i}: {p}/{q}\n" for i, (p, q) in rows)
     return 0
 
 
@@ -230,15 +252,14 @@ def _cmd_seq(args) -> int:
     if args.start > args.stop:
         raise EmptyRange(f"empty index range {args.start}..{args.stop}")
     leading = () if needs is None else (extras[needs],)
-    write = sys.stdout.write
+    values = zip(range(args.start, args.stop + 1), sequences.walk(name, leading, args.start, 1))
     # Each --json line is the bytes of json.dumps({"kind", "n"[, needs], "value"}),
     # with the value a decimal string; kind names need no escaping.
     param = "" if needs is None else f', "{needs}": {extras[needs]}'
-    for n, value in zip(range(args.start, args.stop + 1), sequences.walk(name, leading, args.start, 1)):
-        if args.json:
-            write(f'{{"kind": "{args.kind}", "n": {n}{param}, "value": "{value}"}}\n')
-        else:
-            write(f"{n}\t{value}\n")
+    _write_lines(
+        f'{{"kind": "{args.kind}", "n": {n}{param}, "value": "{value}"}}\n' if args.json else f"{n}\t{value}\n"
+        for n, value in values
+    )
     return 0
 
 
@@ -279,34 +300,31 @@ def _cmd_sweep(args) -> int:
     from . import identities
 
     ident = _identity(args.identity)
-    name, write = ident.name, sys.stdout.write
-    passing, failing = identities.Status.PASS, identities.Status.FAIL
-    passed = failed = skipped = 0
-    # Lines go out in blocks of over 8 KB, one write each, so an unbuffered
-    # stdout (python -u) makes no system call per case; a terminal gets each
-    # line at once. A write that raises (a closed pipe) empties `pending` first.
-    pending, block = "", 0 if sys.stdout.isatty() else 8192
-    try:
-        for params, outcome in identities.iter_sweep(ident, args.m, args.k):
-            status = outcome.status
+    name, rows = ident.name, identities._sweep_rows(ident, args.m, args.k)
+    passing, failing, record = identities.Status.PASS, identities.Status.FAIL, identities._record
+    failed = 0
+
+    def lines():
+        # Nearly every case is a PASS, written from its ints; only the others get a record.
+        nonlocal failed
+        passed = skipped = 0
+        as_json, pass_json = args.json, _pass_json
+        for m, k, status, p, q, num, den in rows:
             if status is passing:
                 passed += 1
-            elif status is failing:
+                if as_json:
+                    yield pass_json(name, m, k, p, q) + "\n"
+                continue
+            if status is failing:
                 failed += 1
             else:
                 skipped += 1
-            if args.json:
-                pending += _case_json(name, params, outcome) + "\n"
-            elif status is not passing:
-                pending += _case_text(params, outcome) + "\n"
-            if len(pending) > block:
-                text, pending = pending, ""
-                write(text)
+            outcome = record(status, p, q, num, den)
+            yield (_case_json(name, (m, k), outcome) if as_json else _case_text((m, k), outcome)) + "\n"
         summary = f'{{"identity": "{name}", "pass": {passed}, "fail": {failed}, "skip": {skipped}}}'
-        pending += (summary if args.json else f"pass={passed} fail={failed} skip={skipped}") + "\n"
-    finally:
-        if pending:  # the cases checked before an error go out too
-            write(pending)
+        yield (summary if as_json else f"pass={passed} fail={failed} skip={skipped}") + "\n"
+
+    _write_lines(lines())
     return 1 if failed else 0
 
 

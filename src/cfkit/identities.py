@@ -13,23 +13,17 @@ Two routes read the same table:
   * run_case() is the reference, and the one worker that checks a case.
     It validates the case exactly once, as the one-case grid of a sweep,
     evaluates the left side's (value, count) runs with evaluate_runs()
-    under the forward convergent semantics and calls every X of the forms
-    directly. check() and check_lemma() check the entry's kind in front of
-    it; lhs_terms() and rhs_value() make the same kind check and the same
-    validation, then compute one side each.
-  * iter_sweep() is the stepped engine. It checks the whole grid against
-    the domain when it is called, seeds its state at the first m, and then
-    carries it from each m to the next: the left prefix [c]^(m+e) by one
-    matrix product, and each term of a form by sequences.walk(), one
-    constant step of its Fibonacci-type sequence per m. A form is
-    P(m) + k*Q(m), computed once per m; the case then costs one leaf
-    product for its tail. Where the base or a sequence depends on k
-    (COR_GENERAL_LUCAS, THM1_GIBONACCI) the engine keeps one state per k,
-    so its memory grows with the k range and not with the number of m
-    values. The cases stream out in (m, k) order; sweep() collects them
-    into a SweepReport. The engine lives in cfkit._engine, which
-    iter_sweep() imports on first use, so commands that do not sweep do
-    not compile it.
+    and calls every X of the forms directly. check() and check_lemma()
+    check the entry's kind in front of it; lhs_terms() and rhs_value()
+    make the same checks, then compute one side each.
+  * iter_sweep() is the stepped engine (cfkit._engine, which says how it
+    steps). It checks the whole grid when it is called, then seeds one
+    state at the first m, or one per k where k changes the base or a
+    sequence (COR_GENERAL_LUCAS, THM1_GIBONACCI), and carries it from each
+    m to the next. The engine yields each case in (m, k) order as the plain
+    tuple (m, k, status, p, q, num, den), which the CLI reads as it is;
+    iter_sweep() makes each a (CaseParams, CheckOutcome), and sweep()
+    collects them into a SweepReport.
 
 The two sides stay independent in both routes: the left side uses only the
 continued-fraction recurrence and the right side only the sequence values,
@@ -41,14 +35,14 @@ m <= 10) and steps it from there. Every other value obeys the recurrence at
 every index, negative F indices included.
 
 Each outcome is PASS/FAIL/SKIPPED; SKIPPED is reserved for cases whose two
-sides are both undefined (a one-sided undefined is a FAIL). The right side
-is an unreduced (num, den) pair. The left side p/q comes out already
-reduced (its final matrix has determinant +-1), so a case passes exactly
-when den = g*q and num = g*p for some integer g: one exact division decides
-it, the passing case reuses the left Rational as its right side, and only a
-failing right side is reduced by gcd. Both routes decide every case, of
-both kinds, with the same comparison, _outcome(): a lemma lhs = rhs is
-decided as the integer lhs against the ratio rhs/1.
+sides are both undefined (a one-sided undefined is a FAIL). Both routes
+decide every case with one function, _verdict(p, q, num, den): the left
+side p/q, reduced because its final matrix has determinant +-1 (q >= 0;
+q = 0: undefined), against the ratio num/den; a lemma lhs = rhs is lhs/1
+against rhs/1. A case passes exactly when (num, den) = g*(p, q) for an
+integer g, so one exact division decides it. _record() builds a decided
+case's CheckOutcome: a pass has one Rational as both sides, and only a
+failing right side is reduced by gcd.
 
 Catalog, with F = fib, f = fib_comb, L = lucas, l = lucas_swapped,
 G_k(n) = gibonacci(k, n) and S_t(n) = scaled_fib(t, n); m >= 0 throughout:
@@ -348,33 +342,42 @@ def rhs_value(ident: IdentityId, params: CaseParams) -> Rational | None:
     return None if den == 0 else Rational(num, den)
 
 
-def _outcome(lhs: Rational | None, num: int, den: int) -> CheckOutcome:
-    """The outcome of comparing a left side (None: undefined) with the ratio num/den."""
+def _verdict(p: int, q: int, num: int, den: int) -> Status:
+    """The status of a left side p/q (coprime, q >= 0; q = 0: undefined) against the ratio num/den."""
     if den == 0:
-        if lhs is None:
-            return CheckOutcome(_SKIPPED, None, None, "both sides undefined")
-        return CheckOutcome(_FAIL, lhs, None, "right side undefined")
-    if lhs is None:
-        return CheckOutcome(_FAIL, None, Rational(num, den), "left side undefined")
-    # lhs is reduced with lhs.den > 0, so num/den equals it iff (num, den)
-    # is an integer multiple of (lhs.num, lhs.den).
-    g, rem = divmod(den, lhs.den)
-    if rem == 0 and num == g * lhs.num:
+        return _FAIL if q else _SKIPPED
+    if q == 0:
+        return _FAIL
+    # p/q is reduced with q > 0, so num/den equals it iff (num, den) is an
+    # integer multiple of (p, q).
+    g, rem = divmod(den, q)
+    return _PASS if rem == 0 and num == g * p else _FAIL
+
+
+def _record(status: Status, p: int, q: int, num: int, den: int) -> CheckOutcome:
+    """The outcome record of a case _verdict() decided; only a failing right side is reduced."""
+    lhs = Rational._coprime(p, q) if q else None
+    if status is _PASS:
         return CheckOutcome(_PASS, lhs, lhs)
-    return CheckOutcome(_FAIL, lhs, Rational(num, den), "values differ")
+    if den == 0:
+        return CheckOutcome(status, lhs, None, "right side undefined" if q else "both sides undefined")
+    return CheckOutcome(_FAIL, lhs, Rational(num, den), "values differ" if q else "left side undefined")
 
 
 def run_case(ident: IdentityId, params: CaseParams) -> CheckOutcome:
-    """Check one case of either kind; a lemma lhs = rhs is decided as the ratio rhs/1."""
+    """Check one case of either kind; a lemma lhs = rhs is decided as lhs/1 against the ratio rhs/1."""
     m, k = _case(ident, params)
     first, second = (_form_value(form, m, k) for form in ident.forms)
     if ident.is_lemma:
-        return _outcome(Rational(first), second, 1)
-    try:
-        lhs = evaluate_runs(_runs(ident.lhs, m, k))
-    except UndefinedValue:
-        lhs = None
-    return _outcome(lhs, first, second)
+        p, q, num, den = first, 1, second, 1
+    else:
+        num, den = first, second
+        try:
+            lhs = evaluate_runs(_runs(ident.lhs, m, k))
+            p, q = lhs.num, lhs.den
+        except UndefinedValue:
+            p = q = 0
+    return _record(_verdict(p, q, num, den), p, q, num, den)
 
 
 def check(ident: IdentityId, params: CaseParams) -> CheckOutcome:
@@ -427,6 +430,14 @@ def _case_grid(
     return ms, range(k_lo, k_hi + 1) if ident.takes_k else (None,)
 
 
+def _sweep_rows(ident: IdentityId, m_range: tuple[int, int], k_range: tuple[int, int] | None) -> Iterator[tuple]:
+    """iter_sweep()'s cases as the engine's plain tuples (m, k, status, p, q, num, den), for the CLI."""
+    grid = _case_grid(ident, m_range, k_range)
+    from ._engine import sweep_cases  # compiled only by the commands that sweep
+
+    return sweep_cases(ident, *grid)
+
+
 def iter_sweep(
     ident: IdentityId,
     m_range: tuple[int, int],
@@ -439,10 +450,8 @@ def iter_sweep(
     result is consumed, and equal run_case() on each of them. The m interval
     is filtered to the entry's domain (multiples of 5 for LEM_BRIDGE).
     """
-    grid = _case_grid(ident, m_range, k_range)
-    from ._engine import sweep_cases  # compiled only by the commands that sweep
-
-    return sweep_cases(ident, *grid)
+    rows = _sweep_rows(ident, m_range, k_range)
+    return ((CaseParams(m, k), _record(*decided)) for m, k, *decided in rows)
 
 
 def sweep(

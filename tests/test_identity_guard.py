@@ -225,7 +225,7 @@ def test_sweep_checks_the_grid_before_any_case(monkeypatch, ident, m_range, k_ra
         monkeypatch.setattr(identities, real.__name__, wrapper)
 
     recorded("grid", identities._case_grid)
-    recorded("case", identities._outcome)
+    recorded("case", identities._verdict)
 
     stream = identities.iter_sweep(ident, m_range, k_range)
     assert events == ["grid"]  # checked on the call, before any case exists

@@ -3,14 +3,19 @@
 iter_sweep() seeds its state once and steps it in m; run_case() computes
 every value directly. On any window of any catalog entry the two must give
 the same (params, outcome) sequence, including where a term sits in the
-irregular start of lucas_swapped and where a side is undefined.
+irregular start of lucas_swapped and where a side is undefined. The CLI
+reads the engine's plain tuples and writes a PASS from its ints; on the
+same windows its lines must equal those rendered from iter_sweep()'s records.
 """
+
+import contextlib
+import io
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfkit import _engine, contfrac, identities
+from cfkit import _engine, cli, contfrac, identities
 from cfkit.identities import CaseParams, CheckOutcome, IdentityId, Status
 
 I = IdentityId
@@ -56,6 +61,36 @@ def test_engine_matches_run_case(window):
     ident, m_range, k_range = window
     got = list(identities.iter_sweep(ident, m_range, k_range))
     assert got == [(params, identities.run_case(ident, params)) for params in _grid(ident, m_range, k_range)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(_windows(), st.booleans())
+@example((I.THM3_ONES, (0, 3), (-3, 3)), True)  # SKIPPED at (1, 0) and (2, -1)
+@example((I.THM3_ONES, (0, 3), (-3, 3)), False)
+@example((I.LEM_BRIDGE, (0, 40), None), True)  # a lemma; FAIL from m = 20 on
+@example((I.LEM_BRIDGE, (0, 40), None), False)
+@example((I.THM5_SWAPPED_LUCAS, (0, 6), None), True)  # FAIL from m = 3 on
+@example((I.THM5_SWAPPED_LUCAS, (0, 6), None), False)
+@example((I.THM2_FIB_FORM, (0, 3), (-40, 40)), True)
+def test_cli_sweep_lines_equal_the_records(window, as_json):
+    ident, m_range, k_range = window
+    argv = ["sweep", ident.name, "--m", f"{m_range[0]}..{m_range[1]}"]
+    if k_range is not None:
+        argv += ["--k", f"{k_range[0]}..{k_range[1]}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv + ["--json"] * as_json)
+    *lines, summary = out.getvalue().splitlines()
+
+    cases = list(identities.iter_sweep(ident, m_range, k_range))
+    passed, failed, skipped = (sum(o.status is s for _, o in cases) for s in (Status.PASS, Status.FAIL, Status.SKIPPED))
+    if as_json:
+        assert lines == [cli._case_json(ident.name, params, outcome) for params, outcome in cases]
+        assert summary == f'{{"identity": "{ident.name}", "pass": {passed}, "fail": {failed}, "skip": {skipped}}}'
+    else:
+        assert lines == [cli._case_text(p, o) for p, o in cases if o.status is not Status.PASS]
+        assert summary == f"pass={passed} fail={failed} skip={skipped}"
+    assert code == (1 if failed else 0)
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -212,9 +213,15 @@ def test_failing_cases_reduce_their_right_side(gcd_calls):
 # --- the division check ------------------------------------------------------
 
 
+def _decided(p, q, num, den):
+    """The record of the case identities._verdict(), which both routes decide a case with, decides."""
+    return identities._record(identities._verdict(p, q, num, den), p, q, num, den)
+
+
 def _outcome(lhs, num, den):
-    """identities._outcome(), which both routes decide a case with, on a left side evaluating to lhs."""
-    return identities._outcome(evaluate(expand_rational(lhs)), num, den)
+    """_decided() on a left side evaluating to lhs."""
+    lhs = evaluate(expand_rational(lhs))
+    return _decided(lhs.num, lhs.den, num, den)
 
 
 _value = st.integers(-(10**30), 10**30)
@@ -262,13 +269,49 @@ _lemma_sides = st.one_of(st.tuples(_side, _side), _side.map(lambda a: (a, a)))
 def test_a_lemma_is_decided_as_its_right_side_over_one(sides):
     # A lemma a = b is the comparison of the left side a with the ratio b/1.
     a, b = sides
-    outcome = identities._outcome(Rational(a), b, 1)
+    outcome = _decided(a, 1, b, 1)
     if a == b:
         assert outcome.status is Status.PASS
         assert outcome.rhs is outcome.lhs
         assert (outcome.lhs.num, outcome.lhs.den, outcome.note) == (a, 1, "")
     else:
         assert outcome == (Status.FAIL, Rational(a), Rational(b), "values differ")
+
+
+_side_or_zero = st.one_of(st.just(0), _side)
+
+
+@st.composite
+def _verdict_cases(draw):
+    """(p, q, num, den): p/q coprime with q >= 0 (q = 0: undefined), num/den often a multiple of it."""
+    p, q = draw(_side), draw(_side_or_zero)
+    if q:
+        g = gcd(p, q) * (1 if q > 0 else -1)
+        p, q = p // g, q // g
+    if draw(st.booleans()):
+        g = draw(_side)
+        return p, q, g * p, g * q
+    return p, q, draw(_side_or_zero), draw(_side_or_zero)
+
+
+@given(_verdict_cases())
+@example((0, 0, 5, 0))  # both undefined
+@example((1, 0, 5, 7))  # left undefined
+@example((5, 7, 5, 0))  # right undefined
+@example((0, 1, 0, -(2**70)))  # zero over a negative >64-bit denominator
+@example((-(2**65), 3, 2**65, -3))
+@example((2**64 + 1, 2**64, 2**64 + 1, 2**64 + 1))
+def test_verdict_agrees_with_fraction(case):
+    p, q, num, den = case
+    lhs = Fraction(p, q) if q else None
+    rhs = Fraction(num, den) if den else None
+    if lhs is None and rhs is None:
+        expected = Status.SKIPPED
+    elif lhs is not None and lhs == rhs:
+        expected = Status.PASS
+    else:
+        expected = Status.FAIL
+    assert identities._verdict(p, q, num, den) is expected
 
 
 # --- the import path ---------------------------------------------------------
