@@ -1,4 +1,4 @@
-"""The stepped sweep engine behind identities.iter_sweep().
+"""The stepped engine behind every grid: identities.iter_sweep() and fit_uniform().
 
 It reads the catalog's table (see `identities`). A state is the zip of the
 left prefix's matrices and the two forms' values at each m of the grid:
@@ -9,8 +9,8 @@ is P(m) + k*Q(m), made once per m. Where k changes the base or a sequence
 there is one state per k, so memory grows with the k range and not with
 the m range. A case then costs one product for its tail and one call of
 identities._verdict(), and comes out as a plain tuple of ints and its
-Status, with no record. iter_sweep() imports this module on first use,
-so commands that do not sweep do not compile it.
+Status, with no record. identities._sweep_rows() imports this module on
+first use, so the commands other than sweep and fit do not compile it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import accumulate, repeat
 
 from . import contfrac, identities, sequences
 from .contfrac import _mul
-from .identities import IdentityId, _Lin
+from .identities import IdentityId
 
 
 def _prefix(ident: IdentityId, k: int | None, m: int, m_step: int) -> Iterator:
@@ -54,8 +54,7 @@ def _state(ident: IdentityId, k: int | None, ms: range) -> Iterator[tuple]:
 
 def _state_depends_on_k(ident: IdentityId) -> bool:
     """Whether k changes the base or a sequence (not only a tail or a coefficient)."""
-    base = None if ident.is_lemma else ident.lhs.base
-    if base is not None and not (isinstance(base, _Lin) and not base.c1):
+    if not ident.is_lemma and ident.lhs.base.c1:
         return True
     return any(p is not None and p.c1 for form in ident.forms for *_, p in form)
 

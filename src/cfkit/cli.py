@@ -14,8 +14,9 @@ Every subcommand accepts --json for machine-readable output; sweeps emit
 one JSON object per case followed by a summary object. sweep, seq and
 convergents write their lines in blocks of about 8 KB as they make them
 (to a terminal, each line at once), and a sweep counts the tallies as it
-goes, so its memory stays flat however large the grid. Big integers are
-serialized as decimal strings, never as JSON numbers.
+goes and keeps no case it has written. THM1_GIBONACCI and COR_GENERAL_LUCAS
+keep one engine state per k, so their memory grows with the k range. Big
+integers are serialized as decimal strings, never as JSON numbers.
 
 Exit codes: 0 success (all PASS), 1 at least one FAIL, 2 usage error,
 3 evaluation or domain error, 4 internal error (a bug, not a verdict;

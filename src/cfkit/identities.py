@@ -2,11 +2,12 @@
 
 Each entry is one IdentityId member, declared once as its record in the
 paper's terms. A continued-fraction entry's left side is [c]*(m + e) + [t]:
-a base c (or c(k)), a count m or m + 1, and an optional tail t(k). Its
-right side is a ratio of two linear forms, each a short sum of
-coef(k)*X(a*m + b) over the `sequences` functions X; a lemma (LEM_*) is one
-such form on each side of an exact integer equation. The record also states
-the domain: whether k is taken, k's lower bound, and the m step.
+a base c(k), a count m or m + 1, and an optional tail t(k). Its right side
+is a ratio of two linear forms, each a short sum of coef(k)*X(a*m + b) over
+the `sequences` functions X; a lemma (LEM_*) is one such form on each side
+of an exact integer equation. c, t, coef and X's order are data: c0 + c1*k,
+or X(c0 + c1*k) (the base L(2k + 1)). The record also states the domain,
+k's lower bound and the m step; an entry takes k where k appears in it.
 
 Two routes read the same table:
 
@@ -22,8 +23,8 @@ Two routes read the same table:
     sequence (COR_GENERAL_LUCAS, THM1_GIBONACCI), and carries it from each
     m to the next. The engine yields each case in (m, k) order as the plain
     tuple (m, k, status, p, q, num, den), which the CLI reads as it is;
-    iter_sweep() makes each a (CaseParams, CheckOutcome), and sweep()
-    collects them into a SweepReport.
+    iter_sweep() makes each a (CaseParams, CheckOutcome), sweep() collects
+    them into a SweepReport, and fit_uniform() reads a one-k grid's status.
 
 The two sides stay independent in both routes: the left side uses only the
 continued-fraction recurrence and the right side only the sequence values,
@@ -88,7 +89,7 @@ Two caveats the harness itself demonstrates:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from enum import Enum, auto
 from typing import NamedTuple
 
@@ -105,19 +106,23 @@ from .errors import (
     UsageError,
 )
 from .rational import Rational
-from .sequences import lucas, lucas_odd_index_of
+from .sequences import lucas_odd_index_of
 
 
 class _Lin:
-    """The affine function c0 + c1*k of a case's k; c1 = 0 makes it a constant."""
+    """c0 + c1*k of a case's k, or X(c0 + c1*k) for the `sequences` function X named of; c1 = 0: a constant.
 
-    __slots__ = ("c0", "c1")
+    Only a base names a sequence: the engine reads a tail's or a coefficient's c0 and c1 as they are.
+    """
 
-    def __init__(self, c0: int, c1: int = 0):
-        self.c0, self.c1 = c0, c1
+    __slots__ = ("c0", "c1", "of")
+
+    def __init__(self, c0: int, c1: int = 0, of: str | None = None):
+        self.c0, self.c1, self.of = c0, c1, of
 
     def __call__(self, k: int | None) -> int:
-        return self.c0 + self.c1 * k if self.c1 else self.c0
+        n = self.c0 + self.c1 * k if self.c1 else self.c0
+        return n if self.of is None else getattr(sequences, self.of)(n)
 
 
 _K = _Lin(0, 1)
@@ -140,15 +145,12 @@ def _t(coef: int | _Lin, x: str, a: int, b: int, p: int | _Lin | None = None) ->
 
 
 class _Cf:
-    """The continued fraction [base(k)]*(m + extra), then [tail(k)] when a tail is given.
-
-    An integer base or tail is a constant; a base may also be any function of k.
-    """
+    """The continued fraction [base(k)]*(m + extra), then [tail(k)] when given; an int is a constant."""
 
     __slots__ = ("base", "extra", "tail")
 
-    def __init__(self, base: int | Callable[[int], int], extra: int = 0, tail: int | _Lin | None = None):
-        self.base = base if callable(base) else _Lin(base)
+    def __init__(self, base: int | _Lin, extra: int = 0, tail: int | _Lin | None = None):
+        self.base = _lin(base)
         self.extra = extra
         self.tail = None if tail is None else _lin(tail)
 
@@ -156,26 +158,28 @@ class _Cf:
 # The record each IdentityId member is declared as. A continued-fraction
 # entry has a _Cf left side and, as its right side, the pair of forms
 # (numerator, denominator); a lemma has one form on each side. A form is a
-# tuple of terms (see _t), summed. The domain: takes_k, k's lower bound
-# k_min (None: every k), and m_step, the entry being stated only for
-# multiples of it.
+# tuple of terms (see _t), summed. The domain: k's lower bound k_min
+# (None: every k), and m_step, the entry being stated only for multiples
+# of it.
 class _Entry(NamedTuple):
     lhs: _Cf | tuple[tuple, ...]
     rhs: tuple[tuple[tuple, ...], tuple[tuple, ...]] | tuple[tuple, ...]
-    takes_k: bool = False
     k_min: int | None = None
     m_step: int = 1
 
 
 class IdentityId(Enum):
-    """One catalog entry; the member carries its record's five fields as attributes."""
+    """One catalog entry; the member carries its record's four fields as attributes, and takes_k."""
 
     def __new__(cls, *fields):
         # Enum passes the fields of a tuple value as arguments. The values
         # stay 1, 2, ... in declaration order, as auto() would number them.
         member = object.__new__(cls)
         member._value_ = len(cls.__members__) + 1
-        member.lhs, member.rhs, member.takes_k, member.k_min, member.m_step = fields
+        member.lhs, member.rhs, member.k_min, member.m_step = fields
+        lins = [] if member.is_lemma else [member.lhs.base, member.lhs.tail]
+        lins += [lin for form in member.forms for coef, *_, p in form for lin in (coef, p)]
+        member.takes_k = any(lin is not None and lin.c1 for lin in lins)  # k appears in the record
         return member
 
     ID117 = _Entry(_Cf(4, tail=3), ((_t(1, "fib_comb", 3, 3),), (_t(1, "fib_comb", 3, 0),)))
@@ -184,7 +188,6 @@ class IdentityId(Enum):
     THM1_GIBONACCI = _Entry(
         _Cf(4, tail=_Lin(3, 2)),
         ((_t(1, "gibonacci", 3, 4, p=_K),), (_t(1, "gibonacci", 3, 1, p=_K),)),
-        takes_k=True,
     )
     THM2_FIB_FORM = _Entry(
         _Cf(4, tail=_Lin(3, 2)),
@@ -192,7 +195,6 @@ class IdentityId(Enum):
             (_t(1, "fib", 3, 4), _t(_K, "fib", 3, 3)),
             (_t(1, "fib", 3, 1), _t(_K, "fib", 3, 0)),
         ),
-        takes_k=True,
     )
     THM3_ONES = _Entry(
         _Cf(1, tail=_K),
@@ -200,7 +202,6 @@ class IdentityId(Enum):
             (_t(1, "fib", 1, 2), _t(_Lin(-1, 1), "fib", 1, 1)),
             (_t(1, "fib", 1, 1), _t(_Lin(-1, 1), "fib", 1, 0)),
         ),
-        takes_k=True,
     )
     THM4_ELEVEN3 = _Entry(_Cf(11, tail=3), ((_t(1, "fib", 5, 4),), (_t(1, "fib", 5, -1),)))
     THM5_SWAPPED_LUCAS = _Entry(
@@ -220,9 +221,8 @@ class IdentityId(Enum):
         ((_t(1, "scaled_fib", 1, 2, p=7),), (_t(1, "scaled_fib", 1, 1, p=7),)),
     )
     COR_GENERAL_LUCAS = _Entry(
-        _Cf(lambda k: lucas(2 * k + 1), extra=1),
+        _Cf(_Lin(1, 2, of="lucas"), extra=1),
         ((_t(1, "scaled_fib", 1, 2, p=_Lin(1, 2)),), (_t(1, "scaled_fib", 1, 1, p=_Lin(1, 2)),)),
-        takes_k=True,
         k_min=0,
     )
     EXT_ELEVEN8 = _Entry(_Cf(11, tail=8), ((_t(1, "fib", 5, 6),), (_t(1, "fib", 5, 1),)))
@@ -476,5 +476,5 @@ def fit_uniform(c: int, n_max: int) -> int | None:
     t = lucas_odd_index_of(c)
     if t is None:
         return None
-    cases = (run_case(IdentityId.COR_GENERAL_LUCAS, CaseParams(m, t // 2)) for m in range(n_max))
-    return t if all(outcome.status is _PASS for outcome in cases) else None
+    rows = _sweep_rows(IdentityId.COR_GENERAL_LUCAS, (0, n_max - 1), (t // 2, t // 2))
+    return t if all(status is _PASS for _, _, status, *_ in rows) else None

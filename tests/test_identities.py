@@ -2,6 +2,7 @@ import pickle
 
 import pytest
 
+from cfkit import identities, sequences
 from cfkit.contfrac import eval_fold, evaluate
 from cfkit.errors import (
     BadDomain,
@@ -21,10 +22,11 @@ from cfkit.identities import (
     fit_uniform,
     lhs_terms,
     rhs_value,
+    run_case,
     sweep,
 )
 from cfkit.rational import Rational
-from cfkit.sequences import fib, gibonacci
+from cfkit.sequences import fib, gibonacci, lucas, lucas_odd_index_of
 
 I = IdentityId
 
@@ -288,3 +290,49 @@ def test_fit_uniform():
         fit_uniform(0, 10)
     with pytest.raises(ValueError):
         fit_uniform(11, 2)
+
+
+def _fit_by_run_case(c, n_max):
+    """fit_uniform() by its definition: the odd t with L(t) = c, if run_case() passes every m < n_max."""
+    t = lucas_odd_index_of(c)
+    if t is None:
+        return None
+    cases = (run_case(I.COR_GENERAL_LUCAS, CaseParams(m, t // 2)) for m in range(n_max))
+    return t if all(outcome.status is Status.PASS for outcome in cases) else None
+
+
+@pytest.mark.parametrize("n_max", [3, 4, 10, 37])
+def test_fit_uniform_equals_its_run_case_definition(n_max):
+    cs = list(range(1, 81)) + [lucas(t) for t in range(1, 22, 2)]
+    assert [fit_uniform(c, n_max) for c in cs] == [_fit_by_run_case(c, n_max) for c in cs]
+
+
+def _leaves(value):
+    """The leaves of a catalog record, opening tuples, _Cf and _Lin by their fields."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    elif isinstance(value, (identities._Cf, identities._Lin)):
+        for name in type(value).__slots__:
+            yield from _leaves(getattr(value, name))
+    else:
+        yield value
+
+
+def test_every_record_is_plain_data():
+    assert identities._Entry._fields == ("lhs", "rhs", "k_min", "m_step")
+    for ident in IdentityId:
+        for leaf in _leaves((ident.lhs, ident.rhs, ident.k_min, ident.m_step)):
+            assert leaf is None or type(leaf) is int or type(leaf) is str, (ident.name, leaf)
+            if type(leaf) is str:
+                assert callable(getattr(sequences, leaf)), (ident.name, leaf)
+        # Only a base names a sequence: the engine reads every other value's c0 and c1 as they are.
+        tail = () if ident.is_lemma else (ident.lhs.tail,)
+        others = [*tail, *(lin for form in ident.forms for coef, *_, p in form for lin in (coef, p))]
+        assert all(lin is None or lin.of is None for lin in others), ident.name
+
+
+def test_takes_k_is_worked_out_from_the_record():
+    takes_k = {ident for ident in IdentityId if ident.takes_k}
+    assert takes_k == {I.THM1_GIBONACCI, I.THM2_FIB_FORM, I.THM3_ONES, I.COR_GENERAL_LUCAS}
+    assert [I.COR_GENERAL_LUCAS.lhs.base(k) for k in range(6)] == [lucas(2 * k + 1) for k in range(6)]

@@ -62,8 +62,8 @@ LOADS = {
     "oracle stacked 2,3 --json": {"cfkit.cli", "cfkit.errors", "cfkit.tiling"},
     "check ID117 --m 2": _IDENTITIES,
     "check ID117 --m 2 --json": _IDENTITIES,
-    "fit 29": _IDENTITIES,
-    "fit 29 --json": _IDENTITIES,
+    "fit 29": _IDENTITIES | {"cfkit._engine"},
+    "fit 29 --json": _IDENTITIES | {"cfkit._engine"},
     "sweep ID117 --m 0..3": _IDENTITIES | {"cfkit._engine"},
     "sweep ID117 --m 0..3 --json": _IDENTITIES | {"cfkit._engine"},
 }
