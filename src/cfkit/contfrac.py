@@ -12,19 +12,18 @@ matrices [[a_i, 1], [1, 0]] is [[p_n, p_{n-1}], [q_n, q_{n-1}]].
 convergents() runs the recurrence and keeps every row; the other routes
 compute only the last row and give the same p_n and q_n:
 
-  * evaluate() takes a flat term list and multiplies the matrices in a
-    balanced product tree (binary splitting), so the large products pair
-    operands of similar size, where Python's Karatsuba multiplication pays
-    off, and only short segments run the recurrence.
-  * evaluate_runs() takes (value, count) runs, the form the parser and the
-    identity catalog produce. A run of `count` equal terms is one matrix
-    power [[a, 1], [1, 0]]^count, found by repeated squaring in
-    O(log count) steps; powers of that symmetric matrix stay symmetric, so
-    three entries describe each. Nothing is kept between calls: an identity
+  * evaluate() takes a flat term list and evaluate_runs() takes (value,
+    count) runs, the form the parser and the identity catalog produce.
+    Both cut flat terms into leaves of at most _LEAF_TERMS terms, which run
+    the recurrence, and share one balanced product tree that multiplies
+    neighbours level by level, so the large products pair operands of
+    similar size, where Python's Karatsuba multiplication pays off.
+  * evaluate_runs() lays short runs out flat. A run of at least _LEAF_TERMS
+    equal terms is one matrix power [[a, 1], [1, 0]]^count, found by
+    repeated squaring in O(log count) steps; powers of that symmetric
+    matrix stay symmetric, so three entries describe each. An identity
     sweep computes one power per prefix and then extends it by one matrix
-    product per step of m (see `identities`). Short runs are laid out flat
-    and go through the same leaves as evaluate(), and the pieces are
-    multiplied in a balanced tree.
+    product per step of m (see `_engine`).
 
 The final matrix has determinant (-1)^(n+1), so p_n and q_n are always
 coprime and both routes return them as they are, with only the sign
@@ -39,12 +38,14 @@ Text format (a stable interface, used by the CLI):
 
 Whitespace between tokens is ignored. INT is a signed decimal integer;
 COUNT is a nonnegative decimal repetition count, so "[4x3, 9]" means
-"[4,4,4,9]" and a zero count contributes nothing. parse_runs() returns the
+"[4,4,4,9]" and a zero count contributes nothing. The item rule, with the
+whitespace around it, is what _ITEM matches. parse_runs() returns the
 items as runs without expanding them; parse_cf() returns the expansion.
 """
 
 from __future__ import annotations
 
+import re
 from math import isqrt
 from typing import NamedTuple
 
@@ -101,7 +102,7 @@ def convergents(terms) -> ConvergentTable:
     return ConvergentTable(tuple(ps), tuple(qs))
 
 
-# Segments of at most this many terms run the forward recurrence directly;
+# Leaves of at most this many terms run the forward recurrence directly;
 # on word-sized values that is cheaper than splitting further.
 _LEAF_TERMS = 32
 
@@ -118,21 +119,16 @@ def _mul(m1: tuple[int, int, int, int], m2: tuple[int, int, int, int]) -> tuple[
     )
 
 
-def _segment(terms: list[int], lo: int, hi: int) -> tuple[int, int, int, int]:
-    """Product of [[a_i, 1], [1, 0]] for lo <= i < hi, as (p, p', q, q').
-
-    The tuple is the matrix [[p, p'], [q, q']]: for lo = 0 it holds the
-    convergents p_{hi-1}, p_{hi-2}, q_{hi-1}, q_{hi-2}.
-    """
-    if hi - lo <= _LEAF_TERMS:
+# Iterator is named only in an annotation, which postponed evaluation never
+# resolves, so this module imports nothing for it.
+def _leaves(terms: list[int]) -> Iterator[tuple[int, int, int, int]]:
+    """Product of [[a_i, 1], [1, 0]] over each slice of at most _LEAF_TERMS terms, as (p, p', q, q')."""
+    for lo in range(0, len(terms), _LEAF_TERMS):
         p, p_prev, q, q_prev = 1, 0, 0, 1
-        for i in range(lo, hi):
-            a = terms[i]
+        for a in terms[lo:lo + _LEAF_TERMS]:
             p, p_prev = a * p + p_prev, p
             q, q_prev = a * q + q_prev, q
-        return p, p_prev, q, q_prev
-    mid = (lo + hi) // 2
-    return _mul(_segment(terms, lo, mid), _segment(terms, mid, hi))
+        yield p, p_prev, q, q_prev
 
 
 def _run_power(a: int, n: int) -> tuple[int, int, int, int]:
@@ -153,8 +149,18 @@ def _run_power(a: int, n: int) -> tuple[int, int, int, int]:
     return x, y, y, z
 
 
-def _final_value(p: int, q: int) -> Rational:
-    """p/q from a final matrix row; its determinant is +-1, so no gcd is needed."""
+def _value(pieces: list[tuple[int, int, int, int]]) -> Rational:
+    """p/q of the product of the pieces, neighbours multiplied level by level.
+
+    An odd last piece goes up a level as it is. The product's determinant is
+    +-1, so no gcd is needed.
+    """
+    while len(pieces) > 1:
+        paired = [_mul(pieces[i], pieces[i + 1]) for i in range(0, len(pieces) - 1, 2)]
+        if len(pieces) % 2:
+            paired.append(pieces[-1])
+        pieces = paired
+    p, _, q, _ = pieces[0]
     if q == 0:
         raise UndefinedValue("final convergent denominator is zero")
     return Rational._coprime(p, q)
@@ -162,9 +168,7 @@ def _final_value(p: int, q: int) -> Rational:
 
 def evaluate(terms) -> Rational:
     """Exact value p_n/q_n of the final convergent, reduced."""
-    terms = _require_terms(terms)
-    p, _, q, _ = _segment(terms, 0, len(terms))
-    return _final_value(p, q)
+    return _value(list(_leaves(_require_terms(terms))))
 
 
 def evaluate_runs(runs) -> Rational:
@@ -181,21 +185,13 @@ def evaluate_runs(runs) -> Rational:
         if count < _LEAF_TERMS:
             flat += [a] * count
             continue
-        if flat:
-            pieces.append(_segment(flat, 0, len(flat)))
-            flat = []
+        pieces += _leaves(flat)
+        flat = []
         pieces.append(_run_power(a, count))
-    if flat:
-        pieces.append(_segment(flat, 0, len(flat)))
+    pieces += _leaves(flat)
     if not pieces:
         raise EmptyCF("a continued fraction needs at least one term")
-    while len(pieces) > 1:
-        paired = [_mul(pieces[i], pieces[i + 1]) for i in range(0, len(pieces) - 1, 2)]
-        if len(pieces) % 2:
-            paired.append(pieces[-1])
-        pieces = paired
-    p, _, q, _ = pieces[0]
-    return _final_value(p, q)
+    return _value(pieces)
 
 
 def eval_fold(terms) -> Rational:
@@ -255,68 +251,42 @@ def parse_cf(text: str) -> list[int]:
     return _expand(parse_runs(text))
 
 
+# An item, the whitespace around it and the character after it, which is
+# empty at the end of the text. \s and \d match exactly what str.isspace()
+# and str.isdecimal() accept. _SPACE is used only to locate an error.
+_ITEM = re.compile(r"\s*([+-]?\d+)\s*(?:x\s*(\d+)\s*)?(\S?)")
+_SPACE = re.compile(r"\s*")
+
+
 def parse_runs(text: str) -> list[tuple[int, int]]:
     """Parse the bracketed text format into (value, count) runs, one per item.
 
     Raises EmptyCF when every count is zero.
     """
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def expect(ch: str):
-        nonlocal pos
-        skip_ws()
-        if pos >= n or text[pos] != ch:
-            raise ParseError(f"expected '{ch}'", pos)
-        pos += 1
-
-    def read_int(signed: bool) -> int:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        if signed and pos < n and text[pos] in "+-":
-            pos += 1
-        digits = pos
-        while pos < n and text[pos].isdecimal():
-            pos += 1
-        if pos == digits:
-            raise ParseError("expected an integer", start)
-        return int(text[start:pos])
-
-    def read_item() -> tuple[int, int]:
-        nonlocal pos
-        value = read_int(signed=True)
-        skip_ws()
-        if pos < n and text[pos] == "x":
-            pos += 1
-            return value, read_int(signed=False)
-        return value, 1
-
-    expect("[")
-    runs = [read_item()]
-    first_sep = True
+    pos = _SPACE.match(text).end()
+    if not text.startswith("[", pos):
+        raise ParseError("expected '['", pos)
+    pos += 1
+    runs = []
+    seps = (",", ";")
     while True:
-        skip_ws()
-        if pos >= n:
-            raise ParseError("expected ',' or ']'", pos)
-        ch = text[pos]
-        if ch == "]":
-            pos += 1
+        item = _ITEM.match(text, pos)
+        if item is None:
+            raise ParseError("expected an integer", _SPACE.match(text, pos).end())
+        digits, count, sep = item.groups()
+        value = int(digits)
+        pos = item.end()
+        if count is None and sep == "x":
+            raise ParseError("expected an integer", _SPACE.match(text, pos).end())
+        runs.append((value, 1 if count is None else int(count)))
+        if sep == "]":
             break
-        if ch == "," or (ch == ";" and first_sep):
-            pos += 1
-            first_sep = False
-            runs.append(read_item())
-            continue
-        raise ParseError("expected ',' or ']'", pos)
-    skip_ws()
-    if pos != n:
-        raise ParseError("trailing input after ']'", pos)
+        if sep not in seps:
+            raise ParseError("expected ',' or ']'", item.start(3))
+        seps = (",",)
+    end = _SPACE.match(text, pos).end()
+    if end != len(text):
+        raise ParseError("trailing input after ']'", end)
     if not any(count for _, count in runs):
         raise EmptyCF("expansion produced no terms")
     return runs

@@ -2,7 +2,7 @@ import random
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfkit.contfrac import (
@@ -103,8 +103,24 @@ def _with_zero_denominator(terms):
 _zero_q_terms = _terms.filter(lambda t: convergents(t).q[-1] != 0).map(_with_zero_denominator)
 
 
+def _tree_terms(n):
+    """n terms of mixed sign and size, none zero."""
+    return [(-1) ** i * (i % 9 + 1) * (10**20 if i % 5 == 0 else 1) for i in range(n)]
+
+
+# The product tree's boundaries: one leaf, a leaf exactly full or one term
+# over, two and three leaves, and 32*7 + 1 terms, whose odd number of
+# leaves carries a last piece up a level.
 @settings(deadline=None)
 @given(_terms | _zero_q_terms)
+@example(_tree_terms(1))
+@example(_tree_terms(31))
+@example(_tree_terms(32))
+@example(_tree_terms(33))
+@example(_tree_terms(64))
+@example(_tree_terms(65))
+@example(_tree_terms(97))
+@example(_tree_terms(32 * 7 + 1))
 def test_evaluate_matches_final_convergent(terms):
     p, q = convergents(terms).final()
     if q == 0:
@@ -135,8 +151,20 @@ def _expand(runs):
     return [a for a, count in runs for _ in range(count)]
 
 
+# The same boundaries laid out flat, and short runs that fill one leaf
+# exactly before a long run.
 @settings(deadline=None)
 @given(_runs)
+@example([(a, 1) for a in _tree_terms(1)])
+@example([(a, 1) for a in _tree_terms(31)])
+@example([(a, 1) for a in _tree_terms(32)])
+@example([(a, 1) for a in _tree_terms(33)])
+@example([(a, 1) for a in _tree_terms(64)])
+@example([(a, 1) for a in _tree_terms(65)])
+@example([(a, 1) for a in _tree_terms(97)])
+@example([(a, 1) for a in _tree_terms(32 * 7 + 1)])
+@example([(3, 31), (-2, 1), (7, 40)])
+@example([(2, 16), (5, 16), (7, 40), (1, 3)])
 def test_evaluate_runs_matches_evaluate_on_expansion(runs):
     terms = _expand(runs)
     try:
@@ -317,6 +345,76 @@ def test_parse_runs_keeps_items_unexpanded():
     with pytest.raises(EmptyCF):
         parse_runs("[4x0, 5x0]")
     assert evaluate_runs(parse_runs("[1x1000000]")).num.bit_length() > 690_000
+
+
+# Malformed texts with the exception class, message and position each one
+# raises; the grammar's spelling may change, these may not.
+_REJECTED = [
+    ("", ParseError, "expected '[' (at position 0)", 0),
+    ("   ", ParseError, "expected '[' (at position 3)", 3),
+    ("2,3", ParseError, "expected '[' (at position 0)", 0),
+    ("[", ParseError, "expected an integer (at position 1)", 1),
+    ("[ ]", ParseError, "expected an integer (at position 2)", 2),
+    ("[+]", ParseError, "expected an integer (at position 1)", 1),
+    ("[++2]", ParseError, "expected an integer (at position 1)", 1),
+    ("[- 3]", ParseError, "expected an integer (at position 1)", 1),
+    ("[;2]", ParseError, "expected an integer (at position 1)", 1),
+    ("[4x]", ParseError, "expected an integer (at position 3)", 3),
+    ("[4 x ]", ParseError, "expected an integer (at position 5)", 5),
+    ("[4x-2]", ParseError, "expected an integer (at position 3)", 3),
+    ("[4x+2]", ParseError, "expected an integer (at position 3)", 3),
+    ("[4x3x2]", ParseError, "expected ',' or ']' (at position 4)", 4),
+    ("[4x 3 x]", ParseError, "expected ',' or ']' (at position 6)", 6),
+    ("[4X2]", ParseError, "expected ',' or ']' (at position 2)", 2),
+    ("[4 5]", ParseError, "expected ',' or ']' (at position 3)", 3),
+    ("[4,]", ParseError, "expected an integer (at position 3)", 3),
+    ("[2;]", ParseError, "expected an integer (at position 3)", 3),
+    ("[2,,3]", ParseError, "expected an integer (at position 3)", 3),
+    ("[2; 3; 7]", ParseError, "expected ',' or ']' (at position 5)", 5),
+    ("[2, 3; 7]", ParseError, "expected ',' or ']' (at position 5)", 5),
+    ("[2,3", ParseError, "expected ',' or ']' (at position 4)", 4),
+    ("[2x5", ParseError, "expected ',' or ']' (at position 4)", 4),
+    ("[2]]", ParseError, "trailing input after ']' (at position 3)", 3),
+    ("[2,3] x", ParseError, "trailing input after ']' (at position 6)", 6),
+    ("[2,3,7] extra", ParseError, "trailing input after ']' (at position 8)", 8),
+    ("[4x0]", EmptyCF, "expansion produced no terms", None),
+    ("[4x0, 5x0]", EmptyCF, "expansion produced no terms", None),
+]
+
+
+@pytest.mark.parametrize(("text", "error", "message", "position"), _REJECTED)
+def test_parse_runs_rejections_are_pinned(text, error, message, position):
+    with pytest.raises(error) as err:
+        parse_runs(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "position", None) == position
+
+
+def test_parse_runs_takes_any_unicode_space():
+    assert parse_runs("[\u30004\u3000,\u30003]") == [(4, 1), (3, 1)]  # ideographic space
+    assert parse_runs("\x1c[\x1c4\x1cx\x1c2\x1c]\x1c") == [(4, 2)]  # U+001C, a str.isspace() character
+    assert parse_runs(" [ 4 x 2 , 3 ] \u3000") == [(4, 2), (3, 1)]
+
+
+# The grammar's characters, look-alikes of them and Unicode spaces and
+# digits. Texts stay short, so no digit string reaches the interpreter's
+# integer-string limit.
+_grammar_text = st.text(st.sampled_from("[]x,;+-0123456789 \t\u3000\x1c\xa0²٣Xa"), max_size=24)
+
+
+@given(_grammar_text)
+def test_parse_runs_returns_runs_or_a_located_error(text):
+    try:
+        runs = parse_runs(text)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+        assert str(err).endswith(f" (at position {err.position})")
+        return
+    except EmptyCF:
+        return
+    assert runs and any(count for _, count in runs)
+    assert all(type(a) is int and type(count) is int and count >= 0 for a, count in runs)
 
 
 _item_text = st.tuples(
