@@ -13,10 +13,11 @@
 Every subcommand accepts --json for machine-readable output; sweeps emit
 one JSON object per case followed by a summary object. sweep, seq and
 convergents write their lines in blocks of about 8 KB as they make them
-(to a terminal, each line at once), and a sweep counts the tallies as it
-goes and keeps no case it has written. THM1_GIBONACCI and COR_GENERAL_LUCAS
-keep one engine state per k, so their memory grows with the k range. Big
-integers are serialized as decimal strings, never as JSON numbers.
+(to a terminal, each line at once). A sweep reads the engine's batches
+(one m, at most 64 consecutive k), counts the tallies as it goes and keeps
+no case it has written; only COR_GENERAL_LUCAS keeps one engine state per
+k, so its memory grows with the k range. Big integers are serialized as
+decimal strings, never as JSON numbers.
 
 Exit codes: 0 success (all PASS), 1 at least one FAIL, 2 usage error,
 3 evaluation or domain error, 4 internal error (a bug, not a verdict;
@@ -47,6 +48,7 @@ import argparse
 import os
 import re
 import sys
+from itertools import chain
 
 from .errors import CFKitError, EmptyRange, ExtraParam, MissingParam, ParseError, UnknownIdentity
 
@@ -146,18 +148,26 @@ def _write_lines(lines) -> None:
             write(pending)
 
 
-def _pass_json(name: str, m: int, k: int | None, p: int, q: int) -> str:
-    """A passing case as a JSON line from plain ints; both sides are p/q as _rat_json() writes it."""
-    side = f'{{"num": "{p}", "den": "{q}"}}'
-    k_field = "" if k is None else f', "k": {k}'
-    return (
-        f'{{"identity": "{name}", "params": {{"m": {m}{k_field}}}, "lhs": {side}, "rhs": {side}, '
-        '"status": "PASS", "note": ""}'
-    )
+def _json_head(name: str, m: int, takes_k: bool) -> str:
+    """A case's JSON line up to its k value: {"identity": NAME, "params": {"m": M[, "k": ]."""
+    head = f'{{"identity": "{name}", "params": {{"m": {m}'
+    return head + ', "k": ' if takes_k else head
+
+
+def _pass_lines(head: str, ks, ps, qs, end: str = "\n") -> list[str]:
+    """Passing cases of one m as JSON lines from plain ints: head (_json_head()), then k ("" without one).
+
+    Both sides are p/q as _rat_json() writes it, a string made once per case.
+    """
+    return [
+        f'{head}{k}}}, "lhs": {side}, "rhs": {side}, "status": "PASS", "note": ""}}{end}'
+        for k, p, q in zip(ks, ps, qs)
+        for side in (f'{{"num": "{p}", "den": "{q}"}}',)
+    ]
 
 
 def _case_json(name: str, params: CaseParams, outcome: CheckOutcome) -> str:
-    """One case as a JSON object, written from one template (a PASS from _pass_json()'s).
+    """One case as a JSON object, written from one template (a PASS from _pass_lines()').
 
     The bytes are those of json.dumps() on the object {"identity", "params",
     "lhs", "rhs", "status", "note"}: an undefined side's key is left out,
@@ -167,25 +177,25 @@ def _case_json(name: str, params: CaseParams, outcome: CheckOutcome) -> str:
     """
     m, k = params
     status, lhs, rhs, note = outcome
+    head, key = _json_head(name, m, k is not None), "" if k is None else k
     if status.name == "PASS":
-        return _pass_json(name, m, k, lhs.num, lhs.den)
+        return _pass_lines(head, (key,), (lhs.num,), (lhs.den,), end="")[0]
     sides = "" if lhs is None else f', "lhs": {_rat_json(lhs)}'
     if rhs is not None:
         sides += f', "rhs": {_rat_json(rhs)}'
-    k_field = "" if k is None else f', "k": {k}'
-    return (
-        f'{{"identity": "{name}", "params": {{"m": {m}{k_field}}}{sides}, '
-        f'"status": "{status.name}", "note": "{note}"}}'
-    )
+    return f'{head}{key}}}{sides}, "status": "{status.name}", "note": "{note}"}}'
 
 
 def _case_text(params: CaseParams, outcome: CheckOutcome) -> str:
     """One case as a text line: STATUS m=M [k=K] [lhs=P/Q] [rhs=P/Q] [(note)]."""
     m, k = params
     status, lhs, rhs, note = outcome
+    name, k_field = status.name, "" if k is None else f" k={k}"
+    if name == "PASS":
+        side = str(lhs)  # a PASS carries one Rational as both sides
+        return f"PASS m={m}{k_field} lhs={side} rhs={side}"
     return (
-        f"{status.name} m={m}"
-        f"{'' if k is None else f' k={k}'}"
+        f"{name} m={m}{k_field}"
         f"{'' if lhs is None else f' lhs={lhs}'}"
         f"{'' if rhs is None else f' rhs={rhs}'}"
         f"{f' ({note})' if note else ''}"
@@ -301,31 +311,43 @@ def _cmd_sweep(args) -> int:
     from . import identities
 
     ident = _identity(args.identity)
-    name, rows = ident.name, identities._sweep_rows(ident, args.m, args.k)
+    name, batches = ident.name, identities._sweep_rows(ident, args.m, args.k)
     passing, failing, record = identities.Status.PASS, identities.Status.FAIL, identities._record
+    as_json, takes_k = args.json, ident.takes_k
     failed = 0
 
-    def lines():
-        # Nearly every case is a PASS, written from its ints; only the others get a record.
+    def line_batches():
+        # Nearly every batch passes whole: text writes nothing for it, and
+        # --json writes its lines with one comprehension from the ints.
         nonlocal failed
         passed = skipped = 0
-        as_json, pass_json = args.json, _pass_json
-        for m, k, status, p, q, num, den in rows:
-            if status is passing:
-                passed += 1
-                if as_json:
-                    yield pass_json(name, m, k, p, q) + "\n"
-                continue
-            if status is failing:
-                failed += 1
+        for m, kb, statuses, ps, qs, nums, dens in batches:
+            n_pass = statuses.count(passing)
+            passed += n_pass
+            if n_pass == len(kb):
+                if not as_json:
+                    continue
+                try:
+                    lines = _pass_lines(_json_head(name, m, takes_k), kb if takes_k else ("",), ps, qs)
+                except ValueError:
+                    pass  # a side past the integer-string digit limit: case by case below, so the lines before it go out
+                else:
+                    yield lines
+                    continue
             else:
-                skipped += 1
-            outcome = record(status, p, q, num, den)
-            yield (_case_json(name, (m, k), outcome) if as_json else _case_text((m, k), outcome)) + "\n"
+                n_fail = statuses.count(failing)
+                failed += n_fail
+                skipped += len(kb) - n_pass - n_fail
+            # Case by case, in k order, each from its record: the cases that
+            # do not pass, or with --json every case.
+            for k, status, p, q, num, den in zip(kb, statuses, ps, qs, nums, dens):
+                if as_json or status is not passing:
+                    outcome = record(status, p, q, num, den)
+                    yield [(_case_json(name, (m, k), outcome) if as_json else _case_text((m, k), outcome)) + "\n"]
         summary = f'{{"identity": "{name}", "pass": {passed}, "fail": {failed}, "skip": {skipped}}}'
-        yield (summary if as_json else f"pass={passed} fail={failed} skip={skipped}") + "\n"
+        yield [(summary if as_json else f"pass={passed} fail={failed} skip={skipped}") + "\n"]
 
-    _write_lines(lines())
+    _write_lines(chain.from_iterable(line_batches()))
     return 1 if failed else 0
 
 

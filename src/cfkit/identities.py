@@ -20,11 +20,12 @@ Two routes read the same table:
   * iter_sweep() is the stepped engine (cfkit._engine, which says how it
     steps). It checks the whole grid when it is called, then seeds one
     state at the first m, or one per k where k changes the base or a
-    sequence (COR_GENERAL_LUCAS, THM1_GIBONACCI), and carries it from each
-    m to the next. The engine yields each case in (m, k) order as the plain
-    tuple (m, k, status, p, q, num, den), which the CLI reads as it is;
-    iter_sweep() makes each a (CaseParams, CheckOutcome), sweep() collects
-    them into a SweepReport, and fit_uniform() reads a one-k grid's status.
+    sequence (COR_GENERAL_LUCAS alone), and carries it from each m to the
+    next. The engine yields the cases in (m, k) order, in batches of one m
+    and at most 64 consecutive k: columns of plain ints and each case's
+    Status, which the CLI reads as they are. iter_sweep() flattens them
+    into (CaseParams, CheckOutcome) pairs, sweep() collects those into a
+    SweepReport, and fit_uniform() reads a one-k grid's statuses.
 
 The two sides stay independent in both routes: the left side uses only the
 continued-fraction recurrence and the right side only the sequence values,
@@ -41,7 +42,8 @@ decide every case with one function, _verdict(p, q, num, den): the left
 side p/q, reduced because its final matrix has determinant +-1 (q >= 0;
 q = 0: undefined), against the ratio num/den; a lemma lhs = rhs is lhs/1
 against rhs/1. A case passes exactly when (num, den) = g*(p, q) for an
-integer g, so one exact division decides it. _record() builds a decided
+integer g, so one comparison decides it where den = +-q (g = +-1, most
+cases) and one exact division otherwise. _record() builds a decided
 case's CheckOutcome: a pass has one Rational as both sides, and only a
 failing right side is reduced by gcd.
 
@@ -349,7 +351,13 @@ def _verdict(p: int, q: int, num: int, den: int) -> Status:
     if q == 0:
         return _FAIL
     # p/q is reduced with q > 0, so num/den equals it iff (num, den) is an
-    # integer multiple of (p, q).
+    # integer multiple g*(p, q). Most stated ratios are the left side's own
+    # terms, g = 1 or -1, which need no division (and -q is made only for a
+    # negative den).
+    if den == q:
+        return _PASS if num == p else _FAIL
+    if den < 0 and den == -q:
+        return _PASS if num == -p else _FAIL
     g, rem = divmod(den, q)
     return _PASS if rem == 0 and num == g * p else _FAIL
 
@@ -431,7 +439,7 @@ def _case_grid(
 
 
 def _sweep_rows(ident: IdentityId, m_range: tuple[int, int], k_range: tuple[int, int] | None) -> Iterator[tuple]:
-    """iter_sweep()'s cases as the engine's plain tuples (m, k, status, p, q, num, den), for the CLI."""
+    """iter_sweep()'s cases as the engine's batches (m, kb, statuses, ps, qs, nums, dens), for the CLI."""
     grid = _case_grid(ident, m_range, k_range)
     from ._engine import sweep_cases  # compiled only by the commands that sweep
 
@@ -450,8 +458,10 @@ def iter_sweep(
     result is consumed, and equal run_case() on each of them. The m interval
     is filtered to the entry's domain (multiples of 5 for LEM_BRIDGE).
     """
-    rows = _sweep_rows(ident, m_range, k_range)
-    return ((CaseParams(m, k), _record(*decided)) for m, k, *decided in rows)
+    batches = _sweep_rows(ident, m_range, k_range)
+    return (
+        (CaseParams(m, k), _record(*decided)) for m, kb, *columns in batches for k, *decided in zip(kb, *columns)
+    )
 
 
 def sweep(
@@ -476,5 +486,5 @@ def fit_uniform(c: int, n_max: int) -> int | None:
     t = lucas_odd_index_of(c)
     if t is None:
         return None
-    rows = _sweep_rows(IdentityId.COR_GENERAL_LUCAS, (0, n_max - 1), (t // 2, t // 2))
-    return t if all(status is _PASS for _, _, status, *_ in rows) else None
+    batches = _sweep_rows(IdentityId.COR_GENERAL_LUCAS, (0, n_max - 1), (t // 2, t // 2))
+    return t if all(status is _PASS for _, _, statuses, *_ in batches for status in statuses) else None

@@ -133,6 +133,23 @@ def test_check_lines(capsys, ident, m, k):
     assert capsys.readouterr().out == _case_text_bits(params, outcome) + "\n"
 
 
+def test_a_passing_check_converts_its_one_rational_once(capsys, monkeypatch):
+    # A PASS carries one Rational as both sides, so its text line makes its
+    # digits once.
+    conversions = []
+    real = Rational.__str__
+
+    def counted(self):
+        conversions.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Rational, "__str__", counted)
+    assert cli.run(["check", "THM6_ELEVEN_FIB", "--m", "40"]) == 0
+    side = str(identities.check(I.THM6_ELEVEN_FIB, CaseParams(40)).lhs)
+    assert capsys.readouterr().out == f"PASS m=40 lhs={side} rhs={side}\n"
+    assert len(conversions) == 2  # the command's one and this test's own
+
+
 @pytest.mark.parametrize(
     "ident, m_range, k_range",
     [

@@ -518,3 +518,25 @@ def test_surd_period_is_a_palindrome_closed_by_twice_a0(d):
     assert expansion.period[-1] == 2 * expansion.a0
     body = expansion.period[:-1]
     assert body == body[::-1]
+
+
+# The (P, Q) recurrence against a route that shares no value with it. With
+# r the period length and p_i/q_i the convergents of [a0; a1, ..., a_{r-1}],
+# the period without its final 2*a0, sqrt(d) = [a0; a1, ..., a_{r-1},
+# a0 + sqrt(d)] holds exactly when p_{r-1} = a0*q_{r-1} + q_{r-2} and
+# d*q_{r-1} = a0*p_{r-1} + p_{r-2}; then p_{r-1}^2 - d*q_{r-1}^2 = (-1)^r.
+# This proves the value, not that the period is minimal.
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 10**7).filter(lambda d: isqrt(d) ** 2 != d))
+@example(19)  # the paper's opening example, period 6
+@example(2)  # r = 1: p_{r-2}/q_{r-2} is 1/0
+@example(9_999_991)  # a period of 8 096 terms
+def test_surd_period_satisfies_the_convergent_certificate(d):
+    a0, period = surd_cf(d, max_terms=10**5)
+    r = len(period)
+    table = convergents([a0, *period[:-1]])
+    ps, qs = (1, *table.p), (0, *table.q)  # index i + 1 holds p_i, q_i; index 0 holds p_{-1}, q_{-1}
+    p, p_prev, q, q_prev = ps[-1], ps[-2], qs[-1], qs[-2]
+    assert p == a0 * q + q_prev
+    assert d * q == a0 * p + p_prev
+    assert p * p - d * q * q == (-1) ** r

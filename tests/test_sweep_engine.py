@@ -54,6 +54,8 @@ def _windows(draw):
 @example((I.THM3_ONES, (1, 1), (-1, 1)))
 @example((I.THM2_FIB_FORM, (3, 5), (-500, 500)))  # a wide k window
 @example((I.THM1_GIBONACCI, (9, 12), (-40, -20)))
+@example((I.THM1_GIBONACCI, (0, 3), (-150, 150)))  # wider than two batches of k
+@example((I.THM3_ONES, (0, 3), (-100, 100)))  # a SKIPPED case inside a batch
 @example((I.COR_GENERAL_LUCAS, (17, 20), (0, 9)))
 @example((I.THM7_FOURS, (0, 12), None))  # a row without a tail
 @example((I.EXT_ELEVEN8, (0, 12), None))  # a row with a constant tail
@@ -72,6 +74,10 @@ def test_engine_matches_run_case(window):
 @example((I.THM5_SWAPPED_LUCAS, (0, 6), None), True)  # FAIL from m = 3 on
 @example((I.THM5_SWAPPED_LUCAS, (0, 6), None), False)
 @example((I.THM2_FIB_FORM, (0, 3), (-40, 40)), True)
+@example((I.THM1_GIBONACCI, (0, 3), (-150, 150)), True)  # wider than two batches of k
+@example((I.THM1_GIBONACCI, (0, 3), (-150, 150)), False)
+@example((I.THM3_ONES, (0, 3), (-100, 100)), True)  # SKIPPED cases inside a batch
+@example((I.THM3_ONES, (0, 3), (-100, 100)), False)
 def test_cli_sweep_lines_equal_the_records(window, as_json):
     ident, m_range, k_range = window
     argv = ["sweep", ident.name, "--m", f"{m_range[0]}..{m_range[1]}"]
@@ -97,8 +103,9 @@ def test_cli_sweep_lines_equal_the_records(window, as_json):
     "ident, m_range, k_range",
     [
         (I.THM2_FIB_FORM, (0, 4), (-3, 3)),  # one state for the grid
-        (I.THM1_GIBONACCI, (0, 4), (-3, 3)),  # one state per k
+        (I.THM1_GIBONACCI, (0, 4), (-3, 3)),  # G_k read as F terms
         (I.LEM_BRIDGE, (0, 30), None),  # a lemma; it fails from m = 20 on
+        (I.COR_GENERAL_LUCAS, (0, 4), (0, 3)),  # one state per k
     ],
 )
 def test_engine_yields_the_named_records(ident, m_range, k_range):
@@ -111,8 +118,19 @@ def test_engine_yields_the_named_records(ident, m_range, k_range):
 
 
 def test_state_per_k_only_where_k_changes_a_base_or_a_sequence():
+    # THM1_GIBONACCI's G_k(n) = F(n) + k*F(n - 1) is read as F terms, so k
+    # moves only its coefficients.
     per_k = {ident for ident in IdentityId if _engine._state_depends_on_k(ident)}
-    assert per_k == {I.THM1_GIBONACCI, I.COR_GENERAL_LUCAS}
+    assert per_k == {I.COR_GENERAL_LUCAS}
+
+
+def test_batches_hold_one_m_and_at_most_64_consecutive_k():
+    grid = identities._case_grid(I.THM2_FIB_FORM, (0, 2), (-100, 100))
+    batches = list(_engine.sweep_cases(I.THM2_FIB_FORM, *grid))
+    assert [(m, k) for m, kb, *_ in batches for k in kb] == [(m, k) for m in range(3) for k in range(-100, 101)]
+    for _, kb, *columns in batches:
+        assert 1 <= len(kb) <= 64
+        assert all(len(column) == len(kb) for column in columns)
 
 
 @pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.name)

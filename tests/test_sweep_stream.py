@@ -4,13 +4,14 @@ A CLI sweep writes its lines in blocks of about 8 KB as the cases are
 checked, so its memory must not grow with the grid, and a sweep cut short
 still shows every case checked before the cut. The stepped engine carries
 kernel results from one m to the next instead of recomputing them, and a
-passing case's right side is decided by one exact division, without gcd.
+passing case's right side is decided without gcd, by a comparison where
+it is +-(p, q) and by one exact division otherwise.
 Each shortcut is checked here against a route that does not take it.
 """
 
 import contextlib
+import functools
 import io
-import itertools
 import os
 import subprocess
 import sys
@@ -44,8 +45,8 @@ def _quiet_run(argv):
         return cli.run(argv)
 
 
-def _sweep_peak(k_range):
-    argv = ["sweep", "THM2_FIB_FORM", "--m", "0..20", "--k", k_range, "--json"]
+def _sweep_peak(k_range, ident="THM2_FIB_FORM", m_range="0..20"):
+    argv = ["sweep", ident, "--m", m_range, "--k", k_range, "--json"]
     tracemalloc.start()
     try:
         code = _quiet_run(argv)
@@ -62,6 +63,15 @@ def test_cli_sweep_memory_does_not_grow_with_the_grid():
     large = _sweep_peak("-500..500")  # 21 021 cases
     # Ten times the cases; what a materialised report would need grows
     # by megabytes, a stream by the few digits k adds to each number.
+    assert large < small + 32 * 1024, (small, large)
+
+
+def test_thm1_sweep_memory_does_not_grow_with_the_k_range():
+    # G_k is read as F terms, so one engine state serves every k; with one
+    # state per k the peak grew by megabytes from 201 to 2 001 k.
+    peak = functools.partial(_sweep_peak, ident="THM1_GIBONACCI", m_range="0..1")
+    peak("0..0")
+    small, large = peak("0..200"), peak("0..2000")
     assert large < small + 32 * 1024, (small, large)
 
 
@@ -109,8 +119,15 @@ def test_a_sweep_cut_short_shows_every_case_checked(capsys, monkeypatch, n):
     real = _engine.sweep_cases
 
     def cut_short(*grid):
-        yield from itertools.islice(real(*grid), n)
-        raise RuntimeError("boom")
+        # The first n cases, the last batch cut partway, then a failure.
+        left = n
+        for m, kb, *columns in real(*grid):
+            if left < len(kb):
+                if left:
+                    yield m, kb[:left], *(column[:left] for column in columns)
+                raise RuntimeError("boom")
+            left -= len(kb)
+            yield m, kb, *columns
 
     monkeypatch.setattr(_engine, "sweep_cases", cut_short)
     assert cli.run(_GRID) == 4
@@ -131,6 +148,25 @@ def test_a_sweep_over_the_digit_limit_keeps_the_lines_before_it(capsys):
     out = capsys.readouterr().out
     assert code == 4
     assert len(out.splitlines()) == 115 and out.endswith("\n")
+
+
+def test_a_sweep_over_the_digit_limit_keeps_the_lines_of_its_last_batch(capsys):
+    # At m = 6854 a side passes the interpreter's default 4 300-digit
+    # integer-string limit from k = 329 on, partway through the batch of
+    # k = 320..383; the lines of k = 320..328 still go out.
+    argv = "sweep THM2_FIB_FORM --m 6854..6854 --k 0..500 --json".split()
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert cli.run(argv) == 0
+        complete = capsys.readouterr().out.splitlines()
+        sys.set_int_max_str_digits(4300)
+        code = cli.run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out = capsys.readouterr().out
+    assert code == 4
+    assert out.endswith("\n") and out.splitlines() == complete[:329]
 
 
 @pytest.mark.parametrize(
@@ -301,6 +337,9 @@ def _verdict_cases(draw):
 @example((0, 1, 0, -(2**70)))  # zero over a negative >64-bit denominator
 @example((-(2**65), 3, 2**65, -3))
 @example((2**64 + 1, 2**64, 2**64 + 1, 2**64 + 1))
+@example((5, 7, -5, -7))  # g = -1
+@example((5, 7, 5, -7))  # den = -q, num = p
+@example((5, 7, 6, 7))  # den = q, num != p
 def test_verdict_agrees_with_fraction(case):
     p, q, num, den = case
     lhs = Fraction(p, q) if q else None
