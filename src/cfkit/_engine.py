@@ -23,7 +23,7 @@ the commands other than sweep and fit do not compile it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 
 from . import contfrac, identities, sequences
 from .contfrac import _mul
@@ -81,7 +81,8 @@ def _form(form: tuple[tuple, ...], k: int | None, m: int, m_step: int) -> Iterat
 def _state(ident: IdentityId, k: int | None, ms: range) -> Iterator[tuple]:
     """(prefix matrix, (P, Q) of the first form, (P, Q) of the second) at each m of ms."""
     m, m_step = ms[0], ms.step
-    return zip(_prefix(ident, k, m, m_step), *(_form(form, k, m, m_step) for form in ident.forms))
+    # The prefix and the walks go on forever; the state ends with ms.
+    return islice(zip(_prefix(ident, k, m, m_step), *(_form(form, k, m, m_step) for form in ident.forms)), len(ms))
 
 
 def _state_depends_on_k(ident: IdentityId) -> bool:

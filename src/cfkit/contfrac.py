@@ -253,9 +253,11 @@ def parse_cf(text: str) -> list[int]:
 
 # An item, the whitespace around it and the character after it, which is
 # empty at the end of the text. \s and \d match exactly what str.isspace()
-# and str.isdecimal() accept. _SPACE is used only to locate an error.
-_ITEM = re.compile(r"\s*([+-]?\d+)\s*(?:x\s*(\d+)\s*)?(\S?)")
-_SPACE = re.compile(r"\s*")
+# and str.isdecimal() accept. _SPACE is used only to locate an error. Both
+# are compiled on the first parse (re keeps them), so the commands that
+# parse no text (check, sweep, fit) do not compile them.
+_ITEM = r"\s*([+-]?\d+)\s*(?:x\s*(\d+)\s*)?(\S?)"
+_SPACE = r"\s*"
 
 
 def parse_runs(text: str) -> list[tuple[int, int]]:
@@ -263,28 +265,29 @@ def parse_runs(text: str) -> list[tuple[int, int]]:
 
     Raises EmptyCF when every count is zero.
     """
-    pos = _SPACE.match(text).end()
+    item_at, space_at = re.compile(_ITEM).match, re.compile(_SPACE).match
+    pos = space_at(text).end()
     if not text.startswith("[", pos):
         raise ParseError("expected '['", pos)
     pos += 1
     runs = []
     seps = (",", ";")
     while True:
-        item = _ITEM.match(text, pos)
+        item = item_at(text, pos)
         if item is None:
-            raise ParseError("expected an integer", _SPACE.match(text, pos).end())
+            raise ParseError("expected an integer", space_at(text, pos).end())
         digits, count, sep = item.groups()
         value = int(digits)
         pos = item.end()
         if count is None and sep == "x":
-            raise ParseError("expected an integer", _SPACE.match(text, pos).end())
+            raise ParseError("expected an integer", space_at(text, pos).end())
         runs.append((value, 1 if count is None else int(count)))
         if sep == "]":
             break
         if sep not in seps:
             raise ParseError("expected ',' or ']'", item.start(3))
         seps = (",",)
-    end = _SPACE.match(text, pos).end()
+    end = space_at(text, pos).end()
     if end != len(text):
         raise ParseError("trailing input after ']'", end)
     if not any(count for _, count in runs):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfkit import cli, contfrac, errors
-from cfkit.cli import _decimal, run
+from cfkit import _cli_cases, cli, contfrac, errors
+from cfkit._cli_cf import _decimal
+from cfkit.cli import run
 from cfkit.errors import UnknownIdentity
 from cfkit.rational import Rational
 
@@ -327,7 +328,7 @@ def test_check_usage_errors(capsys):
 
 def test_unknown_identity_is_a_typed_usage_error(capsys):
     with pytest.raises(UnknownIdentity):
-        cli._identity("NO_SUCH_IDENTITY")
+        _cli_cases._identity("NO_SUCH_IDENTITY")
     for argv in (["check", "NO_SUCH_IDENTITY", "--m", "1"], ["sweep", "NO_SUCH_IDENTITY", "--m", "0..1"]):
         err = invoke(capsys, argv, expect_code=2).err
         assert err.startswith("error: unknown identity 'NO_SUCH_IDENTITY'; choose one of: ID117, ID118,")

@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import cfkit
-from cfkit import cli, contfrac, identities, sequences, tiling
+from cfkit import _cli_cases, cli, contfrac, identities, sequences, tiling
 from cfkit.errors import CFKitError
 from cfkit.identities import CaseParams, CheckOutcome, IdentityId, Status
 from cfkit.rational import Rational
@@ -101,7 +101,7 @@ def test_shapes_are_what_they_say():
 @pytest.mark.parametrize("shape", SHAPES)
 def test_json_line_equals_json_dumps(shape):
     ident, params, outcome = SHAPES[shape]
-    line = cli._case_json(ident.name, params, outcome)
+    line = _cli_cases._case_json(ident.name, params, outcome)
     reference = _case_json_dict(ident, params, outcome)
     assert line == json.dumps(reference)
     assert json.loads(line) == reference
@@ -110,7 +110,7 @@ def test_json_line_equals_json_dumps(shape):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_text_line_equals_joined_fields(shape):
     _, params, outcome = SHAPES[shape]
-    assert cli._case_text(params, outcome) == _case_text_bits(params, outcome)
+    assert _cli_cases._case_text(params, outcome) == _case_text_bits(params, outcome)
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,11 @@
 
 Each row of LOADS runs one command through `cfkit.cli.run` in a fresh
 interpreter and names every cfkit submodule it may load: no more, no
-fewer. json is watched too, and no command loads it: every --json line is
-written from a template. The `cfkit` namespace resolves its public names and
-submodules on first use (PEP 562); the tests below check that it still
-behaves like the eager one.
+fewer. json and argparse are watched too, and no row loads either: every
+--json line is written from a template, and a well-formed command line is
+read without argparse, which is loaded only to write help or a usage error.
+The `cfkit` namespace resolves its public names and submodules on first use
+(PEP 562); the tests below check that it still behaves like the eager one.
 """
 
 import ast
@@ -42,10 +43,14 @@ def test_import_cfkit_loads_no_submodule():
     assert _loaded("import cfkit") == set()
 
 
-_CF = {"cfkit.cli", "cfkit.errors", "cfkit.contfrac", "cfkit.rational"}
-_IDENTITIES = _CF | {"cfkit.identities", "cfkit.sequences"}
+_CLI = {"cfkit.cli", "cfkit.errors"}
+_CF = _CLI | {"cfkit._cli_cf", "cfkit.contfrac", "cfkit.rational"}
+_SEQ = _CLI | {"cfkit._cli_seq", "cfkit.sequences"}
+_ORACLE = _CLI | {"cfkit._cli_oracle", "cfkit.tiling"}
+_IDENTITIES = _CLI | {"cfkit._cli_cases", "cfkit.identities", "cfkit.contfrac", "cfkit.rational", "cfkit.sequences"}
 
-# argv -> every cfkit submodule it loads (and never json); README's Start-up table.
+# argv -> every cfkit submodule it loads (and never json or argparse);
+# README's Start-up table.
 LOADS = {
     "eval [2,3,7]": _CF,
     "eval [2,3,7] --digits 5": _CF,
@@ -56,10 +61,10 @@ LOADS = {
     "convergents [1,2] --json": _CF,
     "surd 19": _CF,
     "surd 19 --json": _CF,
-    "seq fib --from 0 --to 3": {"cfkit.cli", "cfkit.errors", "cfkit.sequences"},
-    "seq gib --k 2 --from 0 --to 3 --json": {"cfkit.cli", "cfkit.errors", "cfkit.sequences"},
-    "oracle board 5": {"cfkit.cli", "cfkit.errors", "cfkit.tiling"},
-    "oracle stacked 2,3 --json": {"cfkit.cli", "cfkit.errors", "cfkit.tiling"},
+    "seq fib --from 0 --to 3": _SEQ,
+    "seq gib --k 2 --from 0 --to 3 --json": _SEQ,
+    "oracle board 5": _ORACLE,
+    "oracle stacked 2,3 --json": _ORACLE,
     "check ID117 --m 2": _IDENTITIES,
     "check ID117 --m 2 --json": _IDENTITIES,
     "fit 29": _IDENTITIES | {"cfkit._engine"},
@@ -71,7 +76,24 @@ LOADS = {
 
 @pytest.mark.parametrize("argv", LOADS)
 def test_command_loads_exactly_what_it_runs(argv):
-    assert _loaded(_command(argv), {"json"}) == LOADS[argv]
+    assert _loaded(_command(argv), {"json", "argparse"}) == LOADS[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--help",
+        "eval --help",
+        "sweep ID117 --m 0..3 -h",
+        "bogus",
+        "eval",  # a missing argument
+        "eval [1] --digits -1",  # a bad value
+        "sweep ID117 --m=0..3",  # well formed to argparse only
+    ],
+)
+def test_help_and_usage_errors_load_argparse(argv):
+    body = f"import contextlib, io\nwith contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n    {_command(argv)}"
+    assert "argparse" in _loaded(body, {"argparse"})
 
 
 @pytest.mark.parametrize("name", cfkit.__all__)

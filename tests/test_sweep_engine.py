@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfkit import _engine, cli, contfrac, identities
+from cfkit import _cli_cases, _engine, cli, contfrac, identities
 from cfkit.identities import CaseParams, CheckOutcome, IdentityId, Status
 
 I = IdentityId
@@ -91,10 +91,10 @@ def test_cli_sweep_lines_equal_the_records(window, as_json):
     cases = list(identities.iter_sweep(ident, m_range, k_range))
     passed, failed, skipped = (sum(o.status is s for _, o in cases) for s in (Status.PASS, Status.FAIL, Status.SKIPPED))
     if as_json:
-        assert lines == [cli._case_json(ident.name, params, outcome) for params, outcome in cases]
+        assert lines == [_cli_cases._case_json(ident.name, params, outcome) for params, outcome in cases]
         assert summary == f'{{"identity": "{ident.name}", "pass": {passed}, "fail": {failed}, "skip": {skipped}}}'
     else:
-        assert lines == [cli._case_text(p, o) for p, o in cases if o.status is not Status.PASS]
+        assert lines == [_cli_cases._case_text(p, o) for p, o in cases if o.status is not Status.PASS]
         assert summary == f"pass={passed} fail={failed} skip={skipped}"
     assert code == (1 if failed else 0)
 
@@ -145,3 +145,12 @@ def test_stepped_state_equals_direct_values(ident):
             assert p + (q * k if q else 0) == identities._form_value(form, m, k)
         if not ident.is_lemma:
             assert matrix == contfrac._run_power(ident.lhs.base(k), m + ident.lhs.extra)
+
+
+@pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.name)
+def test_a_state_ends_with_its_m_range(ident):
+    # The prefix and the walks are endless; the state stops at the last m
+    # of ms, also when nothing zips it with ms.
+    k = 2 if ident.takes_k else None
+    ms = range(0, 201 * ident.m_step, ident.m_step)
+    assert len(list(_engine._state(ident, k, ms))) == 201

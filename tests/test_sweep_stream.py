@@ -1,6 +1,6 @@
 """Streaming sweeps and the work neighbouring cases share.
 
-A CLI sweep writes its lines in blocks of about 8 KB as the cases are
+A CLI sweep writes its lines in blocks of 8 KB or more as the cases are
 checked, so its memory must not grow with the grid, and a sweep cut short
 still shows every case checked before the cut. The stepped engine carries
 kernel results from one m to the next instead of recomputing them, and a
