@@ -1,9 +1,20 @@
-"""The check, sweep and fit subcommands and their case lines (see `cli`); cli.run() imports this module for them alone."""
+"""The check, sweep and fit subcommands and their case lines (see `cli`); cli.run() imports this module for them alone.
 
-from __future__ import annotations
+A continued fraction's q is the previous m's p ([c; x] = c + 1/x), so a
+sweep converts most denominators by reusing a string it has made. A
+passing --json batch converts its p column once; its q column is the
+previous m's p strings for the same k, when those ints equal its q
+column, kept for the first _engine._HELD k of the range only. A line
+written case by case (a FAIL or SKIPPED case, or a --json case of a batch
+that does not pass whole) reuses the previous case's numerator string,
+per side, for a denominator equal to it: in THM5_SWAPPED_LUCAS both the
+left q and the reduced right den (g = 11) are the previous numerators.
+Equality is always tested on the ints, so a string is reused only for the
+value it was made from.
+"""
 
 from . import identities
-from .cli import _rat_json, _write_lines
+from .cli import _write_lines
 from .errors import MissingParam, UnknownIdentity
 
 
@@ -24,8 +35,8 @@ def _json_head(name: str, m: int, takes_k: bool) -> str:
 def _pass_lines(head: str, ks, ps, qs) -> str:
     """Passing cases of one m as newline-ended JSON lines in one string: head (_json_head()), then k ("" without one).
 
-    The lines are made from plain ints. Both sides are p/q as _rat_json()
-    writes it, a string made once per case.
+    ps and qs are the sides' numerators and denominators, as ints or as
+    their decimal strings; both sides are p/q, a string made once per case.
     """
     return "".join(
         [
@@ -36,40 +47,82 @@ def _pass_lines(head: str, ks, ps, qs) -> str:
     )
 
 
-def _case_json(name: str, params: identities.CaseParams, outcome: identities.CheckOutcome) -> str:
+def _digits(r: identities.Rational) -> tuple[str, str]:
+    """r's numerator and denominator as decimal strings."""
+    return str(r.num), str(r.den)
+
+
+def _reusing_digits():
+    """A _digits() for one side of consecutive cases: an equal denominator reuses the previous numerator's string.
+
+    The ints are compared, not hashed: most cases have nothing to reuse.
+    """
+    last_num, last_str = None, ""
+
+    def digits(r: identities.Rational) -> tuple[str, str]:
+        nonlocal last_num, last_str
+        # The slots, not the properties: a sweep writing nothing to reuse
+        # (LEM_BRIDGE) must not pay two calls a side for the check.
+        num, den = r._num, r._den
+        den_str = last_str if den == last_num else str(den)
+        last_num, last_str = num, str(num)
+        return last_str, den_str
+
+    return digits
+
+
+def _case_json(
+    name: str,
+    params: identities.CaseParams,
+    outcome: identities.CheckOutcome,
+    lhs_digits=_digits,
+    rhs_digits=_digits,
+) -> str:
     """One case as a JSON object, written from one template (a PASS from _pass_lines()).
 
     The bytes are those of json.dumps() on the object {"identity", "params",
     "lhs", "rhs", "status", "note"}: an undefined side's key is left out,
     big integers are decimal strings, and m and k are JSON numbers. Names,
     statuses and notes are plain ASCII without quotes or backslashes, so they
-    need no escaping.
+    need no escaping. lhs_digits and rhs_digits make a FAIL's or a SKIPPED
+    case's side strings.
     """
     m, k = params
     status, lhs, rhs, note = outcome
     head, key = _json_head(name, m, k is not None), "" if k is None else k
     if status.name == "PASS":
         return _pass_lines(head, (key,), (lhs.num,), (lhs.den,))[:-1]
-    sides = "" if lhs is None else f', "lhs": {_rat_json(lhs)}'
+    sides = ""
+    if lhs is not None:
+        p, q = lhs_digits(lhs)
+        sides = f', "lhs": {{"num": "{p}", "den": "{q}"}}'
     if rhs is not None:
-        sides += f', "rhs": {_rat_json(rhs)}'
+        p, q = rhs_digits(rhs)
+        sides += f', "rhs": {{"num": "{p}", "den": "{q}"}}'
     return f'{head}{key}}}{sides}, "status": "{status.name}", "note": "{note}"}}'
 
 
-def _case_text(params: identities.CaseParams, outcome: identities.CheckOutcome) -> str:
-    """One case as a text line: STATUS m=M [k=K] [lhs=P/Q] [rhs=P/Q] [(note)]."""
+def _case_text(
+    params: identities.CaseParams, outcome: identities.CheckOutcome, lhs_digits=_digits, rhs_digits=_digits
+) -> str:
+    """One case as a text line: STATUS m=M [k=K] [lhs=P/Q] [rhs=P/Q] [(note)].
+
+    lhs_digits and rhs_digits make a FAIL's or a SKIPPED case's side strings.
+    """
     m, k = params
     status, lhs, rhs, note = outcome
     name, k_field = status.name, "" if k is None else f" k={k}"
     if name == "PASS":
         side = str(lhs)  # a PASS carries one Rational as both sides
         return f"PASS m={m}{k_field} lhs={side} rhs={side}"
-    return (
-        f"{name} m={m}{k_field}"
-        f"{'' if lhs is None else f' lhs={lhs}'}"
-        f"{'' if rhs is None else f' rhs={rhs}'}"
-        f"{f' ({note})' if note else ''}"
-    )
+    line = f"{name} m={m}{k_field}"
+    if lhs is not None:
+        p, q = lhs_digits(lhs)
+        line += f" lhs={p}/{q}"
+    if rhs is not None:
+        p, q = rhs_digits(rhs)
+        line += f" rhs={p}/{q}"
+    return f"{line} ({note})" if note else line
 
 
 def cmd_check(args) -> int:
@@ -85,27 +138,38 @@ def cmd_check(args) -> int:
 def cmd_sweep(args) -> int:
     ident = _identity(args.identity)
     name, batches = ident.name, identities._sweep_rows(ident, args.m, args.k)
+    from ._engine import _HELD  # _sweep_rows has loaded it
+
     passing, failing, record = identities.Status.PASS, identities.Status.FAIL, identities._record
     as_json, takes_k = args.json, ident.takes_k
+    # A passing --json batch's p column and its strings, by its first k, for
+    # the next m's q; kept for the first _HELD k of the range only.
+    held, held_below = {}, args.k[0] + _HELD if takes_k else None
     failed = 0
 
     def pieces():
         # Nearly every batch passes whole: text writes nothing for it, and
-        # --json writes its lines as one string made from the ints.
+        # --json writes its lines as one string, converting each p once.
         nonlocal failed
         passed = skipped = 0
+        lhs_digits, rhs_digits = _reusing_digits(), _reusing_digits()
         for m, kb, statuses, ps, qs, nums, dens in batches:
             n_pass = statuses.count(passing)
             passed += n_pass
             if n_pass == len(kb):
                 if not as_json:
                     continue
+                k0 = kb[0]
                 try:
-                    lines = _pass_lines(_json_head(name, m, takes_k), kb if takes_k else ("",), ps, qs)
+                    p_strs = list(map(str, ps))
+                    prev = held.get(k0)
+                    q_strs = prev[1] if prev is not None and prev[0] == qs else list(map(str, qs))
                 except ValueError:
                     pass  # a side past the integer-string digit limit: case by case below, so the lines before it go out
                 else:
-                    yield lines
+                    if not takes_k or k0 < held_below:
+                        held[k0] = ps, p_strs
+                    yield _pass_lines(_json_head(name, m, takes_k), kb if takes_k else ("",), p_strs, q_strs)
                     continue
             else:
                 n_fail = statuses.count(failing)
@@ -116,7 +180,10 @@ def cmd_sweep(args) -> int:
             for k, status, p, q, num, den in zip(kb, statuses, ps, qs, nums, dens):
                 if as_json or status is not passing:
                     outcome = record(status, p, q, num, den)
-                    yield (_case_json(name, (m, k), outcome) if as_json else _case_text((m, k), outcome)) + "\n"
+                    if as_json:
+                        yield _case_json(name, (m, k), outcome, lhs_digits, rhs_digits) + "\n"
+                    else:
+                        yield _case_text((m, k), outcome, lhs_digits, rhs_digits) + "\n"
         summary = f'{{"identity": "{name}", "pass": {passed}, "fail": {failed}, "skip": {skipped}}}'
         yield (summary if as_json else f"pass={passed} fail={failed} skip={skipped}") + "\n"
 

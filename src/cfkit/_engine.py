@@ -13,14 +13,17 @@ grows with the k range; every other entry has one state for the grid.
 
 The cases come out in batches of one m and at most _BATCH consecutive k.
 Each of p, q, num and den is c + k*d along a batch, so each is a column
-of ints made by one running addition, and identities._verdict() decides
-every case, with no record. A batch's size is fixed, so the memory a
-sweep holds grows neither with its m range nor, with one state, with its
-k range. identities._sweep_rows() imports this module on first use, so
-the commands other than sweep and fit do not compile it.
+of ints made by one running addition; where num's (c, d) is p's, or den's
+is q's, the ratio column is the left column itself. A batch whose ratio
+columns equal its left columns (every batch of k in the catalog, since
+each stated ratio is its left side with g = +-1) is decided whole by
+identities._own_ratio_verdicts(); any other batch, and a batch of one
+case, goes to identities._verdict() case by case. No case gets a record.
+A batch's size is fixed, so the memory a sweep holds grows neither with
+its m range nor, with one state, with its k range.
+identities._sweep_rows() imports this module on first use, so the
+commands other than sweep and fit do not compile it.
 """
-
-from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import accumulate, islice, repeat
@@ -33,6 +36,10 @@ from .identities import IdentityId, _Lin
 # of a column, not a pass through the generators, and few enough that a
 # sweep's memory does not grow with its k range, as whole rows of k would.
 _BATCH = 64
+# The most k of an m whose p strings a passing --json sweep keeps for the
+# next m's q (_cli_cases.cmd_sweep): whole batches, and a fixed number, so
+# the memory a sweep holds stays flat in its k range.
+_HELD = 4 * _BATCH
 
 # A sequence whose parameter p enters linearly, as the F terms it sums:
 # X(p, n) = sum of p**e * F(n + s) over its (e, s), wherever X is defined.
@@ -92,6 +99,11 @@ def _state_depends_on_k(ident: IdentityId) -> bool:
     return any(p is not None and p.c1 for form in ident.forms for *_, p in _terms(form))
 
 
+def _column(c: int, d: int, k0: int, n: int) -> list[int]:
+    """c + k*d for the n consecutive k from k0: each value is the one before plus d."""
+    return list(accumulate(repeat(d, n - 1), initial=c + k0 * d)) if d else [c] * n
+
+
 def sweep_cases(ident: IdentityId, ms: range, ks: range | tuple[None]) -> Iterator[tuple]:
     """Every case of the grid ms x ks in (m, k) order, as batches (m, kb, statuses, ps, qs, nums, dens).
 
@@ -102,8 +114,8 @@ def sweep_cases(ident: IdentityId, ms: range, ks: range | tuple[None]) -> Iterat
     second/1. The states are seeded at ms[0] and stepped in m.
     """
     # identities._verdict, the one comparison run_case() decides every case
-    # with, looked up when the sweep starts.
-    verdict = identities._verdict
+    # with, and the column rule beside it, looked up when the sweep starts.
+    verdict, own_ratio = identities._verdict, identities._own_ratio_verdicts
     tail = None if ident.is_lemma else ident.lhs.tail
     # One state for the grid, or one per k where k changes more than the
     # tail and the coefficients.
@@ -138,11 +150,16 @@ def sweep_cases(ident: IdentityId, ms: range, ks: range | tuple[None]) -> Iterat
                     pc, qc = -pc, -qc
                 yield m, kb, [verdict(pc, qc, nc, dc)], [pc], [qc], [nc], [dc]
                 continue
-            # Consecutive k: each value of a column is the one before plus d.
-            ps, qs, nums, dens = [
-                list(accumulate(repeat(d, n - 1), initial=c + kb[0] * d)) if d else [c] * n for c, d in (p, q, num, den)
-            ]
+            # A ratio column with its left column's pair is that column, so
+            # the column rule's comparison finds each case equal by identity.
+            k0 = kb[0]
+            ps, qs = _column(*p, k0, n), _column(*q, k0, n)
+            nums = ps if num == p else _column(*num, k0, n)
+            dens = qs if den == q else _column(*den, k0, n)
+            statuses = own_ratio(ps, qs, nums, dens)
             if qs[0] < 0 or qs[-1] < 0:  # q is linear in k: a negative q in kb puts one at an end
                 ps = [-x if y < 0 else x for x, y in zip(ps, qs)]
                 qs = list(map(abs, qs))
-            yield m, kb, list(map(verdict, ps, qs, nums, dens)), ps, qs, nums, dens
+            if statuses is None:
+                statuses = list(map(verdict, ps, qs, nums, dens))
+            yield m, kb, statuses, ps, qs, nums, dens

@@ -17,7 +17,9 @@ convergents write their lines in blocks of 8 KB or more as they make them
 (one m, at most 64 consecutive k), counts the tallies as it goes and keeps
 no case it has written; only COR_GENERAL_LUCAS keeps one engine state per
 k, so its memory grows with the k range. Big integers are serialized as
-decimal strings, never as JSON numbers.
+decimal strings, never as JSON numbers, and a sweep makes each string
+once where it can: a denominator equal to a numerator it has just
+written reuses that numerator's digits (see _cli_cases).
 
 Exit codes: 0 success (all PASS), 1 at least one FAIL, 2 usage error,
 3 evaluation or domain error, 4 internal error (a bug, not a verdict;
@@ -50,8 +52,6 @@ list every subcommand.
 A token that starts with '-' and a digit is a value (`--k -50..50`,
 `expand -13/3`), never an option name.
 """
-
-from __future__ import annotations
 
 import os
 import re
@@ -92,7 +92,7 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _rat_json(r: Rational) -> str:
+def _rat_json(r: "Rational") -> str:
     return f'{{"num": "{r.num}", "den": "{r.den}"}}'
 
 
@@ -273,7 +273,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> "argparse.ArgumentParser":
     """The argparse parser for `command` alone, or for every subcommand when it is None.
 
     argparse runs only the subparser that argv names, so the others are left

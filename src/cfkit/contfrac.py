@@ -43,8 +43,6 @@ whitespace around it, is what _ITEM matches. parse_runs() returns the
 items as runs without expanding them; parse_cf() returns the expansion.
 """
 
-from __future__ import annotations
-
 import re
 from math import isqrt
 from typing import NamedTuple
@@ -121,7 +119,7 @@ def _mul(m1: tuple[int, int, int, int], m2: tuple[int, int, int, int]) -> tuple[
 
 # Iterator is named only in an annotation, which postponed evaluation never
 # resolves, so this module imports nothing for it.
-def _leaves(terms: list[int]) -> Iterator[tuple[int, int, int, int]]:
+def _leaves(terms: list[int]) -> "Iterator[tuple[int, int, int, int]]":
     """Product of [[a_i, 1], [1, 0]] over each slice of at most _LEAF_TERMS terms, as (p, p', q, q')."""
     for lo in range(0, len(terms), _LEAF_TERMS):
         p, p_prev, q, q_prev = 1, 0, 0, 1

@@ -43,9 +43,13 @@ side p/q, reduced because its final matrix has determinant +-1 (q >= 0;
 q = 0: undefined), against the ratio num/den; a lemma lhs = rhs is lhs/1
 against rhs/1. A case passes exactly when (num, den) = g*(p, q) for an
 integer g, so one comparison decides it where den = +-q (g = +-1, most
-cases) and one exact division otherwise. _record() builds a decided
-case's CheckOutcome: a pass has one Rational as both sides, and only a
-failing right side is reduced by gcd.
+cases) and one exact division otherwise. The engine decides a batch of
+consecutive k whole by the rule beside it, _own_ratio_verdicts(), when
+the batch's ratio columns equal its left columns; that returns exactly
+what _verdict() would for each case, and any other batch goes to
+_verdict() case by case. _record() builds a decided case's CheckOutcome:
+a pass has one Rational as both sides, and only a failing right side is
+reduced by gcd.
 
 Catalog, with F = fib, f = fib_comb, L = lucas, l = lucas_swapped,
 G_k(n) = gibonacci(k, n) and S_t(n) = scaled_fib(t, n); m >= 0 throughout:
@@ -88,8 +92,6 @@ Two caveats the harness itself demonstrates:
     (5*(l_20 - l_10) = 75020 but F_25 = 75025), for the same seed reason;
     from there the right side exceeds the left by exactly F(m-15).
 """
-
-from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum, auto
@@ -360,6 +362,23 @@ def _verdict(p: int, q: int, num: int, den: int) -> Status:
         return _PASS if num == -p else _FAIL
     g, rem = divmod(den, q)
     return _PASS if rem == 0 and num == g * p else _FAIL
+
+
+def _own_ratio_verdicts(ps: list[int], qs: list[int], nums: list[int], dens: list[int]) -> list[Status] | None:
+    """Each case's _verdict() at once for a batch whose ratio columns equal its left columns; None for any other batch.
+
+    The columns are taken before a negative q is flipped with its p. Where
+    nums == ps and dens == qs, each case is p/q against g*(p, q) with g = 1,
+    or g = -1 once q < 0 is flipped to q > 0: it passes, except where q = 0,
+    whose two sides are both undefined (SKIPPED). That is what _verdict()
+    returns for each case; a batch this does not decide goes to _verdict()
+    case by case. Every case's own values are compared.
+    """
+    if nums != ps or dens != qs:
+        return None
+    if 0 in qs:
+        return [_PASS if q else _SKIPPED for q in qs]
+    return [_PASS] * len(qs)
 
 
 def _record(status: Status, p: int, q: int, num: int, den: int) -> CheckOutcome:

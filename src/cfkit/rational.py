@@ -6,8 +6,6 @@ the library needs exist here: construction, integer addition, reciprocal
 and comparison. No floating point is involved anywhere.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from .errors import ZeroDenominator, ZeroReciprocal

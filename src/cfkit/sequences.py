@@ -14,8 +14,6 @@ the kernel only for its seed and then steps a pair of values along the
 recurrence; sweeps and the `seq` command both read their values from it.
 """
 
-from __future__ import annotations
-
 from .errors import EvenOrder, NegativeIndex, UsageError
 
 
@@ -123,7 +121,7 @@ def scaled_fib(t: int, n: int) -> int:
 
 # Iterator is named only in an annotation, which postponed evaluation never
 # resolves, so this module imports nothing for it.
-def walk(name: str, lead: tuple[int, ...], start: int, stride: int) -> Iterator[int]:
+def walk(name: str, lead: tuple[int, ...], start: int, stride: int) -> "Iterator[int]":
     """X(*lead, start), X(*lead, start + stride), ... for the function X named name; stride >= 0.
 
     The first value is a direct call, so a bad index or order raises where

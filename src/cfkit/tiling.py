@@ -8,8 +8,6 @@ first), and yields every tiling as its own tuple. Size bounds keep the
 exhaustive enumeration fast.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator, Sequence
 
 from .errors import BoundExceeded, UsageError

@@ -98,6 +98,14 @@ GOLDEN = [
     ('sweep THM2_FIB_FORM --m 0..8 --k -3..3 --jobs 2', 0, '278fa3045dc14658cbcdcc707dc5e2914eca50baff5c1040fa385092c99dc286'),
     ('sweep THM2_FIB_FORM --m 0..8 --k -3..3 --jobs 2 --json', 0, 'eb7d0fc2e797fd6e521ebda2088adf3c79e6fe789242454099458d62c981e7b9'),
     ('sweep ID117 --m 0..2 --jobs -1', 0, '12596ff9ccfe03d16ddb29e9fff01d81a9ba24434bc4fca15a345c6494fdd835'),
+    # where a sweep reuses a decimal string: a k range wider than the strings
+    # kept per m, one engine state per k, SKIPPED cases inside a batch, text
+    # FAIL lines, and a long m range without k
+    ('sweep THM2_FIB_FORM --m 0..20 --k -300..300 --json', 0, 'bd2514449fa4549305b977bf1e7f6f7a5bd802be0f74ac48d0a1da648c84256c'),
+    ('sweep COR_GENERAL_LUCAS --m 0..30 --k 0..3 --json', 0, 'b690e982d90bf67374437440701a575fd5d85893e7ea10e36442f9503a7895d5'),
+    ('sweep THM3_ONES --m 0..3 --k -100..100 --json', 0, '43bf7b9d1029e51b6f39575bc5ba5125b1419b5dc884eaceb608e8fa9a08725b'),
+    ('sweep THM5_SWAPPED_LUCAS --m 2..120', 1, 'd7602618a2d325c74c8a7f32bf2a7d273608fcd5d147bd2458fb846fcc082cf5'),
+    ('sweep THM7_FOURS --m 0..300 --json', 0, 'a98ea8a87ff054c32b1f5c11f8727bd22816f8a330a93eeb015e32503f3a14da'),
     # usage errors (exit 2)
     ('eval [', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('eval [1,,2]', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

@@ -214,7 +214,8 @@ def test_one_validation_per_case(validate_calls, call):
 def test_sweep_checks_the_grid_before_any_case(monkeypatch, ident, m_range, k_range, cases):
     # A sweep checks its grid as a whole, once, instead of validating each
     # case: every case decision must come after that check, each case is
-    # decided once, and every case yielded lies in the entry's domain.
+    # decided once, by _verdict() or as one of a batch _own_ratio_verdicts()
+    # decides whole, and every case yielded lies in the entry's domain.
     events = []
 
     def recorded(name, real):
@@ -226,6 +227,14 @@ def test_sweep_checks_the_grid_before_any_case(monkeypatch, ident, m_range, k_ra
 
     recorded("grid", identities._case_grid)
     recorded("case", identities._verdict)
+    whole = identities._own_ratio_verdicts
+
+    def batch(*columns):
+        statuses = whole(*columns)
+        events.extend(["case"] * (0 if statuses is None else len(statuses)))
+        return statuses
+
+    monkeypatch.setattr(identities, "_own_ratio_verdicts", batch)
 
     stream = identities.iter_sweep(ident, m_range, k_range)
     assert events == ["grid"]  # checked on the call, before any case exists

@@ -78,6 +78,8 @@ def test_engine_matches_run_case(window):
 @example((I.THM1_GIBONACCI, (0, 3), (-150, 150)), False)
 @example((I.THM3_ONES, (0, 3), (-100, 100)), True)  # SKIPPED cases inside a batch
 @example((I.THM3_ONES, (0, 3), (-100, 100)), False)
+@example((I.THM2_FIB_FORM, (0, 3), (-300, 300)), True)  # more k than the sweep keeps strings for
+@example((I.COR_GENERAL_LUCAS, (0, 12), (0, 3)), True)  # one state per k
 def test_cli_sweep_lines_equal_the_records(window, as_json):
     ident, m_range, k_range = window
     argv = ["sweep", ident.name, "--m", f"{m_range[0]}..{m_range[1]}"]
