@@ -10,7 +10,7 @@ is no floating point anywhere. The public surface:
                                  of (value, count) runs, parsing,
                                  canonical expansion, sqrt(d) periods
   * tiling                       brute-force square/domino counting oracles
-  * identities                   the identity catalog, check/sweep harness
+  * identities                   the identity catalog, run_case/sweep harness
                                  (iter_sweep streams a grid case by case)
                                  and the uniform-base pattern fitter
   * cli                          the `cfkit` command-line front end
@@ -33,8 +33,8 @@ _EXPORTS = {
             "evaluate_runs", "expand_rational", "parse_cf", "parse_runs", "surd_cf",
         ),
         "identities": (
-            "CaseParams", "CheckOutcome", "IdentityId", "Status", "SweepReport", "check", "check_lemma",
-            "fit_uniform", "iter_sweep", "lhs_terms", "rhs_value", "run_case", "sweep",
+            "CaseParams", "CheckOutcome", "IdentityId", "Status", "SweepReport", "fit_uniform", "iter_sweep",
+            "run_case", "sweep",
         ),
         "rational": ("Rational",),
         "sequences": ("fib", "fib_comb", "gibonacci", "lucas", "lucas_odd_index_of", "lucas_swapped", "scaled_fib"),

@@ -3,7 +3,7 @@
 import re
 
 from . import contfrac
-from .cli import _rat_json, _write_lines
+from .cli import _write_lines
 from .errors import ParseError
 from .rational import Rational
 
@@ -37,6 +37,10 @@ def _zero_padded(n: int, width: int) -> str:
         return str(n).zfill(width)
     hi, lo = divmod(n, 10 ** (width // 2))
     return _zero_padded(hi, width - width // 2) + _zero_padded(lo, width // 2)
+
+
+def _rat_json(r: Rational) -> str:
+    return f'{{"num": "{r.num}", "den": "{r.den}"}}'
 
 
 def _strings_json(values) -> str:

@@ -23,9 +23,11 @@ written reuses that numerator's digits (see _cli_cases).
 
 Exit codes: 0 success (all PASS), 1 at least one FAIL, 2 usage error,
 3 evaluation or domain error, 4 internal error (a bug, not a verdict;
-stdout may be cut short), 141 standard output closed before the command
-finished writing (a broken pipe, as in `cfkit sweep ... | head`; 128 +
-SIGPIPE, the code a shell reports for a process that signal ends).
+stdout may be cut short), 74 standard output cannot be written (a full
+disk, or stdout closed at launch; sysexits' EX_IOERR), 141 standard
+output closed before the command finished writing (a broken pipe, as in
+`cfkit sweep ... | head`; 128 + SIGPIPE, the code a shell reports for a
+process that signal ends).
 
 A launch loads and compiles only what its subcommand runs. This module
 holds the subcommand table, the argv reader, run(), main() and what every
@@ -60,9 +62,8 @@ from types import SimpleNamespace
 
 from .errors import CFKitError
 
-# Annotations below name types (Rational, argparse.ArgumentParser) that are
-# imported only where they are used; with postponed evaluation they are
-# never resolved at run time.
+# An annotation below that names a type imported only where it is used
+# (argparse.ArgumentParser) is quoted, so it is never resolved at run time.
 
 
 def _type_error(message: str) -> Exception:
@@ -90,10 +91,6 @@ def _nonneg_int(text: str) -> int:
     if value < 0:
         raise _type_error(f"expected a nonnegative integer, got '{text}'")
     return value
-
-
-def _rat_json(r: "Rational") -> str:
-    return f'{{"num": "{r.num}", "den": "{r.den}"}}'
 
 
 def _write_lines(pieces) -> None:
@@ -329,23 +326,37 @@ def run(argv: list[str]) -> int:
         return exc.exit_code
     except BrokenPipeError:
         raise  # main() exits 141
+    except OSError as exc:
+        return _cannot_write(exc)
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4  # a bug, not a verdict
 
 
+_IO_ERROR = 74  # sysexits' EX_IOERR
 _BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
+def _cannot_write(reason: object) -> int:
+    print(f"error: cannot write output: {reason}", file=sys.stderr)
+    return _IO_ERROR
+
+
 def main() -> None:
+    if sys.stdout is None:  # fd 1 was closed at launch (`cfkit ... >&-`)
+        sys.exit(_cannot_write("standard output is closed"))
     try:
         code = run(sys.argv[1:])
-        sys.stdout.flush()
+        if code != _IO_ERROR:  # after a failed write, the flush would fail again
+            sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed the pipe. Point stdout at devnull, so that the
-        # flush at interpreter shutdown cannot raise a second time (the
-        # recipe in the documentation of Python's signal module).
+        code = _BROKEN_PIPE
+    except OSError as exc:  # a full disk: the flush of buffered output failed
+        code = _cannot_write(exc)
+    if code in (_IO_ERROR, _BROKEN_PIPE):
+        # Point stdout at devnull, so that the flush at interpreter shutdown
+        # cannot raise a second time (the recipe in the documentation of
+        # Python's signal module for a closed pipe).
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        code = _BROKEN_PIPE
     sys.exit(code)

@@ -305,6 +305,12 @@ def surd_cf(d: int, max_terms: int = 10_000) -> SurdExpansion:
     most a0, and the period ends with 2*a0, so the first term equal to
     2*a0 closes it. Raises PeriodNotFound when the period is longer than
     max_terms.
+
+    What is proven: the period's value. The convergent certificate in
+    tests/test_contfrac.py (p_{r-1} = a0*q_{r-1} + q_{r-2} and
+    d*q_{r-1} = a0*p_{r-1} + p_{r-2} for the r-term period without its
+    final 2*a0) shows sqrt(d) = [a0; period repeated]. That the period is
+    minimal rests on the first-2*a0 rule above alone; nothing checks it.
     """
     if d < 1:
         raise UsageError(f"expected a positive integer, got {d}")

@@ -64,14 +64,6 @@ class BoundExceeded(CFKitError):
     """Brute-force enumeration was asked for more than its size bound."""
 
 
-class NotACFIdentity(UsageError):
-    """The catalog entry is a lemma, not a continued-fraction identity."""
-
-
-class NotALemma(UsageError):
-    """The catalog entry is a continued-fraction identity, not a lemma."""
-
-
 class BadDomain(CFKitError):
     """A catalog case was requested outside the identity's parameter domain."""
 

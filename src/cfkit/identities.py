@@ -11,12 +11,10 @@ k's lower bound and the m step; an entry takes k where k appears in it.
 
 Two routes read the same table:
 
-  * run_case() is the reference, and the one worker that checks a case.
-    It validates the case exactly once, as the one-case grid of a sweep,
-    evaluates the left side's (value, count) runs with evaluate_runs()
-    and calls every X of the forms directly. check() and check_lemma()
-    check the entry's kind in front of it; lhs_terms() and rhs_value()
-    make the same checks, then compute one side each.
+  * run_case() is the reference, and the one worker that checks a case of
+    either kind. It validates the case exactly once, as the one-case grid
+    of a sweep, evaluates the left side's (value, count) runs with
+    evaluate_runs() and calls every X of the forms directly.
   * iter_sweep() is the stepped engine (cfkit._engine, which says how it
     steps). It checks the whole grid when it is called, then seeds one
     state at the first m, or one per k where k changes the base or a
@@ -98,14 +96,12 @@ from enum import Enum, auto
 from typing import NamedTuple
 
 from . import sequences
-from .contfrac import _expand, evaluate_runs
+from .contfrac import evaluate_runs
 from .errors import (
     BadDomain,
     EmptyRange,
     ExtraParam,
     MissingParam,
-    NotACFIdentity,
-    NotALemma,
     UndefinedValue,
     UsageError,
 )
@@ -306,13 +302,6 @@ def _case(ident: IdentityId, params: CaseParams) -> tuple[int, int | None]:
     return m, k
 
 
-def _cf_entry(ident: IdentityId) -> IdentityId:
-    """The entry, after checking that it is a continued-fraction identity."""
-    if ident.is_lemma:
-        raise NotACFIdentity(f"{ident.name} has no continued-fraction side")
-    return ident
-
-
 # --- the reference route: every value computed directly ---------------------
 
 
@@ -332,18 +321,6 @@ def _form_value(form: tuple[tuple, ...], m: int, k: int | None) -> int:
         n = a * m + b
         total += coef(k) * (fn(n) if p is None else fn(p(k), n))
     return total
-
-
-def lhs_terms(ident: IdentityId, params: CaseParams) -> list[int]:
-    """The exact term list the identity prescribes for these parameters."""
-    return _expand(_runs(_cf_entry(ident).lhs, *_case(ident, params)))
-
-
-def rhs_value(ident: IdentityId, params: CaseParams) -> Rational | None:
-    """The identity's stated ratio, reduced, or None when its denominator is zero."""
-    m, k = _case(_cf_entry(ident), params)
-    num, den = (_form_value(form, m, k) for form in ident.rhs)
-    return None if den == 0 else Rational(num, den)
 
 
 def _verdict(p: int, q: int, num: int, den: int) -> Status:
@@ -405,22 +382,6 @@ def run_case(ident: IdentityId, params: CaseParams) -> CheckOutcome:
         except UndefinedValue:
             p = q = 0
     return _record(_verdict(p, q, num, den), p, q, num, den)
-
-
-def check(ident: IdentityId, params: CaseParams) -> CheckOutcome:
-    """Compare the evaluated terms against the stated ratio for one case.
-
-    Undefinedness is data, not an error: both sides undefined is SKIPPED,
-    one side undefined is a FAIL.
-    """
-    return run_case(_cf_entry(ident), params)
-
-
-def check_lemma(ident: IdentityId, params: CaseParams) -> CheckOutcome:
-    """Check one lemma instance as an exact integer equation."""
-    if not ident.is_lemma:
-        raise NotALemma(f"{ident.name} is not a lemma; use check()")
-    return run_case(ident, params)
 
 
 def _case_grid(

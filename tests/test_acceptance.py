@@ -22,15 +22,7 @@ from cfkit.contfrac import (
     surd_cf,
 )
 from cfkit.errors import IntermediateZero, PerfectSquare, UndefinedValue
-from cfkit.identities import (
-    CaseParams,
-    IdentityId,
-    Status,
-    check_lemma,
-    fit_uniform,
-    rhs_value,
-    sweep,
-)
+from cfkit.identities import CaseParams, IdentityId, Status, fit_uniform, run_case, sweep
 from cfkit.rational import Rational
 from cfkit.sequences import fib_comb, gibonacci, lucas
 from cfkit.tiling import count_board, count_bracelet, count_stacked
@@ -149,7 +141,7 @@ def test_c4_thm3():
             lhs_defined = True
         except UndefinedValue:
             lhs_defined = False
-        rhs_defined = rhs_value(I.THM3_ONES, params) is not None
+        rhs_defined = run_case(I.THM3_ONES, params).rhs is not None
         if not lhs_defined and not rhs_defined:
             both_undefined.add((params.m, params.k))
 
@@ -233,10 +225,10 @@ def test_c5_lemmas():
 
 
 def test_c5_bridge_small_indices():
-    outcome = check_lemma(I.LEM_BRIDGE, CaseParams(10))
+    outcome = run_case(I.LEM_BRIDGE, CaseParams(10))
     ok = outcome.status is Status.PASS and outcome.lhs == Rational(610)
     for m in (0, 5, 15):
-        ok = ok and check_lemma(I.LEM_BRIDGE, CaseParams(m)).status is Status.PASS
+        ok = ok and run_case(I.LEM_BRIDGE, CaseParams(m)).status is Status.PASS
     report("C5 LEM_BRIDGE holds at m in {0,5,10,15}, incl. 5*(l10-l0) = 610", ok)
 
 

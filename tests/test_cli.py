@@ -406,8 +406,7 @@ def test_missing_subcommand_exits_2(capsys):
 # Every error class, by the exit code the CLI reports for it. Written out,
 # so that a new class must be placed on one side on purpose.
 USAGE_ERRORS = {
-    "UsageError", "EmptyCF", "ParseError", "EmptyRange", "MissingParam", "ExtraParam",
-    "UnknownIdentity", "NotALemma", "NotACFIdentity",
+    "UsageError", "EmptyCF", "ParseError", "EmptyRange", "MissingParam", "ExtraParam", "UnknownIdentity",
 }
 DOMAIN_ERRORS = {
     "CFKitError", "ZeroDenominator", "ZeroReciprocal", "UndefinedValue", "IntermediateZero",

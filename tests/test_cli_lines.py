@@ -145,7 +145,7 @@ def test_a_passing_check_converts_its_one_rational_once(capsys, monkeypatch):
 
     monkeypatch.setattr(Rational, "__str__", counted)
     assert cli.run(["check", "THM6_ELEVEN_FIB", "--m", "40"]) == 0
-    side = str(identities.check(I.THM6_ELEVEN_FIB, CaseParams(40)).lhs)
+    side = str(identities.run_case(I.THM6_ELEVEN_FIB, CaseParams(40)).lhs)
     assert capsys.readouterr().out == f"PASS m=40 lhs={side} rhs={side}\n"
     assert len(conversions) == 2  # the command's one and this test's own
 
@@ -363,18 +363,21 @@ def test_closed_pipe_exits_141_on_an_unbuffered_stdout(argv):
     _read_one_line_then_close(argv.split(), ["-u"])
 
 
+def _child_env():
+    """This environment with cfkit's source on PYTHONPATH and no PYTHONUNBUFFERED: a child's stdout is buffered unless it runs with -u."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cfkit.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def _read_one_line_then_close(argv, flags=()):
     # Read one line, then close the pipe; the command has megabytes left to
-    # write, so its next write finds no reader. stdout is buffered unless
-    # flags holds -u, whatever PYTHONUNBUFFERED says here.
-    src = os.path.dirname(os.path.dirname(cfkit.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("PYTHONUNBUFFERED", None)
+    # write, so its next write finds no reader.
     proc = subprocess.Popen(
         [sys.executable, *flags, "-m", "cfkit", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_child_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -383,3 +386,44 @@ def _read_one_line_then_close(argv, flags=()):
     assert proc.wait(timeout=120) == 141
     assert err == b""
     assert first.strip()
+
+
+# --- a stdout that cannot be written ------------------------------------------
+
+
+def _launch(argv, flags=(), **kwargs):
+    """Run `python [flags] -m cfkit argv` to its end, with stderr captured."""
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "cfkit", *argv], stderr=subprocess.PIPE, env=_child_env(), timeout=120, **kwargs
+    )
+
+
+def _assert_cannot_write(proc):
+    # One documented line and code: no traceback, and no "Exception ignored"
+    # from the flush at interpreter shutdown.
+    assert proc.returncode == 74, proc.stderr
+    err = proc.stderr.decode()
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+FULL_DISK = [
+    ("eval [1]", ()),  # buffered: the flush in main() fails
+    ("eval [1]", ("-u",)),  # unbuffered: the write in run() fails
+    ("sweep ID117 --m 0..3", ()),
+    # 370 KB: a write in run() fails, and its block stays buffered
+    ("sweep THM2_FIB_FORM --m 0..30 --k -30..30 --json", ()),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, flags", FULL_DISK)
+def test_a_full_disk_exits_74_with_one_error_line(argv, flags):
+    with open("/dev/full", "wb") as full:
+        _assert_cannot_write(_launch(argv.split(), flags, stdout=full))
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child")
+def test_a_closed_stdout_exits_74_with_one_error_line():
+    # As `cfkit eval "[1]" >&-`: Python starts with sys.stdout None.
+    _assert_cannot_write(_launch(["eval", "[1]"], preexec_fn=lambda: os.close(1)))

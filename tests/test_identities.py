@@ -2,33 +2,19 @@ import pickle
 
 import pytest
 
-from cfkit import identities, sequences
+from cfkit import contfrac, identities, sequences
 from cfkit.contfrac import eval_fold, evaluate
-from cfkit.errors import (
-    BadDomain,
-    CFKitError,
-    ExtraParam,
-    IntermediateZero,
-    MissingParam,
-    NotACFIdentity,
-    NotALemma,
-)
-from cfkit.identities import (
-    CaseParams,
-    IdentityId,
-    Status,
-    check,
-    check_lemma,
-    fit_uniform,
-    lhs_terms,
-    rhs_value,
-    run_case,
-    sweep,
-)
+from cfkit.errors import BadDomain, ExtraParam, IntermediateZero, MissingParam
+from cfkit.identities import CaseParams, IdentityId, Status, fit_uniform, run_case, sweep
 from cfkit.rational import Rational
 from cfkit.sequences import fib, gibonacci, lucas, lucas_odd_index_of
 
 I = IdentityId
+
+
+def _lhs_terms(ident, params):
+    """The term list of a continued-fraction entry's left side at a case, as run_case() evaluates it in runs."""
+    return contfrac._expand(identities._runs(ident.lhs, *params))
 
 
 def test_identity_members_keep_their_numbering_repr_and_pickles():
@@ -42,18 +28,11 @@ def test_identity_members_keep_their_numbering_repr_and_pickles():
 
 
 def test_lhs_terms_shapes():
-    assert lhs_terms(I.THM1_GIBONACCI, CaseParams(2, 3)) == [4, 4, 9]
-    assert lhs_terms(I.THM4_ELEVEN3, CaseParams(0)) == [3]
-    assert lhs_terms(I.COR_GENERAL_LUCAS, CaseParams(1, 4)) == [76, 76]
-    assert lhs_terms(I.THM5_SWAPPED_LUCAS, CaseParams(2)) == [11, 11, 11]
-    assert lhs_terms(I.EXT_ELEVEN8, CaseParams(1)) == [11, 8]
-
-
-def test_lemmas_have_no_cf_side():
-    with pytest.raises(NotACFIdentity):
-        lhs_terms(I.LEM_4F, CaseParams(3))
-    with pytest.raises(NotACFIdentity):
-        rhs_value(I.LEM_BRIDGE, CaseParams(5))
+    assert _lhs_terms(I.THM1_GIBONACCI, CaseParams(2, 3)) == [4, 4, 9]
+    assert _lhs_terms(I.THM4_ELEVEN3, CaseParams(0)) == [3]
+    assert _lhs_terms(I.COR_GENERAL_LUCAS, CaseParams(1, 4)) == [76, 76]
+    assert _lhs_terms(I.THM5_SWAPPED_LUCAS, CaseParams(2)) == [11, 11, 11]
+    assert _lhs_terms(I.EXT_ELEVEN8, CaseParams(1)) == [11, 8]
 
 
 def test_the_lemmas_are_exactly_the_lem_entries():
@@ -63,26 +42,26 @@ def test_the_lemmas_are_exactly_the_lem_entries():
 
 
 def test_rhs_values():
-    assert rhs_value(I.THM2_FIB_FORM, CaseParams(2, 3)) == Rational(157, 37)
-    assert rhs_value(I.THM6_ELEVEN_FIB, CaseParams(2)) == Rational(1353, 122)
-    assert rhs_value(I.EXT_ELEVEN8, CaseParams(2)) == Rational(987, 89)
-    assert rhs_value(I.THM3_ONES, CaseParams(1, 0)) is None
+    assert run_case(I.THM2_FIB_FORM, CaseParams(2, 3)).rhs == Rational(157, 37)
+    assert run_case(I.THM6_ELEVEN_FIB, CaseParams(2)).rhs == Rational(1353, 122)
+    assert run_case(I.EXT_ELEVEN8, CaseParams(2)).rhs == Rational(987, 89)
+    assert run_case(I.THM3_ONES, CaseParams(1, 0)).rhs is None
 
 
 def test_check_known_cases():
-    outcome = check(I.ID117, CaseParams(2))
+    outcome = run_case(I.ID117, CaseParams(2))
     assert outcome.status is Status.PASS
     assert outcome.lhs == Rational(55, 13)
 
-    outcome = check(I.THM1_GIBONACCI, CaseParams(2, -4))
+    outcome = run_case(I.THM1_GIBONACCI, CaseParams(2, -4))
     assert outcome.status is Status.PASS
     assert outcome.lhs == Rational(81, 19)
 
-    outcome = check(I.THM3_ONES, CaseParams(1, 0))
+    outcome = run_case(I.THM3_ONES, CaseParams(1, 0))
     assert outcome.status is Status.SKIPPED
     assert outcome.lhs is None and outcome.rhs is None
 
-    outcome = check(I.THM1_GIBONACCI, CaseParams(2, -2))
+    outcome = run_case(I.THM1_GIBONACCI, CaseParams(2, -2))
     assert outcome.status is Status.PASS
     assert outcome.lhs == Rational(13, 3)
 
@@ -96,30 +75,22 @@ def test_negative_tail_values_match_gibonacci_tables():
 
 
 def test_check_lemma_cases():
-    outcome = check_lemma(I.LEM_4F, CaseParams(10))
+    outcome = run_case(I.LEM_4F, CaseParams(10))
     assert outcome.status is Status.PASS
     assert outcome.lhs == Rational(220)  # 4*55 = 144 + 55 + 21
 
-    outcome = check_lemma(I.LEM_BRIDGE, CaseParams(10))
+    outcome = run_case(I.LEM_BRIDGE, CaseParams(10))
     assert outcome.status is Status.PASS
     assert outcome.lhs == Rational(610)  # 5*(123 - 1)
 
-    outcome = check_lemma(I.LEM_29F, CaseParams(0))
+    outcome = run_case(I.LEM_29F, CaseParams(0))
     assert outcome.status is Status.PASS
     assert outcome.lhs == Rational(377)  # 0 + 29*13
 
 
 def test_lemma_bridge_domain():
     with pytest.raises(BadDomain):
-        check_lemma(I.LEM_BRIDGE, CaseParams(7))
-
-
-def test_check_lemma_rejects_cf_identities():
-    with pytest.raises(NotALemma):
-        check_lemma(I.ID117, CaseParams(1))
-    # both wrong-checker errors are CFKitErrors; NotALemma stays a ValueError
-    assert issubclass(NotALemma, CFKitError) and issubclass(NotALemma, ValueError)
-    assert issubclass(NotACFIdentity, CFKitError)
+        run_case(I.LEM_BRIDGE, CaseParams(7))
 
 
 def test_sweep_id117_base_cases():
@@ -148,9 +119,9 @@ def test_sweep_signature_validation():
     with pytest.raises(ExtraParam):
         sweep(I.ID117, (0, 5), (0, 1))
     with pytest.raises(MissingParam):
-        check(I.THM3_ONES, CaseParams(1))
+        run_case(I.THM3_ONES, CaseParams(1))
     with pytest.raises(ExtraParam):
-        check(I.ID117, CaseParams(1, 3))
+        run_case(I.ID117, CaseParams(1, 3))
 
 
 def test_sweep_orders_cases_lexicographically():
@@ -168,23 +139,23 @@ def test_thm5_diverges_from_m_equals_three():
     # The swapped-Lucas difference form tracks the true convergents only
     # while an index below 2 is involved; [11,11,11,11] is the first
     # length where the ten-step shift crosses the irregular seeds.
-    outcome = check(I.THM5_SWAPPED_LUCAS, CaseParams(3))
+    outcome = run_case(I.THM5_SWAPPED_LUCAS, CaseParams(3))
     assert outcome.status is Status.FAIL
     assert outcome.lhs == Rational(15005, 1353)
     assert outcome.rhs == Rational(15004, 1353)  # reduces to 1364/123
     assert outcome.rhs == Rational(1364, 123)
     for m in range(3, 11):
-        assert check(I.THM5_SWAPPED_LUCAS, CaseParams(m)).status is Status.FAIL
+        assert run_case(I.THM5_SWAPPED_LUCAS, CaseParams(m)).status is Status.FAIL
 
 
 def test_thm5_and_thm6_right_sides_agree_only_up_to_two():
     for m in range(3):
-        assert rhs_value(I.THM5_SWAPPED_LUCAS, CaseParams(m)) == rhs_value(
-            I.THM6_ELEVEN_FIB, CaseParams(m)
+        assert run_case(I.THM5_SWAPPED_LUCAS, CaseParams(m)).rhs == (
+            run_case(I.THM6_ELEVEN_FIB, CaseParams(m)).rhs
         )
     for m in range(3, 51):
-        assert rhs_value(I.THM5_SWAPPED_LUCAS, CaseParams(m)) != rhs_value(
-            I.THM6_ELEVEN_FIB, CaseParams(m)
+        assert run_case(I.THM5_SWAPPED_LUCAS, CaseParams(m)).rhs != (
+            run_case(I.THM6_ELEVEN_FIB, CaseParams(m)).rhs
         )
 
 
@@ -196,15 +167,15 @@ def test_thm5_and_thm6_right_sides_agree_only_up_to_two():
 )
 def test_thm5_and_thm6_right_sides_agree_everywhere():
     for m in range(101):
-        assert rhs_value(I.THM5_SWAPPED_LUCAS, CaseParams(m)) == rhs_value(
-            I.THM6_ELEVEN_FIB, CaseParams(m)
+        assert run_case(I.THM5_SWAPPED_LUCAS, CaseParams(m)).rhs == (
+            run_case(I.THM6_ELEVEN_FIB, CaseParams(m)).rhs
         )
 
 
 def test_lem_bridge_holds_only_through_fifteen():
     for m in (0, 5, 10, 15):
-        assert check_lemma(I.LEM_BRIDGE, CaseParams(m)).status is Status.PASS
-    outcome = check_lemma(I.LEM_BRIDGE, CaseParams(20))
+        assert run_case(I.LEM_BRIDGE, CaseParams(m)).status is Status.PASS
+    outcome = run_case(I.LEM_BRIDGE, CaseParams(20))
     assert outcome.status is Status.FAIL
     assert outcome.lhs == Rational(75020)
     assert outcome.rhs == Rational(75025)
@@ -214,37 +185,37 @@ def test_lem_bridge_gap_is_fib_m_minus_15():
     # From m = 20 on the right side exceeds the left by exactly F(m-15);
     # the unscaled difference l(m) - l(m-10) falls short of F(m+5)/5 by F(m-15)/5.
     for m in range(20, 2001, 5):
-        outcome = check_lemma(I.LEM_BRIDGE, CaseParams(m))
+        outcome = run_case(I.LEM_BRIDGE, CaseParams(m))
         assert outcome.rhs.num - outcome.lhs.num == fib(m - 15)
 
 
 def test_gibonacci_and_fibonacci_forms_agree():
     for m in range(0, 31):
         for k in range(-10, 11):
-            assert rhs_value(I.THM1_GIBONACCI, CaseParams(m, k)) == rhs_value(
-                I.THM2_FIB_FORM, CaseParams(m, k)
+            assert run_case(I.THM1_GIBONACCI, CaseParams(m, k)).rhs == (
+                run_case(I.THM2_FIB_FORM, CaseParams(m, k)).rhs
             )
 
 
 def test_general_lucas_specializations():
     for m in range(61):
-        assert rhs_value(I.COR_GENERAL_LUCAS, CaseParams(m, 0)) == Rational(
+        assert run_case(I.COR_GENERAL_LUCAS, CaseParams(m, 0)).rhs == Rational(
             fib(m + 2), fib(m + 1)
         )
-        assert rhs_value(I.COR_GENERAL_LUCAS, CaseParams(m, 1)) == rhs_value(
-            I.THM7_FOURS, CaseParams(m)
+        assert run_case(I.COR_GENERAL_LUCAS, CaseParams(m, 1)).rhs == (
+            run_case(I.THM7_FOURS, CaseParams(m)).rhs
         )
-        assert rhs_value(I.COR_GENERAL_LUCAS, CaseParams(m, 2)) == rhs_value(
-            I.THM6_ELEVEN_FIB, CaseParams(m)
+        assert run_case(I.COR_GENERAL_LUCAS, CaseParams(m, 2)).rhs == (
+            run_case(I.THM6_ELEVEN_FIB, CaseParams(m)).rhs
         )
-        assert rhs_value(I.COR_GENERAL_LUCAS, CaseParams(m, 3)) == rhs_value(
-            I.THM8_TWENTYNINES, CaseParams(m)
+        assert run_case(I.COR_GENERAL_LUCAS, CaseParams(m, 3)).rhs == (
+            run_case(I.THM8_TWENTYNINES, CaseParams(m)).rhs
         )
 
 
 def test_general_lucas_rejects_negative_k():
     with pytest.raises(BadDomain):
-        lhs_terms(I.COR_GENERAL_LUCAS, CaseParams(0, -1))
+        run_case(I.COR_GENERAL_LUCAS, CaseParams(0, -1))
 
 
 def test_eleven_tail_indices_derived_by_brute_force():
@@ -272,10 +243,10 @@ def test_catalog_passes_survive_the_backward_fold():
         (I.EXT_ELEVEN13, CaseParams(4)),
     ]
     for ident, params in spots:
-        outcome = check(ident, params)
+        outcome = run_case(ident, params)
         assert outcome.status is Status.PASS
         try:
-            folded = eval_fold(lhs_terms(ident, params))
+            folded = eval_fold(_lhs_terms(ident, params))
         except IntermediateZero:
             continue
         assert folded == outcome.lhs

@@ -1,8 +1,8 @@
 """Which error each identity entry point raises first, and when a case is validated.
 
-The table pins today's behaviour of every public entry point on every
-catalog entry: a bad case must raise the same exception class, in the
-same order of checks, whichever path reaches it.
+The table pins the behaviour of both public entry points, run_case() and a
+sweep, on every catalog entry: a bad case must raise the same exception
+class, in the same order of checks, whichever path reaches it.
 """
 
 import pytest
@@ -56,57 +56,51 @@ def _sweep_one(ident, params):
 
 
 ENTRY_POINTS = {
-    "check": identities.check,
-    "check_lemma": identities.check_lemma,
-    "lhs_terms": identities.lhs_terms,
-    "rhs_value": identities.rhs_value,
     "run_case": identities.run_case,
     "sweep": _sweep_one,  # an m range and k range of one value each
 }
 
-# "valid" with a lemma under check/lhs_terms/rhs_value, or a
-# continued-fraction entry under check_lemma, is the wrong-checker case.
 # Every entry point checks a case's shape (k given or not) before its
 # domain, because a case is checked as the one-case grid a sweep checks;
 # a LEM_BRIDGE case at m = -1 or m = 7 holds no multiple of 5 in the
 # domain, so it raises BadDomain.
 TABLE = """
-case              kind    check           check_lemma     lhs_terms       rhs_value       run_case        sweep
-negative_m        cf      BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       BadDomain
-negative_m        cf_k    BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       BadDomain
-negative_m        cor     BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       BadDomain
-negative_m        lemma   NotACFIdentity  BadDomain       NotACFIdentity  NotACFIdentity  BadDomain       BadDomain
-negative_m        bridge  NotACFIdentity  BadDomain       NotACFIdentity  NotACFIdentity  BadDomain       BadDomain
-missing_k         cf      ok              NotALemma       ok              ok              ok              ok
-missing_k         cf_k    MissingParam    NotALemma       MissingParam    MissingParam    MissingParam    MissingParam
-missing_k         cor     MissingParam    NotALemma       MissingParam    MissingParam    MissingParam    MissingParam
-missing_k         lemma   NotACFIdentity  ok              NotACFIdentity  NotACFIdentity  ok              ok
-missing_k         bridge  NotACFIdentity  ok              NotACFIdentity  NotACFIdentity  ok              ok
-extra_k           cf      ExtraParam      NotALemma       ExtraParam      ExtraParam      ExtraParam      ExtraParam
-extra_k           cf_k    ok              NotALemma       ok              ok              ok              ok
-extra_k           cor     ok              NotALemma       ok              ok              ok              ok
-extra_k           lemma   NotACFIdentity  ExtraParam      NotACFIdentity  NotACFIdentity  ExtraParam      ExtraParam
-extra_k           bridge  NotACFIdentity  ExtraParam      NotACFIdentity  NotACFIdentity  ExtraParam      ExtraParam
-negative_k        cf      ExtraParam      NotALemma       ExtraParam      ExtraParam      ExtraParam      ExtraParam
-negative_k        cf_k    ok              NotALemma       ok              ok              ok              ok
-negative_k        cor     BadDomain       NotALemma       BadDomain       BadDomain       BadDomain       BadDomain
-negative_k        lemma   NotACFIdentity  ExtraParam      NotACFIdentity  NotACFIdentity  ExtraParam      ExtraParam
-negative_k        bridge  NotACFIdentity  ExtraParam      NotACFIdentity  NotACFIdentity  ExtraParam      ExtraParam
-m_7               cf      ok              NotALemma       ok              ok              ok              ok
-m_7               cf_k    ok              NotALemma       ok              ok              ok              ok
-m_7               cor     ok              NotALemma       ok              ok              ok              ok
-m_7               lemma   NotACFIdentity  ok              NotACFIdentity  NotACFIdentity  ok              ok
-m_7               bridge  NotACFIdentity  BadDomain       NotACFIdentity  NotACFIdentity  BadDomain       BadDomain
-valid             cf      ok              NotALemma       ok              ok              ok              ok
-valid             cf_k    ok              NotALemma       ok              ok              ok              ok
-valid             cor     ok              NotALemma       ok              ok              ok              ok
-valid             lemma   NotACFIdentity  ok              NotACFIdentity  NotACFIdentity  ok              ok
-valid             bridge  NotACFIdentity  ok              NotACFIdentity  NotACFIdentity  ok              ok
-negative_m_bad_k  cf      ExtraParam      NotALemma       ExtraParam      ExtraParam      ExtraParam      ExtraParam
-negative_m_bad_k  cf_k    MissingParam    NotALemma       MissingParam    MissingParam    MissingParam    MissingParam
-negative_m_bad_k  cor     MissingParam    NotALemma       MissingParam    MissingParam    MissingParam    MissingParam
-negative_m_bad_k  lemma   NotACFIdentity  ExtraParam      NotACFIdentity  NotACFIdentity  ExtraParam      ExtraParam
-negative_m_bad_k  bridge  NotACFIdentity  ExtraParam      NotACFIdentity  NotACFIdentity  ExtraParam      ExtraParam
+case              kind    run_case        sweep
+negative_m        cf      BadDomain       BadDomain
+negative_m        cf_k    BadDomain       BadDomain
+negative_m        cor     BadDomain       BadDomain
+negative_m        lemma   BadDomain       BadDomain
+negative_m        bridge  BadDomain       BadDomain
+missing_k         cf      ok              ok
+missing_k         cf_k    MissingParam    MissingParam
+missing_k         cor     MissingParam    MissingParam
+missing_k         lemma   ok              ok
+missing_k         bridge  ok              ok
+extra_k           cf      ExtraParam      ExtraParam
+extra_k           cf_k    ok              ok
+extra_k           cor     ok              ok
+extra_k           lemma   ExtraParam      ExtraParam
+extra_k           bridge  ExtraParam      ExtraParam
+negative_k        cf      ExtraParam      ExtraParam
+negative_k        cf_k    ok              ok
+negative_k        cor     BadDomain       BadDomain
+negative_k        lemma   ExtraParam      ExtraParam
+negative_k        bridge  ExtraParam      ExtraParam
+m_7               cf      ok              ok
+m_7               cf_k    ok              ok
+m_7               cor     ok              ok
+m_7               lemma   ok              ok
+m_7               bridge  BadDomain       BadDomain
+valid             cf      ok              ok
+valid             cf_k    ok              ok
+valid             cor     ok              ok
+valid             lemma   ok              ok
+valid             bridge  ok              ok
+negative_m_bad_k  cf      ExtraParam      ExtraParam
+negative_m_bad_k  cf_k    MissingParam    MissingParam
+negative_m_bad_k  cor     MissingParam    MissingParam
+negative_m_bad_k  lemma   ExtraParam      ExtraParam
+negative_m_bad_k  bridge  ExtraParam      ExtraParam
 """
 
 
@@ -153,22 +147,14 @@ def _first_error(function, ident, params):
     return None
 
 
-# The entry points that take each kind of entry; each decides a case alike.
-AGREEING = {
-    "cf": ("check", "lhs_terms", "rhs_value", "run_case", "sweep"),
-    "lemma": ("check_lemma", "run_case", "sweep"),
-}
-
-
 @pytest.mark.parametrize("case", CASES)
 def test_entry_points_agree_on_each_case(case):
     # Not only the class: the same message too, because each entry point
-    # runs the one check of _case_grid.
+    # runs the one check of _case_grid. Both take either kind of entry.
     disagreements = {}
     for ident in IdentityId:
         params = CASES[case](ident)
-        functions = AGREEING["lemma" if ident.is_lemma else "cf"]
-        got = {function: _first_error(function, ident, params) for function in functions}
+        got = {function: _first_error(function, ident, params) for function in ENTRY_POINTS}
         if len(set(got.values())) != 1:
             disagreements[ident.name] = got
     assert disagreements == {}
@@ -190,13 +176,13 @@ def validate_calls(monkeypatch):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: identities.check(I.THM2_FIB_FORM, CaseParams(3, 2)),
-        lambda: identities.check(I.THM3_ONES, CaseParams(1, 0)),  # SKIPPED case
-        lambda: identities.check_lemma(I.LEM_BRIDGE, CaseParams(20)),
+        lambda: identities.run_case(I.THM2_FIB_FORM, CaseParams(3, 2)),
+        lambda: identities.run_case(I.THM3_ONES, CaseParams(1, 0)),  # SKIPPED case
+        lambda: identities.run_case(I.LEM_BRIDGE, CaseParams(20)),  # FAIL case
         lambda: identities.run_case(I.ID117, CaseParams(4)),
         lambda: identities.run_case(I.LEM_F9, CaseParams(4)),
     ],
-    ids=["check", "check_skipped", "check_lemma", "run_case_cf", "run_case_lemma"],
+    ids=["run_case_cf_k", "run_case_skipped", "run_case_bridge", "run_case_cf", "run_case_lemma"],
 )
 def test_one_validation_per_case(validate_calls, call):
     call()

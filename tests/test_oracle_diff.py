@@ -1,20 +1,23 @@
 """Differential test: random CLI commands against the benchmark's independent oracle.
 
 `perfbench/oracle.py` models the stdout bytes and the exit code of `sweep`,
-`check`, `eval` and `convergents` with `fractions.Fraction` and plain
+`check`, `eval`, `convergents`, `seq` (fib, lucas and scaled, n >= 0),
+`oracle board` and `surd` (text mode) with `fractions.Fraction` and plain
 recurrences, and imports no cfkit. It is loaded here by its path, so
 `perfbench` stays a directory of scripts, not a package. Each example runs
 one command through `cfkit.cli.run` in process and must match the oracle
 byte for byte; no generated command may exit 4 (an internal error). Every
-value stays far below the interpreter's 4 300-digit integer-string limit:
-the largest index is F(5*80 + 10), about 86 digits, and a fraction of at
-most 24 terms of size at most 20 has about 32 digits. The examples are
+value stays below the interpreter's 4 300-digit integer-string limit: a
+sweep's largest index is F(5*80 + 10), about 86 digits, a fraction of at
+most 24 terms of size at most 20 has about 32 digits, and the largest `seq`
+value, S_9(1000) = F(9000)/F(9), has about 1 880. The examples are
 derandomised, so a run in CI draws the same commands as a local one.
 """
 
 import contextlib
 import importlib.util
 import io
+from math import isqrt
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -110,3 +113,41 @@ def test_eval_matches_the_oracle(runs, digits):
 def test_convergents_match_the_oracle(runs):
     argv = ["convergents", _cf_text(runs)]
     assert _cli(argv) == oracle.convergents(runs), argv
+
+
+@st.composite
+def _seqs(draw):
+    """(kind, lo, hi, t or None, as_json): a window of up to 30 indices, n <= 1 500 (n <= 1 000 for scaled, odd t <= 9)."""
+    kind = draw(st.sampled_from(["fib", "lucas", "scaled"]))
+    t = draw(st.sampled_from([1, 3, 5, 7, 9])) if kind == "scaled" else None
+    width = draw(st.integers(0, 30))
+    top = (1000 if t else 1500) - width
+    lo = draw(st.integers(0, top))
+    if draw(st.booleans()):  # Hypothesis favours small integers; half the windows are drawn down from the top
+        lo = top - lo
+    return kind, lo, lo + width, t, draw(st.booleans())
+
+
+@_FUZZ
+@given(_seqs())
+def test_seq_matches_the_oracle(case):
+    kind, lo, hi, t, as_json = case
+    argv = ["seq", kind, "--from", str(lo), "--to", str(hi)]
+    if t is not None:
+        argv += ["--t", str(t)]
+    if as_json:
+        argv.append("--json")
+    assert _cli(argv) == oracle.seq(kind, lo, hi, t, as_json), argv
+
+
+@_FUZZ
+@given(st.integers(0, 25))
+def test_oracle_board_matches_the_oracle(n):
+    assert _cli(["oracle", "board", str(n)]) == oracle.board(n), n
+
+
+# The oracle's period loop divides by zero on a perfect square, so none is drawn.
+@_FUZZ
+@given(st.integers(2, 10**5).filter(lambda d: isqrt(d) ** 2 != d))
+def test_surd_matches_the_oracle(d):
+    assert _cli(["surd", str(d)]) == oracle.surd(d), d

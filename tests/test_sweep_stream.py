@@ -241,7 +241,7 @@ def test_thm2_grid_reuses_kernel_work_and_skips_gcd(monkeypatch, gcd_calls):
 
 
 def test_failing_cases_reduce_their_right_side(gcd_calls):
-    outcome = identities.check(I.THM5_SWAPPED_LUCAS, CaseParams(3))
+    outcome = identities.run_case(I.THM5_SWAPPED_LUCAS, CaseParams(3))
     assert len(gcd_calls) == 1
     assert outcome.status is Status.FAIL
     assert (outcome.rhs.num, outcome.rhs.den) == (1364, 123)  # 15004/1353, reduced
