@@ -9,8 +9,17 @@ written case by case (a FAIL or SKIPPED case, or a --json case of a batch
 that does not pass whole) reuses the previous case's numerator string,
 per side, for a denominator equal to it: in THM5_SWAPPED_LUCAS both the
 left q and the reduced right den (g = 11) are the previous numerators.
-Equality is always tested on the ints, so a string is reused only for the
-value it was made from.
+Equality is always tested on the values, so a string is reused only for
+the value it was made from.
+
+A lemma sweep steps its values in decimal.Decimal, inside a local context
+that holds every value exactly: a lemma's case is lhs/1 against rhs/1, so
+its values are only added, multiplied and compared, and its failing right
+side needs no gcd. str() of an integer Decimal takes linear time where an
+int's takes quadratic time, and has no digit limit. The Decimals stay in
+cmd_sweep(); no other command imports decimal. A failing right side of a
+continued-fraction sweep (THM5_SWAPPED_LUCAS) is reduced by the gcd that
+_engine.sweep_records() carries from the case before.
 """
 
 from . import identities
@@ -55,7 +64,7 @@ def _digits(r: identities.Rational) -> tuple[str, str]:
 def _reusing_digits():
     """A _digits() for one side of consecutive cases: an equal denominator reuses the previous numerator's string.
 
-    The ints are compared, not hashed: most cases have nothing to reuse.
+    The values are compared, not hashed: most cases have nothing to reuse.
     """
     last_num, last_str = None, ""
 
@@ -137,10 +146,24 @@ def cmd_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     ident = _identity(args.identity)
-    name, batches = ident.name, identities._sweep_rows(ident, args.m, args.k)
-    from ._engine import _HELD  # _sweep_rows has loaded it
+    if not ident.is_lemma:
+        return _sweep(ident, args, int)
+    # A lemma steps in Decimal (see above), at a precision that holds every
+    # value; Inexact and Rounded would trap one that did not fit.
+    import decimal
 
-    passing, failing, record = identities.Status.PASS, identities.Status.FAIL, identities._record
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
+    with decimal.localcontext(context):
+        return _sweep(ident, args, decimal.Decimal)
+
+
+def _sweep(ident: identities.IdentityId, args, number) -> int:
+    """cmd_sweep() with the forms' values of the type number (see sequences.walk)."""
+    name, batches = ident.name, identities._sweep_rows(ident, args.m, args.k, number)
+    from ._engine import _HELD, sweep_records  # _sweep_rows has loaded it
+
+    passing, failing, record = identities.Status.PASS, identities.Status.FAIL, sweep_records()
     as_json, takes_k = args.json, ident.takes_k
     # A passing --json batch's p column and its strings, by its first k, for
     # the next m's q; kept for the first _HELD k of the range only.

@@ -68,11 +68,24 @@ def cmd_expand(args) -> int:
     return 0
 
 
+def _row_digits(table: contfrac.ConvergentTable):
+    """Each row's (i, p, q) with p and q as decimal strings; a q equal to the previous row's p reuses its string.
+
+    In a run of equal terms that is every row after the first. The ints
+    are compared, so a string is reused only for the value it was made from.
+    """
+    last_p, last_str = None, ""
+    for i, (p, q) in enumerate(zip(table.p, table.q)):
+        q_str = last_str if q == last_p else str(q)
+        last_p, last_str = p, str(p)
+        yield i, last_str, q_str
+
+
 def cmd_convergents(args) -> int:
     table = contfrac.convergents(contfrac.parse_cf(args.cf))
     # Each --json line is the bytes of json.dumps({"i": i, "p": str(p), "q": str(q)}).
-    rows = enumerate(zip(table.p, table.q))
-    _write_lines(f'{{"i": {i}, "p": "{p}", "q": "{q}"}}\n' if args.json else f"{i}: {p}/{q}\n" for i, (p, q) in rows)
+    rows = _row_digits(table)
+    _write_lines(f'{{"i": {i}, "p": "{p}", "q": "{q}"}}\n' if args.json else f"{i}: {p}/{q}\n" for i, p, q in rows)
     return 0
 
 

@@ -18,7 +18,9 @@ is q's, the ratio column is the left column itself. A batch whose ratio
 columns equal its left columns (every batch of k in the catalog, since
 each stated ratio is its left side with g = +-1) is decided whole by
 identities._own_ratio_verdicts(); any other batch, and a batch of one
-case, goes to identities._verdict() case by case. No case gets a record.
+case, goes to identities._verdict() case by case. No case gets a record
+here; sweep_records() builds the records a sweep writes or yields, and
+carries a failing right side's gcd from case to case.
 A batch's size is fixed, so the memory a sweep holds grows neither with
 its m range nor, with one state, with its k range.
 identities._sweep_rows() imports this module on first use, so the
@@ -27,10 +29,12 @@ commands other than sweep and fit do not compile it.
 
 from collections.abc import Iterator
 from itertools import accumulate, islice, repeat
+from math import gcd
 
-from . import contfrac, identities, sequences
-from .contfrac import _mul
+from . import _products, identities, sequences
+from ._products import _mul
 from .identities import IdentityId, _Lin
+from .rational import Rational
 
 # The most consecutive k one batch holds: enough that a case costs a step
 # of a column, not a pass through the generators, and few enough that a
@@ -66,16 +70,16 @@ def _prefix(ident: IdentityId, k: int | None, m: int, m_step: int) -> Iterator:
     if ident.is_lemma:
         return repeat(None)
     c = ident.lhs.base(k)
-    first = contfrac._run_power(c, m + ident.lhs.extra)
-    return accumulate(repeat(contfrac._run_power(c, m_step)), _mul, initial=first)
+    first = _products._run_power(c, m + ident.lhs.extra)
+    return accumulate(repeat(_products._run_power(c, m_step)), _mul, initial=first)
 
 
-def _form(form: tuple[tuple, ...], k: int | None, m: int, m_step: int) -> Iterator[tuple[int, int]]:
-    """(P, Q) with the form's value P + k*Q at m, m + m_step, ..."""
+def _form(form: tuple[tuple, ...], k: int | None, m: int, m_step: int, number=int) -> Iterator[tuple[int, int]]:
+    """(P, Q) with the form's value P + k*Q at m, m + m_step, ..., summed from the walks' values of type number."""
     terms = _terms(form)
     coefs = [(coef.c0, coef.c1) for coef, *_ in terms]
     walks = [
-        sequences.walk(x, () if p is None else (p(k),), a * m + b, a * m_step) for _, x, a, b, p in terms
+        sequences.walk(x, () if p is None else (p(k),), a * m + b, a * m_step, number) for _, x, a, b, p in terms
     ]
     for xs in zip(*walks):
         p = q = 0
@@ -85,11 +89,12 @@ def _form(form: tuple[tuple, ...], k: int | None, m: int, m_step: int) -> Iterat
         yield p, q
 
 
-def _state(ident: IdentityId, k: int | None, ms: range) -> Iterator[tuple]:
-    """(prefix matrix, (P, Q) of the first form, (P, Q) of the second) at each m of ms."""
+def _state(ident: IdentityId, k: int | None, ms: range, number=int) -> Iterator[tuple]:
+    """(prefix matrix, (P, Q) of the first form, (P, Q) of the second) at each m of ms; P and Q of type number."""
     m, m_step = ms[0], ms.step
+    forms = (_form(form, k, m, m_step, number) for form in ident.forms)
     # The prefix and the walks go on forever; the state ends with ms.
-    return islice(zip(_prefix(ident, k, m, m_step), *(_form(form, k, m, m_step) for form in ident.forms)), len(ms))
+    return islice(zip(_prefix(ident, k, m, m_step), *forms), len(ms))
 
 
 def _state_depends_on_k(ident: IdentityId) -> bool:
@@ -104,14 +109,16 @@ def _column(c: int, d: int, k0: int, n: int) -> list[int]:
     return list(accumulate(repeat(d, n - 1), initial=c + k0 * d)) if d else [c] * n
 
 
-def sweep_cases(ident: IdentityId, ms: range, ks: range | tuple[None]) -> Iterator[tuple]:
+def sweep_cases(ident: IdentityId, ms: range, ks: range | tuple[None], number=int) -> Iterator[tuple]:
     """Every case of the grid ms x ks in (m, k) order, as batches (m, kb, statuses, ps, qs, nums, dens).
 
     kb is a slice of ks: at most _BATCH consecutive k, or the one k of a
     per-k state. The other five are lists in kb's order: each case's Status,
     its left side p/q, coprime with q >= 0 (q = 0: undefined), and its
     stated ratio num/den; a lemma first = second is first/1 against
-    second/1. The states are seeded at ms[0] and stepped in m.
+    second/1. The states are seeded at ms[0] and stepped in m. The forms'
+    values are of the type number (see sequences.walk): int, or
+    decimal.Decimal for a lemma, whose case needs only +, * and ==.
     """
     # identities._verdict, the one comparison run_case() decides every case
     # with, and the column rule beside it, looked up when the sweep starts.
@@ -120,7 +127,7 @@ def sweep_cases(ident: IdentityId, ms: range, ks: range | tuple[None]) -> Iterat
     # One state for the grid, or one per k where k changes more than the
     # tail and the coefficients.
     per_k = _state_depends_on_k(ident)
-    states = [_state(ident, k, ms) for k in (ks if per_k else (None,))]
+    states = [_state(ident, k, ms, number) for k in (ks if per_k else (None,))]
     step = 1 if per_k else _BATCH
     starts = range(0, len(ks), step)
     for m, *values in zip(ms, *states):
@@ -163,3 +170,32 @@ def sweep_cases(ident: IdentityId, ms: range, ks: range | tuple[None]) -> Iterat
             if statuses is None:
                 statuses = list(map(verdict, ps, qs, nums, dens))
             yield m, kb, statuses, ps, qs, nums, dens
+
+
+def sweep_records():
+    """identities._record() for the consecutive cases of one sweep; it keeps the last failing right side's gcd.
+
+    A right side over 1 (a lemma's) is reduced as it is, so its values may
+    be any exact integer type. Any other num/den is reduced by
+    g = gcd(num, den), and (num, den, g) is kept for the next one. Where den
+    is the last num and num - (num // den)*den is +-the last den, Euclid's
+    step gives gcd(num, den) = gcd(den, last den) = the last g, so one
+    division with a small quotient stands in for the gcd (in
+    THM5_SWAPPED_LUCAS den is the last num on every case and g = 11);
+    otherwise g is math.gcd's. Every den reduced here is nonzero.
+    _cli_cases.cmd_sweep() and identities.iter_sweep() build their records
+    with it; run_case() keeps the plain _record().
+    """
+    record, coprime = identities._record, Rational._coprime
+    last_num = last_den = g = None
+
+    def reduced(num: int, den: int) -> Rational:
+        nonlocal last_num, last_den, g
+        if den == 1:
+            return coprime(num, 1)
+        if den != last_num or num % den not in (last_den, -last_den):
+            g = gcd(num, den)
+        last_num, last_den = num, den
+        return coprime(num // g, den // g)
+
+    return lambda status, p, q, num, den: record(status, p, q, num, den, reduced)

@@ -47,7 +47,10 @@ the batch's ratio columns equal its left columns; that returns exactly
 what _verdict() would for each case, and any other batch goes to
 _verdict() case by case. _record() builds a decided case's CheckOutcome:
 a pass has one Rational as both sides, and only a failing right side is
-reduced by gcd.
+reduced by gcd. A sweep builds its records with _engine.sweep_records(),
+which carries that gcd from one failing case to the next where one Euclid
+step proves it unchanged, and the CLI sweeps a lemma in decimal.Decimal
+(see `_cli_cases`); iter_sweep() and sweep() give ints, as run_case() does.
 
 Catalog, with F = fib, f = fib_comb, L = lucas, l = lucas_swapped,
 G_k(n) = gibonacci(k, n) and S_t(n) = scaled_fib(t, n); m >= 0 throughout:
@@ -96,7 +99,7 @@ from enum import Enum, auto
 from typing import NamedTuple
 
 from . import sequences
-from .contfrac import evaluate_runs
+from ._products import evaluate_runs
 from .errors import (
     BadDomain,
     EmptyRange,
@@ -358,14 +361,20 @@ def _own_ratio_verdicts(ps: list[int], qs: list[int], nums: list[int], dens: lis
     return [_PASS] * len(qs)
 
 
-def _record(status: Status, p: int, q: int, num: int, den: int) -> CheckOutcome:
-    """The outcome record of a case _verdict() decided; only a failing right side is reduced."""
+def _record(status: Status, p: int, q: int, num: int, den: int, reduced=Rational) -> CheckOutcome:
+    """The outcome record of a case _verdict() decided; only a failing right side is reduced, as reduced(num, den).
+
+    run_case() reduces it with Rational, by math.gcd; a sweep passes the
+    reducer of _engine.sweep_records(), which needs no gcd for a lemma's
+    side, an integer over 1 and so already reduced, and carries g from case
+    to case.
+    """
     lhs = Rational._coprime(p, q) if q else None
     if status is _PASS:
         return CheckOutcome(_PASS, lhs, lhs)
     if den == 0:
         return CheckOutcome(status, lhs, None, "right side undefined" if q else "both sides undefined")
-    return CheckOutcome(_FAIL, lhs, Rational(num, den), "values differ" if q else "left side undefined")
+    return CheckOutcome(_FAIL, lhs, reduced(num, den), "values differ" if q else "left side undefined")
 
 
 def run_case(ident: IdentityId, params: CaseParams) -> CheckOutcome:
@@ -418,12 +427,18 @@ def _case_grid(
     return ms, range(k_lo, k_hi + 1) if ident.takes_k else (None,)
 
 
-def _sweep_rows(ident: IdentityId, m_range: tuple[int, int], k_range: tuple[int, int] | None) -> Iterator[tuple]:
-    """iter_sweep()'s cases as the engine's batches (m, kb, statuses, ps, qs, nums, dens), for the CLI."""
+def _sweep_rows(
+    ident: IdentityId, m_range: tuple[int, int], k_range: tuple[int, int] | None, number=int
+) -> Iterator[tuple]:
+    """iter_sweep()'s cases as the engine's batches (m, kb, statuses, ps, qs, nums, dens), for the CLI.
+
+    The forms' values are of the type number (see `_engine`); the CLI asks
+    for decimal.Decimal for a lemma.
+    """
     grid = _case_grid(ident, m_range, k_range)
     from ._engine import sweep_cases  # compiled only by the commands that sweep
 
-    return sweep_cases(ident, *grid)
+    return sweep_cases(ident, *grid, number)
 
 
 def iter_sweep(
@@ -439,9 +454,10 @@ def iter_sweep(
     is filtered to the entry's domain (multiples of 5 for LEM_BRIDGE).
     """
     batches = _sweep_rows(ident, m_range, k_range)
-    return (
-        (CaseParams(m, k), _record(*decided)) for m, kb, *columns in batches for k, *decided in zip(kb, *columns)
-    )
+    from ._engine import sweep_records  # _sweep_rows has loaded it
+
+    record = sweep_records()
+    return ((CaseParams(m, k), record(*decided)) for m, kb, *columns in batches for k, *decided in zip(kb, *columns))
 
 
 def sweep(

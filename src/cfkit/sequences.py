@@ -121,7 +121,7 @@ def scaled_fib(t: int, n: int) -> int:
 
 # Iterator is named only in an annotation, which postponed evaluation never
 # resolves, so this module imports nothing for it.
-def walk(name: str, lead: tuple[int, ...], start: int, stride: int) -> "Iterator[int]":
+def walk(name: str, lead: tuple[int, ...], start: int, stride: int, number=int) -> "Iterator[int]":
     """X(*lead, start), X(*lead, start + stride), ... for the function X named name; stride >= 0.
 
     The first value is a direct call, so a bad index or order raises where
@@ -135,24 +135,33 @@ def walk(name: str, lead: tuple[int, ...], start: int, stride: int) -> "Iterator
     2 on, so its values below that are direct calls. X is looked up in the
     module globals, so a wrapper put on the module attribute sees the seed
     calls.
+
+    The values are of the type number: each direct call's int is
+    converted after the call, and the step's constants once; the step is
+    the same + and * for every type. number = decimal.Decimal, under
+    a context whose precision holds every value and which traps Inexact
+    and Rounded, steps exactly (a lemma sweep, see `_cli_cases`), and
+    str() of its integer values takes linear time. Decimal's // truncates
+    toward zero where int's floors, but scaled_fib's division is exact, so
+    the two agree on it.
     """
     fn = globals()[name]
     n = start
     if name == "lucas_swapped":
         while n < 2:
-            yield fn(n)
+            yield number(fn(n))
             n += stride
-    y = fn(*lead, n)
+    y = number(fn(*lead, n))
     yield y
     if name == "scaled_fib":
         s = lead[0]
-        d = fib(s)
-        y, y_next = fib(s * n), fib(s * n + 1)
+        d = number(fib(s))
+        y, y_next = number(fib(s * n)), number(fib(s * n + 1))
     else:
         s = d = 1
-        y_next = fn(*lead, n + 1)
+        y_next = number(fn(*lead, n + 1))
     f, f_next = fib(s * stride), fib(s * stride + 1)
-    f_prev = f_next - f
+    f_prev, f, f_next = map(number, (f_next - f, f, f_next))
     while True:
         y, y_next = f_prev * y + f * y_next, f * y + f_next * y_next
         yield y if d == 1 else y // d

@@ -106,6 +106,10 @@ GOLDEN = [
     ('sweep THM3_ONES --m 0..3 --k -100..100 --json', 0, '43bf7b9d1029e51b6f39575bc5ba5125b1419b5dc884eaceb608e8fa9a08725b'),
     ('sweep THM5_SWAPPED_LUCAS --m 2..120', 1, 'd7602618a2d325c74c8a7f32bf2a7d273608fcd5d147bd2458fb846fcc082cf5'),
     ('sweep THM7_FOURS --m 0..300 --json', 0, 'a98ea8a87ff054c32b1f5c11f8727bd22816f8a330a93eeb015e32503f3a14da'),
+    # lemma sweeps, which step in Decimal: failing lines of over 600 digits,
+    # and passing --json lines
+    ('sweep LEM_BRIDGE --m 0..3000', 1, 'a91e2e674b0f4d234195662fb4abca53fa43d3176018e8077a86f2ae3645ddb3'),
+    ('sweep LEM_F9 --m 0..400 --json', 0, 'e07f168b3a5bff348385543527e47748bd64c949c9d5c16972c7166efc179b63'),
     # usage errors (exit 2)
     ('eval [', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('eval [1,,2]', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

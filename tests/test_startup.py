@@ -2,9 +2,11 @@
 
 Each row of LOADS runs one command through `cfkit.cli.run` in a fresh
 interpreter and names every cfkit submodule it may load: no more, no
-fewer. json and argparse are watched too, and no row loads either: every
---json line is written from a template, and a well-formed command line is
-read without argparse, which is loaded only to write help or a usage error.
+fewer. json, argparse and decimal are watched too. No row loads json or
+argparse: every --json line is written from a template, and a well-formed
+command line is read without argparse, which is loaded only to write help
+or a usage error. decimal is loaded by a lemma sweep alone, which steps its
+values in Decimal.
 The `cfkit` namespace resolves its public names and submodules on first use
 (PEP 562); the tests below check that it still behaves like the eager one.
 """
@@ -44,13 +46,14 @@ def test_import_cfkit_loads_no_submodule():
 
 
 _CLI = {"cfkit.cli", "cfkit.errors"}
-_CF = _CLI | {"cfkit._cli_cf", "cfkit.contfrac", "cfkit.rational"}
+_CF = _CLI | {"cfkit._cli_cf", "cfkit.contfrac", "cfkit._products", "cfkit.rational"}
 _SEQ = _CLI | {"cfkit._cli_seq", "cfkit.sequences"}
 _ORACLE = _CLI | {"cfkit._cli_oracle", "cfkit.tiling"}
-_IDENTITIES = _CLI | {"cfkit._cli_cases", "cfkit.identities", "cfkit.contfrac", "cfkit.rational", "cfkit.sequences"}
+# check, sweep and fit evaluate with _products, and compile none of contfrac.
+_IDENTITIES = _CLI | {"cfkit._cli_cases", "cfkit.identities", "cfkit._products", "cfkit.rational", "cfkit.sequences"}
 
-# argv -> every cfkit submodule it loads (and never json or argparse);
-# README's Start-up table.
+# argv -> every cfkit submodule it loads, and decimal where it does (never
+# json or argparse); README's Start-up table.
 LOADS = {
     "eval [2,3,7]": _CF,
     "eval [2,3,7] --digits 5": _CF,
@@ -71,12 +74,15 @@ LOADS = {
     "fit 29 --json": _IDENTITIES | {"cfkit._engine"},
     "sweep ID117 --m 0..3": _IDENTITIES | {"cfkit._engine"},
     "sweep ID117 --m 0..3 --json": _IDENTITIES | {"cfkit._engine"},
+    "sweep LEM_3F --m 0..3": _IDENTITIES | {"cfkit._engine", "decimal"},
+    "sweep LEM_3F --m 0..3 --json": _IDENTITIES | {"cfkit._engine", "decimal"},
+    "check LEM_3F --m 3": _IDENTITIES,
 }
 
 
 @pytest.mark.parametrize("argv", LOADS)
 def test_command_loads_exactly_what_it_runs(argv):
-    assert _loaded(_command(argv), {"json", "argparse"}) == LOADS[argv]
+    assert _loaded(_command(argv), {"json", "argparse", "decimal"}) == LOADS[argv]
 
 
 @pytest.mark.parametrize(

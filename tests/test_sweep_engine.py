@@ -10,6 +10,7 @@ same windows its lines must equal those rendered from iter_sweep()'s records.
 
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -80,6 +81,16 @@ def test_engine_matches_run_case(window):
 @example((I.THM3_ONES, (0, 3), (-100, 100)), False)
 @example((I.THM2_FIB_FORM, (0, 3), (-300, 300)), True)  # more k than the sweep keeps strings for
 @example((I.COR_GENERAL_LUCAS, (0, 12), (0, 3)), True)  # one state per k
+# Lemmas, whose CLI sweep steps in Decimal: negative F indices, zero sides
+# (LEM_3F at m = 0) and values of hundreds of digits (LEM_BRIDGE).
+@example((I.LEM_3F, (0, 5), None), True)
+@example((I.LEM_3F, (0, 5), None), False)
+@example((I.LEM_F9, (0, 12), None), True)
+@example((I.LEM_F9, (0, 12), None), False)
+@example((I.LEM_29F, (0, 20), None), True)
+@example((I.LEM_29F, (0, 20), None), False)
+@example((I.LEM_BRIDGE, (0, 3000), None), True)
+@example((I.LEM_BRIDGE, (0, 3000), None), False)
 def test_cli_sweep_lines_equal_the_records(window, as_json):
     ident, m_range, k_range = window
     argv = ["sweep", ident.name, "--m", f"{m_range[0]}..{m_range[1]}"]
@@ -99,6 +110,10 @@ def test_cli_sweep_lines_equal_the_records(window, as_json):
         assert lines == [_cli_cases._case_text(p, o) for p, o in cases if o.status is not Status.PASS]
         assert summary == f"pass={passed} fail={failed} skip={skipped}"
     assert code == (1 if failed else 0)
+    if ident.is_lemma:
+        # A Decimal zero times a negative is -0; every side is summed from
+        # the int 0, which makes it +0.
+        assert not any(re.search(r"-0\b", line) for line in lines)
 
 
 @pytest.mark.parametrize(
@@ -117,6 +132,16 @@ def test_engine_yields_the_named_records(ident, m_range, k_range):
         assert type(params) is CaseParams and type(outcome) is CheckOutcome
         if outcome.status is Status.PASS:
             assert outcome.note == "" and outcome.rhs is outcome.lhs
+
+
+@pytest.mark.parametrize("ident", [i for i in IdentityId if i.is_lemma], ids=lambda i: i.name)
+def test_a_library_lemma_sweep_yields_int_sides(ident):
+    # Only the CLI steps a lemma in Decimal; iter_sweep() and sweep() give ints.
+    cases = list(identities.iter_sweep(ident, (0, 40)))
+    assert any(outcome.status is Status.PASS for _, outcome in cases)
+    for _, outcome in cases:
+        for side in (outcome.lhs, outcome.rhs):
+            assert type(side.num) is int and type(side.den) is int
 
 
 def test_state_per_k_only_where_k_changes_a_base_or_a_sequence():

@@ -6,13 +6,16 @@ still shows every case checked before the cut. The stepped engine carries
 kernel results from one m to the next instead of recomputing them, and a
 passing case's right side is decided without gcd, by a comparison where
 it is +-(p, q) and by one exact division otherwise; a batch whose ratio
-columns are its left columns is decided whole, by its columns.
+columns are its left columns is decided whole, by its columns. A failing
+right side reuses the previous case's gcd where one Euclid step proves it,
+and a lemma sweep steps in Decimal.
 Each shortcut is checked here against a route that does not take it.
 """
 
 import contextlib
 import functools
 import io
+import json
 import os
 import subprocess
 import sys
@@ -25,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cfkit
-from cfkit import _engine, cli, contfrac, identities, rational, sequences
+from cfkit import _engine, _products, cli, identities, rational, sequences
 from cfkit.contfrac import evaluate, expand_rational
 from cfkit.errors import BadDomain, EmptyRange
 from cfkit.identities import CaseParams, IdentityId, Status
@@ -170,6 +173,55 @@ def test_a_sweep_over_the_digit_limit_keeps_the_lines_of_its_last_batch(capsys):
     assert out.endswith("\n") and out.splitlines() == complete[:329]
 
 
+def _fib_and_lucas(n):
+    """F_0..F_n and L_0..L_n by the recurrence x_{i+1} = x_i + x_{i-1}, from the seeds alone."""
+    fs, ls = [0, 1], [2, 1]
+    while len(fs) <= n:
+        fs.append(fs[-1] + fs[-2])
+        ls.append(ls[-1] + ls[-2])
+    return fs, ls
+
+
+def test_a_lemma_sweep_past_the_digit_limit_completes(capsys):
+    # A lemma sweep steps in Decimal, whose str() has no digit limit, so
+    # these F values of about 4 300 digits are written where an int's
+    # str() raised. check converts ints and still exits 4 on the same case:
+    # that changes once the CLI lifts the limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        argvs = ("sweep LEM_F9 --m 20600..20602 --json", "sweep LEM_BRIDGE --m 20600..20610")
+        codes = [cli.run(argv.split()) for argv in argvs]
+        f9, bridge = capsys.readouterr().out.split('{"identity": "LEM_F9", "pass": 3, "fail": 0, "skip": 0}\n')
+        assert cli.run("check LEM_F9 --m 20600".split()) == 4
+        sys.set_int_max_str_digits(0)  # for the expected lines only
+        fs, ls = _fib_and_lucas(20620)
+        assert len(str(fs[20609])) > 4300
+        expected_f9 = [
+            json.dumps(
+                {
+                    "identity": "LEM_F9",
+                    "params": {"m": m},
+                    "lhs": {"num": str(fs[m + 9]), "den": "1"},
+                    "rhs": {"num": str(fs[m + 9]), "den": "1"},
+                    "status": "PASS",
+                    "note": "",
+                }
+            )
+            for m in (20600, 20601, 20602)
+        ]
+        # 5*(l_m - l_{m-10}) against F_{m+5}; l_n = L_n from n = 2 on.
+        expected_bridge = [
+            f"FAIL m={m} lhs={5 * (ls[m] - ls[m - 10])}/1 rhs={fs[m + 5]}/1 (values differ)"
+            for m in (20600, 20605, 20610)
+        ] + ["pass=0 fail=3 skip=0"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert codes == [0, 1]
+    assert f9.splitlines() == expected_f9
+    assert bridge.splitlines() == expected_bridge
+
+
 @pytest.mark.parametrize(
     "ident, m_range",
     [(I.LEM_BRIDGE, (-4, -1)), (I.LEM_BRIDGE, (1, 4)), (I.LEM_BRIDGE, (-4, 5)), (I.ID117, (-3, -1))],
@@ -204,6 +256,7 @@ def test_stream_matches_the_collected_report():
 
 @pytest.fixture
 def gcd_calls(monkeypatch):
+    """Every math.gcd call of Rational() and of a sweep's record builder."""
     calls = []
 
     def counted(a, b):
@@ -211,6 +264,7 @@ def gcd_calls(monkeypatch):
         return gcd(a, b)
 
     monkeypatch.setattr(rational, "gcd", counted)
+    monkeypatch.setattr(_engine, "gcd", counted)
     return calls
 
 
@@ -228,7 +282,7 @@ def _counted(monkeypatch, module, name):
 
 def test_thm2_grid_reuses_kernel_work_and_skips_gcd(monkeypatch, gcd_calls):
     fib_calls = _counted(monkeypatch, sequences, "_fib_pair")
-    power_calls = _counted(monkeypatch, contfrac, "_run_power")
+    power_calls = _counted(monkeypatch, _products, "_run_power")
     argv = "sweep THM2_FIB_FORM --m 0..200 --k -96..104 --json".split()
     assert _quiet_run(argv) == 0  # every case passes
     # The state is seeded once and then stepped: two kernel calls for each
@@ -245,6 +299,64 @@ def test_failing_cases_reduce_their_right_side(gcd_calls):
     assert len(gcd_calls) == 1
     assert outcome.status is Status.FAIL
     assert (outcome.rhs.num, outcome.rhs.den) == (1364, 123)  # 15004/1353, reduced
+
+
+def test_a_sweep_carries_thm5s_gcd_by_one_euclid_step(gcd_calls):
+    # Each failing right side's den is the previous case's num, and the
+    # remainder of one division is +-the previous den, so only the first
+    # case needs a gcd; every case is still reduced, by g = 11.
+    cases = list(identities.iter_sweep(I.THM5_SWAPPED_LUCAS, (3, 60)))
+    assert len(gcd_calls) == 1
+    for params, outcome in cases:
+        assert outcome == identities.run_case(I.THM5_SWAPPED_LUCAS, params)
+
+
+_small = st.one_of(st.integers(-(10**6), 10**6), st.sampled_from((0, 1, -1)))
+
+
+@st.composite
+def _right_sides(draw):
+    """A run of failing right sides (num, den) as a sweep meets them, with g often carried and often not.
+
+    A den is drawn (zero, one and negative ones included) or is the last
+    num. A num is drawn, or is t*den + r with r = +-the last den, where the
+    last g carries, or with any other r, where it may not. The first side
+    is scaled by c, so a carried g is c*gcd and a wrongly carried one shows.
+    """
+    c = draw(st.integers(1, 50))
+    first = (c * draw(_small), c * draw(_small))
+    sides = [first]
+    for _ in range(draw(st.integers(0, 12))):
+        last_num, last_den = sides[-1]
+        den = last_num if last_num and draw(st.booleans()) else draw(_small)
+        kind = draw(st.sampled_from(("drawn", "carried", "other remainder")))
+        if kind == "drawn" or not last_den:
+            num = draw(_small)
+        else:
+            r = draw(st.sampled_from((last_den, -last_den)))
+            if kind == "other remainder":
+                r += draw(_small.filter(bool))
+            num = draw(st.integers(-20, 20)) * den + r
+        sides.append((num, den))
+    return sides
+
+
+@settings(deadline=None, max_examples=300)
+@given(_right_sides())
+@example([(6, 4), (70, 6)])  # den = last num, 70 = 11*6 + 4: g = 2 carries
+@example([(6, 4), (71, 6)])  # den = last num, 71 = 11*6 + 5: gcd 1, not the last g
+@example([(6, 4), (-62, 6)])  # remainder -4 under floor division: carries
+@example([(6, -4), (58, 6)])  # a negative last den: 58 = 9*6 + 4
+@example([(0, 5), (3, 0)])  # a zero num, then an undefined right side
+@example([(10, 4), (7, 1), (14, 10)])  # a side over 1 keeps the last (num, den, g)
+def test_the_sweep_record_builder_reduces_as_rational_does(sides):
+    record = _engine.sweep_records()
+    for num, den in sides:
+        outcome = record(Status.FAIL, 1, 1, num, den)
+        assert outcome == identities._record(Status.FAIL, 1, 1, num, den)
+        if den:
+            assert outcome.rhs == Rational(num, den)
+            assert Fraction(outcome.rhs.num, outcome.rhs.den) == Fraction(num, den)
 
 
 # --- the division check ------------------------------------------------------
