@@ -27,7 +27,13 @@ stdout may be cut short), 74 standard output cannot be written (a full
 disk, or stdout closed at launch; sysexits' EX_IOERR), 141 standard
 output closed before the command finished writing (a broken pipe, as in
 `cfkit sweep ... | head`; 128 + SIGPIPE, the code a shell reports for a
-process that signal ends).
+process that signal ends). A stderr that cannot be written (a full disk,
+fd 2 closed) drops the error line and keeps the code.
+
+main() is the one way a launch ends, through `python -m cfkit` or the
+console script: it flushes stdout and stderr, then calls os._exit(code),
+so the interpreter does not tear down the modules and objects the launch
+loaded. run() returns normally.
 
 A launch loads and compiles only what its subcommand runs. This module
 holds the subcommand table, the argv reader, run(), main() and what every
@@ -322,14 +328,14 @@ def run(argv: list[str]) -> int:
     try:
         return args.handler(args)
     except CFKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _to_stderr(f"error: {exc}\n")
         return exc.exit_code
     except BrokenPipeError:
         raise  # main() exits 141
     except OSError as exc:
         return _cannot_write(exc)
     except Exception as exc:
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _to_stderr(f"error: internal error: {type(exc).__name__}: {exc}\n")
         return 4  # a bug, not a verdict
 
 
@@ -337,26 +343,41 @@ _IO_ERROR = 74  # sysexits' EX_IOERR
 _BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
+def _to_stderr(text: str) -> None:
+    """Write text to stderr and flush it; a closed or unwritable stderr drops it, and the exit code stays."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+            sys.stderr.flush()
+        except OSError:
+            pass
+
+
 def _cannot_write(reason: object) -> int:
-    print(f"error: cannot write output: {reason}", file=sys.stderr)
+    _to_stderr(f"error: cannot write output: {reason}\n")
     return _IO_ERROR
 
 
 def main() -> None:
+    """Run sys.argv's command, flush stdout and stderr, and end the process with os._exit(code).
+
+    The process ends without the interpreter's teardown, which would free
+    every module and object a launch loaded, several milliseconds a launch.
+    cfkit registers no atexit handler, starts no thread and writes only to
+    the two standard streams, which are flushed first; an atexit hook the
+    environment installs (a coverage hook, for example) does not run.
+    run() returns as usual, for tests and library callers.
+    """
     if sys.stdout is None:  # fd 1 was closed at launch (`cfkit ... >&-`)
-        sys.exit(_cannot_write("standard output is closed"))
-    try:
-        code = run(sys.argv[1:])
-        if code != _IO_ERROR:  # after a failed write, the flush would fail again
-            sys.stdout.flush()
-    except BrokenPipeError:
-        code = _BROKEN_PIPE
-    except OSError as exc:  # a full disk: the flush of buffered output failed
-        code = _cannot_write(exc)
-    if code in (_IO_ERROR, _BROKEN_PIPE):
-        # Point stdout at devnull, so that the flush at interpreter shutdown
-        # cannot raise a second time (the recipe in the documentation of
-        # Python's signal module for a closed pipe).
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-    sys.exit(code)
+        code = _cannot_write("standard output is closed")
+    else:
+        try:
+            code = run(sys.argv[1:])
+            if code != _IO_ERROR:  # after a failed write, the flush would fail again
+                sys.stdout.flush()
+        except BrokenPipeError:
+            code = _BROKEN_PIPE
+        except OSError as exc:  # a full disk: the flush of buffered output failed
+            code = _cannot_write(exc)
+    _to_stderr("")  # flush what is left in stderr's buffer
+    os._exit(code)

@@ -7,13 +7,21 @@ catalog entry, `sweep --jobs` (accepted and without effect) and the usage
 (exit 2) and domain (exit 3) errors, and argparse's help text for the
 program and for each subcommand. stderr is not pinned. A change that
 alters stdout on purpose must update the digest it changes and say why.
+
+run() is called in process, so a few rows are also launched as
+`python -m cfkit` with a buffered stdout, through main(), which flushes
+the output and ends the process with os._exit.
 """
 
 import hashlib
+import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import cfkit
 from cfkit.cli import run
 
 GOLDEN = [
@@ -192,3 +200,32 @@ def test_cli_stdout_is_pinned(capsys, monkeypatch, command, code, digest):
     assert run(shlex.split(command)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:500]
+
+
+# One row per subcommand, the program's help and a usage error. A command
+# that prints one line keeps it in the buffer until main() flushes it.
+LAUNCHED = [
+    "eval [2,3,7] --digits 6",
+    "expand 51/22 --json",
+    "convergents [2,3,7]",
+    "seq fib --from -5 --to 10 --json",
+    "oracle stacked 2,3,7",
+    "check THM5_SWAPPED_LUCAS --m 3",
+    "sweep LEM_BRIDGE --m 0..40",
+    "fit 29 --n-max 10",
+    "surd 19 --json",
+    "--help",
+    "check ID117",
+]
+
+
+@pytest.mark.parametrize("command", LAUNCHED)
+def test_a_launch_writes_the_pinned_stdout(command):
+    code, digest = {c: (code, digest) for c, code, digest in GOLDEN}[command]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cfkit.__file__)), COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfkit", *shlex.split(command)], capture_output=True, env=env, timeout=120
+    )
+    assert proc.returncode == code, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest, proc.stdout[:500]

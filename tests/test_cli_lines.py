@@ -427,3 +427,33 @@ def test_a_full_disk_exits_74_with_one_error_line(argv, flags):
 def test_a_closed_stdout_exits_74_with_one_error_line():
     # As `cfkit eval "[1]" >&-`: Python starts with sys.stdout None.
     _assert_cannot_write(_launch(["eval", "[1]"], preexec_fn=lambda: os.close(1)))
+
+
+# --- a stderr that cannot be written -------------------------------------------
+
+# An error line that cannot be written is dropped; the exit code stays.
+STDERR_LOST = [
+    ("eval [1,0]", 3),  # an evaluation error
+    ("eval [1,x]", 2),  # a usage error from the text format
+    ("check ID117 --m -1", 3),  # a domain error
+    ("eval [1]", 74),  # stdout on /dev/full as well
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 2 in the child")
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+@pytest.mark.parametrize("argv, code", STDERR_LOST)
+def test_an_unwritable_stderr_keeps_the_exit_code(argv, code, stderr):
+    with open("/dev/full", "wb") as full:
+        # stderr on /dev/full, or fd 2 closed as in `cfkit ... 2>&-`
+        lost = {"stderr": full} if stderr == "full" else {"preexec_fn": lambda: os.close(2)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfkit", *argv.split()],
+            stdout=full if code == 74 else subprocess.PIPE,
+            env=_child_env(),
+            timeout=120,
+            **lost,
+        )
+    assert proc.returncode == code
+    assert not proc.stdout  # the error line does not go to stdout instead
