@@ -12,12 +12,13 @@ left q and the reduced right den (g = 11) are the previous numerators.
 Equality is always tested on the values, so a string is reused only for
 the value it was made from.
 
-A lemma sweep steps its values in decimal.Decimal, inside a local context
-that holds every value exactly: a lemma's case is lhs/1 against rhs/1, so
-its values are only added, multiplied and compared, and its failing right
-side needs no gcd. str() of an integer Decimal takes linear time where an
-int's takes quadratic time, and has no digit limit. The Decimals stay in
-cmd_sweep(); no other command imports decimal. A failing right side of a
+A lemma sweep steps its values in decimal.Decimal, inside the local
+context of _decimals.exact_context(), which holds every value exactly: a
+lemma's case is lhs/1 against rhs/1, so its values are only added,
+multiplied and compared, and its failing right side needs no gcd. str()
+of an integer Decimal takes linear time where an int's takes quadratic
+time, and has no digit limit. The Decimals stay in cmd_sweep(); no other
+command of this module imports decimal. A failing right side of a
 continued-fraction sweep (THM5_SWAPPED_LUCAS) is reduced by the gcd that
 _engine.sweep_records() carries from the case before.
 """
@@ -148,14 +149,13 @@ def cmd_sweep(args) -> int:
     ident = _identity(args.identity)
     if not ident.is_lemma:
         return _sweep(ident, args, int)
-    # A lemma steps in Decimal (see above), at a precision that holds every
-    # value; Inexact and Rounded would trap one that did not fit.
-    import decimal
+    # A lemma steps in Decimal (see above).
+    from decimal import Decimal
 
-    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
-    with decimal.localcontext(context):
-        return _sweep(ident, args, decimal.Decimal)
+    from ._decimals import exact_context
+
+    with exact_context():
+        return _sweep(ident, args, Decimal)
 
 
 def _sweep(ident: identities.IdentityId, args, number) -> int:

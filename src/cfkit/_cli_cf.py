@@ -1,4 +1,4 @@
-"""The eval, expand, convergents and surd subcommands (see `cli`); cli.run() imports this module for them alone."""
+"""The expand, convergents and surd subcommands (see `cli`); cli.run() imports this module for them alone."""
 
 import re
 
@@ -21,42 +21,9 @@ def _parse_rational(text: str) -> Rational:
     return Rational(int(num), 1 if den is None else int(den))
 
 
-def _decimal(r: Rational, digits: int) -> str:
-    """Truncate toward zero to `digits` fractional digits; '…' marks inexactness."""
-    scaled, rem = divmod(abs(r.num) * 10**digits, r.den)
-    whole, frac = divmod(scaled, 10**digits)
-    out = ("-" if r.num < 0 else "") + str(whole)
-    if digits:
-        out += "." + _zero_padded(frac, digits)
-    return out + "…" if rem else out
-
-
-def _zero_padded(n: int, width: int) -> str:
-    """0 <= n < 10**width as `width` digits, in pieces short enough for str(int)'s digit limit."""
-    if width <= 4000:
-        return str(n).zfill(width)
-    hi, lo = divmod(n, 10 ** (width // 2))
-    return _zero_padded(hi, width - width // 2) + _zero_padded(lo, width // 2)
-
-
-def _rat_json(r: Rational) -> str:
-    return f'{{"num": "{r.num}", "den": "{r.den}"}}'
-
-
 def _strings_json(values) -> str:
     """A JSON array of the values as strings; each is digits and a sign, so none needs escaping."""
     return "[" + ", ".join(f'"{v}"' for v in values) + "]"
-
-
-def cmd_eval(args) -> int:
-    value = contfrac.evaluate_runs(contfrac.parse_runs(args.cf))
-    if args.json:
-        print(_rat_json(value))
-    elif args.digits is not None:
-        print(_decimal(value, args.digits))
-    else:
-        print(value)
-    return 0
 
 
 def cmd_expand(args) -> int:
@@ -68,24 +35,33 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _row_digits(table: contfrac.ConvergentTable):
+def _row_digits(rows):
     """Each row's (i, p, q) with p and q as decimal strings; a q equal to the previous row's p reuses its string.
 
-    In a run of equal terms that is every row after the first. The ints
+    In a run of equal terms that is every row after the first. The values
     are compared, so a string is reused only for the value it was made from.
     """
+    from ._decimals import int_str
+
     last_p, last_str = None, ""
-    for i, (p, q) in enumerate(zip(table.p, table.q)):
-        q_str = last_str if q == last_p else str(q)
-        last_p, last_str = p, str(p)
+    for i, (p, q) in enumerate(rows):
+        q_str = last_str if q == last_p else int_str(q)
+        last_p, last_str = p, int_str(p)
         yield i, last_str, q_str
 
 
 def cmd_convergents(args) -> int:
-    table = contfrac.convergents(contfrac.parse_cf(args.cf))
-    # Each --json line is the bytes of json.dumps({"i": i, "p": str(p), "q": str(q)}).
-    rows = _row_digits(table)
-    _write_lines(f'{{"i": {i}, "p": "{p}", "q": "{q}"}}\n' if args.json else f"{i}: {p}/{q}\n" for i, p, q in rows)
+    """The rows of the forward recurrence, stepped in Decimal (see _decimals) and written as they come; no table is kept."""
+    # Of this module's commands, only convergents loads decimal.
+    from decimal import Decimal
+
+    from ._decimals import exact_context
+
+    terms = contfrac.parse_cf(args.cf)
+    with exact_context():
+        rows = _row_digits(contfrac._rows(map(Decimal, terms)))
+        # Each --json line is the bytes of json.dumps({"i": i, "p": str(p), "q": str(q)}).
+        _write_lines(f'{{"i": {i}, "p": "{p}", "q": "{q}"}}\n' if args.json else f"{i}: {p}/{q}\n" for i, p, q in rows)
     return 0
 
 

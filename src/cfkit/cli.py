@@ -19,7 +19,10 @@ no case it has written; only COR_GENERAL_LUCAS keeps one engine state per
 k, so its memory grows with the k range. Big integers are serialized as
 decimal strings, never as JSON numbers, and a sweep makes each string
 once where it can: a denominator equal to a numerator it has just
-written reuses that numerator's digits (see _cli_cases).
+written reuses that numerator's digits (see _cli_cases). seq,
+convergents and a lemma sweep step their values in Decimal, whose str()
+is linear (see _decimals); a value past the interpreter's integer-string
+digit limit still fails its line with int's ValueError.
 
 Exit codes: 0 success (all PASS), 1 at least one FAIL, 2 usage error,
 3 evaluation or domain error, 4 internal error (a bug, not a verdict;
@@ -39,9 +42,10 @@ A launch loads and compiles only what its subcommand runs. This module
 holds the subcommand table, the argv reader, run(), main() and what every
 command shares, and imports `errors` alone. Each handler lives in a module
 that run() imports for its subcommand only, with the library module it
-drives: _cli_cf (eval, expand, convergents, surd; contfrac), _cli_seq
-(seq; sequences), _cli_oracle (oracle; tiling) and _cli_cases (check,
-sweep, fit; identities). Every --json line is written from a template
+drives: _cli_eval (eval; _parse and _products, not contfrac), _cli_cf
+(expand, convergents, surd; contfrac), _cli_seq (seq; sequences),
+_cli_oracle (oracle; tiling) and _cli_cases (check, sweep, fit;
+identities). Every --json line is written from a template
 whose bytes equal json.dumps() of its object, so no command imports json.
 Without cached bytecode (PYTHONDONTWRITEBYTECODE, a read-only install)
 every launch compiles each module it imports, so code a command does not
@@ -125,9 +129,10 @@ def _write_lines(pieces) -> None:
 
 
 # kind -> (function in `sequences`, the extra parameter it takes first or None).
-# seq reads its values from sequences.walk(), which looks the function up by
-# name, so a wrapper put on the module attribute (as perfbench/launch.py does)
-# sees the seed calls; the stepped values do not pass through it.
+# seq calls the function by name for its first value and reads the rest from
+# sequences.walk(), which looks it up by name too, so a wrapper put on the
+# module attribute (as perfbench/launch.py does) sees the seed calls; the
+# stepped values do not pass through it.
 _SEQ_KINDS = {
     "fib": ("fib", None),
     "fibc": ("fib_comb", None),
@@ -156,7 +161,7 @@ _VALUE = r"-\.?\d"
 # (_build_parser()), are made from this table.
 _SUBCOMMANDS = {
     "eval": (
-        _handler("_cli_cf", "cmd_eval"),
+        _handler("_cli_eval", "cmd_eval"),
         "exact value of a continued fraction",
         [
             ("cf", {"help": 'continued fraction text, e.g. "[2,3,7]" or "[4x10,3]"'}),

@@ -9,35 +9,27 @@ negative tail terms depend on that. The forward convergent recurrence
 is the authoritative semantics: [a_0, ..., a_n] has the value p_n / q_n,
 which exists exactly when q_n != 0. Equivalently, the product of the
 matrices [[a_i, 1], [1, 0]] is [[p_n, p_{n-1}], [q_n, q_{n-1}]].
-convergents() runs the recurrence and keeps every row; evaluate() and
-evaluate_runs() compute only the last row, by a balanced product tree of
-the matrices (see `_products`, which defines them and which this module
-imports back), and give the same p_n and q_n. The final matrix has
-determinant (-1)^(n+1), so p_n and q_n are always coprime. The right-to-left
-fold is kept as a second, independent route for cross-checking.
+_rows() runs the recurrence row by row and convergents() keeps every
+row; evaluate() and evaluate_runs() compute only the last row, by a
+balanced product tree of the matrices (see `_products`, which defines
+them and which this module imports back), and give the same p_n and q_n.
+The final matrix has determinant (-1)^(n+1), so p_n and q_n are always
+coprime. The right-to-left fold is kept as a second, independent route
+for cross-checking.
 
-Text format (a stable interface, used by the CLI):
-
-    cf    := '[' item (sep item)* ']'
-    item  := INT | INT 'x' COUNT
-    sep   := ','   (the first separator may be ';' instead)
-
-Whitespace between tokens is ignored. INT is a signed decimal integer;
-COUNT is a nonnegative decimal repetition count, so "[4x3, 9]" means
-"[4,4,4,9]" and a zero count contributes nothing. The item rule, with the
-whitespace around it, is what _ITEM matches. parse_runs() returns the
-items as runs without expanding them; parse_cf() returns the expansion.
+The text format and its parser parse_runs() live in `_parse`, which this
+module imports back; parse_cf() returns the expansion of its runs.
 """
 
-import re
 from math import isqrt
 from typing import NamedTuple
 
-# The product tree lives in _products; its names are imported back, so each
-# stays a contfrac attribute for the package namespace and for callers that
-# wrap or read them here.
+# The product tree lives in _products and the parser in _parse; their names
+# are imported back, so each stays a contfrac attribute for the package
+# namespace and for callers that wrap or read them here.
+from ._parse import parse_runs
 from ._products import _LEAF_TERMS, _leaves, _mul, _require_terms, _run_power, _value, evaluate, evaluate_runs
-from .errors import EmptyCF, IntermediateZero, ParseError, PerfectSquare, PeriodNotFound, UsageError
+from .errors import EmptyCF, IntermediateZero, PerfectSquare, PeriodNotFound, UsageError
 from .rational import Rational
 
 
@@ -61,18 +53,27 @@ class SurdExpansion(NamedTuple):
     period: tuple[int, ...]
 
 
-def convergents(terms) -> ConvergentTable:
-    """Full convergent table of [a_0, ..., a_n]; never rejects a zero q."""
-    terms = _require_terms(terms)
+# Iterator is named only in an annotation, which postponed evaluation never
+# resolves, so this module imports nothing for it.
+def _rows(terms) -> "Iterator[tuple[int, int]]":
+    """(p_i, q_i) for i = 0..n by the forward recurrence, one row at a time.
+
+    The seeds are the ints 0 and 1, and each row is a * row + row, so the
+    rows are of the terms' type: ints for int terms, and Decimals for
+    Decimal terms under a context that keeps every value exact (the
+    `convergents` command, see `_decimals`).
+    """
     p_prev, p_prev2 = 1, 0
     q_prev, q_prev2 = 0, 1
-    ps, qs = [], []
     for a in terms:
         p_prev, p_prev2 = a * p_prev + p_prev2, p_prev
         q_prev, q_prev2 = a * q_prev + q_prev2, q_prev
-        ps.append(p_prev)
-        qs.append(q_prev)
-    return ConvergentTable(tuple(ps), tuple(qs))
+        yield p_prev, q_prev
+
+
+def convergents(terms) -> ConvergentTable:
+    """Full convergent table of [a_0, ..., a_n]; never rejects a zero q."""
+    return ConvergentTable(*zip(*_rows(_require_terms(terms))))
 
 
 def eval_fold(terms) -> Rational:
@@ -130,50 +131,6 @@ def _expand(runs) -> list[int]:
 def parse_cf(text: str) -> list[int]:
     """Parse the bracketed text format into an expanded term list."""
     return _expand(parse_runs(text))
-
-
-# An item, the whitespace around it and the character after it, which is
-# empty at the end of the text. \s and \d match exactly what str.isspace()
-# and str.isdecimal() accept. _SPACE is used only to locate an error. Both
-# are compiled on the first parse (re keeps them), so the commands that
-# parse no text (check, sweep, fit) do not compile them.
-_ITEM = r"\s*([+-]?\d+)\s*(?:x\s*(\d+)\s*)?(\S?)"
-_SPACE = r"\s*"
-
-
-def parse_runs(text: str) -> list[tuple[int, int]]:
-    """Parse the bracketed text format into (value, count) runs, one per item.
-
-    Raises EmptyCF when every count is zero.
-    """
-    item_at, space_at = re.compile(_ITEM).match, re.compile(_SPACE).match
-    pos = space_at(text).end()
-    if not text.startswith("[", pos):
-        raise ParseError("expected '['", pos)
-    pos += 1
-    runs = []
-    seps = (",", ";")
-    while True:
-        item = item_at(text, pos)
-        if item is None:
-            raise ParseError("expected an integer", space_at(text, pos).end())
-        digits, count, sep = item.groups()
-        value = int(digits)
-        pos = item.end()
-        if count is None and sep == "x":
-            raise ParseError("expected an integer", space_at(text, pos).end())
-        runs.append((value, 1 if count is None else int(count)))
-        if sep == "]":
-            break
-        if sep not in seps:
-            raise ParseError("expected ',' or ']'", item.start(3))
-        seps = (",",)
-    end = space_at(text, pos).end()
-    if end != len(text):
-        raise ParseError("trailing input after ']'", end)
-    if not any(count for _, count in runs):
-        raise EmptyCF("expansion produced no terms")
-    return runs
 
 
 def surd_cf(d: int, max_terms: int = 10_000) -> SurdExpansion:

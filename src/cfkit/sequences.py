@@ -127,7 +127,8 @@ def walk(name: str, lead: tuple[int, ...], start: int, stride: int, number=int) 
     The first value is a direct call, so a bad index or order raises where
     X raises. Every later value costs one constant step of a Fibonacci-type
     pair, (y_i, y_{i+1}) -> (y_{i+D}, y_{i+D+1}) =
-    (F_{D-1} y_i + F_D y_{i+1}, F_D y_i + F_{D+1} y_{i+1}). y is X itself,
+    (F_{D-1} y_i + F_D y_{i+1}, F_D y_i + F_{D+1} y_{i+1}), which at D = 1
+    is (y_{i+1}, y_i + y_{i+1}), one addition. y is X itself,
     stepped by D = stride, except for scaled_fib: there y is F at stride
     t, D = t*stride, and each value is divided by F_t, so S_t is never
     stepped with the recurrence b_{n+1} = L_t b_n + b_{n-1} of its
@@ -140,8 +141,8 @@ def walk(name: str, lead: tuple[int, ...], start: int, stride: int, number=int) 
     converted after the call, and the step's constants once; the step is
     the same + and * for every type. number = decimal.Decimal, under
     a context whose precision holds every value and which traps Inexact
-    and Rounded, steps exactly (a lemma sweep, see `_cli_cases`), and
-    str() of its integer values takes linear time. Decimal's // truncates
+    and Rounded, steps exactly (a lemma sweep and `seq`, see `_decimals`),
+    and str() of its integer values takes linear time. Decimal's // truncates
     toward zero where int's floors, but scaled_fib's division is exact, so
     the two agree on it.
     """
@@ -160,6 +161,10 @@ def walk(name: str, lead: tuple[int, ...], start: int, stride: int, number=int) 
     else:
         s = d = 1
         y_next = number(fn(*lead, n + 1))
+    if s * stride == 1:  # F_0 = 0 and F_1 = F_2 = 1
+        while True:
+            y, y_next = y_next, y + y_next
+            yield y if d == 1 else y // d
     f, f_next = fib(s * stride), fib(s * stride + 1)
     f_prev, f, f_next = map(number, (f_next - f, f, f_next))
     while True:

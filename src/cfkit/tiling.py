@@ -2,10 +2,11 @@
 
 These are oracles: each function enumerates explicit tilings one by one
 and never applies a Fibonacci-style recurrence or any identity it might
-be used to check. One enumerator serves all three counters. It backtracks
-over a single mutable list of piece widths, in lexicographic order (squares
-first), and yields every tiling as its own tuple. Size bounds keep the
-exhaustive enumeration fast.
+be used to check. One enumerator serves all three counters. It yields
+each tiling as an int bitmask of the cells where a domino starts, in
+increasing order, which is the lexicographic order of the piece widths
+(squares first), and steps from one tiling to the next with a few
+bitwise operations. Size bounds keep the exhaustive enumeration fast.
 """
 
 from collections.abc import Iterator, Sequence
@@ -18,27 +19,26 @@ STACK_MAX_CELLS = 10
 STACK_MAX_HEIGHT = 12
 
 
-def _tilings(length: int) -> Iterator[tuple[int, ...]]:
-    """Yield every tiling of a 1 x length board as a tuple of piece widths.
+def _tilings(length: int) -> Iterator[int]:
+    """Yield every tiling of a 1 x length board as a bitmask of the cells where a domino starts.
 
-    Starts from all squares. After each tiling it pops pieces off the end
-    until it pops a square that has room for a domino in its place, puts
-    the domino there and fills the rest of the board with squares.
+    Bit length - 2 - c stands for cell c, so cell 0 is the highest bit. Two
+    tilings first differ at a cell where one puts a square and the other
+    starts a domino, and their higher bits agree, so the one with the
+    square has the smaller mask: increasing masks are the lexicographic
+    order of the widths, squares first. The tilings are the masks below
+    2^(length - 1) (the last cell starts no domino) with no two adjacent
+    bits (no two dominoes overlap). The next one after mask m sets the
+    lowest bit that is clear in m and in the bit above it, the lowest zero
+    of m | m >> 1, and clears every bit below that.
     """
-    widths = [1] * length
-    filled = length  # cells the pieces in `widths` cover
-    while True:
-        yield tuple(widths)
-        while widths:
-            piece = widths.pop()
-            filled -= piece
-            if piece == 1 and filled + 2 <= length:
-                break
-        else:
-            return
-        widths.append(2)
-        widths += [1] * (length - filled - 2)
-        filled = length
+    end = 1 << max(length - 1, 0)
+    mask = 0
+    while mask < end:
+        yield mask
+        blocked = mask | mask >> 1
+        low = ~blocked & (blocked + 1)
+        mask = (mask | low) & -low
 
 
 def count_board(n: int) -> int:
@@ -90,12 +90,12 @@ def count_stacked(heights: Sequence[int]) -> int:
         raise BoundExceeded(f"stack capacities are bounded at {STACK_MAX_HEIGHT}")
 
     total = 0
-    for tiling in _tilings(len(heights)):
+    for mask in _tilings(len(heights)):
+        covered = mask << 1 | mask  # both cells of each domino; the last cell is bit 0
         weight = 1
-        cell = 0
-        for width in tiling:
-            if width == 1:
-                weight *= heights[cell]
-            cell += width
+        for h in reversed(heights):
+            if not covered & 1:
+                weight *= h
+            covered >>= 1
         total += weight
     return total

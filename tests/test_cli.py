@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfkit import _cli_cases, cli, contfrac, errors
-from cfkit._cli_cf import _decimal
+from cfkit import _cli_cases, _products, cli, errors
+from cfkit._cli_eval import _decimal
 from cfkit.cli import run
 from cfkit.errors import UnknownIdentity
 from cfkit.rational import Rational
@@ -436,21 +436,21 @@ def _raiser(exc):
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
 def test_each_error_class_exits_with_its_code(capsys, monkeypatch, cls):
     exc = cls("boom", 0) if cls is errors.ParseError else cls("boom")
-    monkeypatch.setattr(contfrac, "evaluate_runs", _raiser(exc))
+    monkeypatch.setattr(_products, "evaluate_runs", _raiser(exc))
     captured = invoke(capsys, ["eval", "[1]"], expect_code=2 if cls.__name__ in USAGE_ERRORS else 3)
     assert captured.out == "" and captured.err.startswith("error: boom")
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), ValueError("boom"), MemoryError()])
 def test_an_error_from_outside_the_library_is_an_internal_error(capsys, monkeypatch, exc):
-    monkeypatch.setattr(contfrac, "evaluate_runs", _raiser(exc))
+    monkeypatch.setattr(_products, "evaluate_runs", _raiser(exc))
     captured = invoke(capsys, ["eval", "[1]"], expect_code=4)
     assert captured.out == ""
     assert captured.err.startswith("error: internal error") and captured.err.count("\n") == 1
 
 
 def test_broken_pipe_reaches_main(monkeypatch):
-    monkeypatch.setattr(contfrac, "evaluate_runs", _raiser(BrokenPipeError()))
+    monkeypatch.setattr(_products, "evaluate_runs", _raiser(BrokenPipeError()))
     with pytest.raises(BrokenPipeError):
         run(["eval", "[1]"])
 

@@ -42,6 +42,7 @@ def test_convergents_full_table():
     table = convergents([2, 3, 7])
     assert table.p == (2, 7, 51)
     assert table.q == (1, 3, 22)
+    assert all(type(v) is int for v in table.p + table.q)
 
 
 def test_convergents_rejects_empty():

@@ -212,7 +212,9 @@ def test_walk_equals_direct_calls(kind, start, stride):
             next(values)
         return
     indices = range(start, start + 25 * stride, stride)
-    assert list(islice(values, len(indices))) == [fn(*lead, n) for n in indices]
+    stepped = list(islice(values, len(indices)))
+    assert stepped == [fn(*lead, n) for n in indices]
+    assert all(type(v) is int for v in stepped)  # Decimal only when asked for
 
 
 def test_lucas_odd_index_of():

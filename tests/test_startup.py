@@ -5,8 +5,8 @@ interpreter and names every cfkit submodule it may load: no more, no
 fewer. json, argparse and decimal are watched too. No row loads json or
 argparse: every --json line is written from a template, and a well-formed
 command line is read without argparse, which is loaded only to write help
-or a usage error. decimal is loaded by a lemma sweep alone, which steps its
-values in Decimal.
+or a usage error. decimal, with cfkit._decimals, is loaded by the commands
+that step their values in Decimal: seq, convergents and a lemma sweep.
 The `cfkit` namespace resolves its public names and submodules on first use
 (PEP 562); the tests below check that it still behaves like the eager one.
 """
@@ -46,7 +46,9 @@ def test_import_cfkit_loads_no_submodule():
 
 
 _CLI = {"cfkit.cli", "cfkit.errors"}
-_CF = _CLI | {"cfkit._cli_cf", "cfkit.contfrac", "cfkit._products", "cfkit.rational"}
+# eval parses with _parse and evaluates with _products, and compiles none of contfrac.
+_EVAL = _CLI | {"cfkit._cli_eval", "cfkit._parse", "cfkit._products", "cfkit.rational"}
+_CF = _CLI | {"cfkit._cli_cf", "cfkit.contfrac", "cfkit._parse", "cfkit._products", "cfkit.rational"}
 _SEQ = _CLI | {"cfkit._cli_seq", "cfkit.sequences"}
 _ORACLE = _CLI | {"cfkit._cli_oracle", "cfkit.tiling"}
 # check, sweep and fit evaluate with _products, and compile none of contfrac.
@@ -55,17 +57,17 @@ _IDENTITIES = _CLI | {"cfkit._cli_cases", "cfkit.identities", "cfkit._products",
 # argv -> every cfkit submodule it loads, and decimal where it does (never
 # json or argparse); README's Start-up table.
 LOADS = {
-    "eval [2,3,7]": _CF,
-    "eval [2,3,7] --digits 5": _CF,
-    "eval [2,3,7] --json": _CF,
+    "eval [2,3,7]": _EVAL,
+    "eval [2,3,7] --digits 5": _EVAL,
+    "eval [2,3,7] --json": _EVAL,
     "expand 5/3": _CF,
     "expand -13/3 --json": _CF,
-    "convergents [1,2]": _CF,
-    "convergents [1,2] --json": _CF,
+    "convergents [1,2]": _CF | {"cfkit._decimals", "decimal"},
+    "convergents [1,2] --json": _CF | {"cfkit._decimals", "decimal"},
     "surd 19": _CF,
     "surd 19 --json": _CF,
-    "seq fib --from 0 --to 3": _SEQ,
-    "seq gib --k 2 --from 0 --to 3 --json": _SEQ,
+    "seq fib --from 0 --to 3": _SEQ | {"cfkit._decimals", "decimal"},
+    "seq gib --k 2 --from 0 --to 3 --json": _SEQ | {"cfkit._decimals", "decimal"},
     "oracle board 5": _ORACLE,
     "oracle stacked 2,3 --json": _ORACLE,
     "check ID117 --m 2": _IDENTITIES,
@@ -74,8 +76,8 @@ LOADS = {
     "fit 29 --json": _IDENTITIES | {"cfkit._engine"},
     "sweep ID117 --m 0..3": _IDENTITIES | {"cfkit._engine"},
     "sweep ID117 --m 0..3 --json": _IDENTITIES | {"cfkit._engine"},
-    "sweep LEM_3F --m 0..3": _IDENTITIES | {"cfkit._engine", "decimal"},
-    "sweep LEM_3F --m 0..3 --json": _IDENTITIES | {"cfkit._engine", "decimal"},
+    "sweep LEM_3F --m 0..3": _IDENTITIES | {"cfkit._engine", "cfkit._decimals", "decimal"},
+    "sweep LEM_3F --m 0..3 --json": _IDENTITIES | {"cfkit._engine", "cfkit._decimals", "decimal"},
     "check LEM_3F --m 3": _IDENTITIES,
 }
 

@@ -21,6 +21,16 @@ def _recursive_tilings(length):
             yield (2,) + rest
 
 
+def _widths(mask, length):
+    """The piece widths of a tiling that _tilings() yields: bit length - 2 - c set means a domino starts at cell c."""
+    widths, cell = [], 0
+    while cell < length:
+        width = 2 if cell < length - 1 and mask >> (length - 2 - cell) & 1 else 1
+        widths.append(width)
+        cell += width
+    return tuple(widths)
+
+
 # Both tests read at most one tiling more than there are, so an enumerator
 # that never stops fails them instead of hanging.
 
@@ -28,14 +38,17 @@ def _recursive_tilings(length):
 @pytest.mark.parametrize("n", range(16))
 def test_tilings_equal_the_recursive_reference_in_order(n):
     reference = list(_recursive_tilings(n))
-    assert list(islice(_tilings(n), len(reference) + 1)) == reference
+    assert [_widths(mask, n) for mask in islice(_tilings(n), len(reference) + 1)] == reference
 
 
 @pytest.mark.parametrize("n", range(21))
 def test_every_tiling_is_explicit_and_covers_the_board(n):
-    tilings = list(islice(_tilings(n), fib_comb(n) + 1))
-    for tiling in tilings:
-        assert type(tiling) is tuple
+    masks = list(islice(_tilings(n), fib_comb(n) + 1))
+    tilings = [_widths(mask, n) for mask in masks]
+    for mask, tiling in zip(masks, tilings):
+        assert type(mask) is int
+        # Every bit is read by _widths: no two dominoes overlap, and none starts on the last cell.
+        assert mask & mask >> 1 == 0 and mask >> max(n - 1, 0) == 0
         assert set(tiling) <= {1, 2}
         assert sum(tiling) == n
     assert tilings == sorted(set(tilings))  # distinct, squares first
