@@ -11,8 +11,8 @@ is no floating point anywhere. The public surface:
                                  canonical expansion, sqrt(d) periods
   * tiling                       brute-force square/domino counting oracles
   * identities                   the identity catalog, run_case/sweep harness
-                                 (iter_sweep streams a grid case by case)
-                                 and the uniform-base pattern fitter
+                                 (sweep streams a grid case by case) and
+                                 the uniform-base pattern fitter
   * cli                          the `cfkit` command-line front end
 
 Names are loaded on first use (PEP 562): `import cfkit` imports no
@@ -29,12 +29,11 @@ _EXPORTS = {
     name: module
     for module, names in {
         "contfrac": (
-            "ConvergentTable", "SurdExpansion", "build_uniform", "convergents", "eval_fold", "evaluate",
-            "evaluate_runs", "expand_rational", "parse_cf", "parse_runs", "surd_cf",
+            "SurdExpansion", "build_uniform", "convergents", "eval_fold", "evaluate", "evaluate_runs",
+            "expand_rational", "parse_cf", "parse_runs", "surd_cf",
         ),
         "identities": (
-            "CaseParams", "CheckOutcome", "IdentityId", "Status", "SweepReport", "fit_uniform", "iter_sweep",
-            "run_case", "sweep",
+            "CaseParams", "CheckOutcome", "IdentityId", "Status", "fit_uniform", "run_case", "sweep",
         ),
         "rational": ("Rational",),
         "sequences": ("fib", "fib_comb", "gibonacci", "lucas", "lucas_odd_index_of", "lucas_swapped", "scaled_fib"),

@@ -7,10 +7,9 @@ previous m's p strings for the same k, when those ints equal its q
 column, kept for the first _engine._HELD k of the range only. A line
 written case by case (a FAIL or SKIPPED case, or a --json case of a batch
 that does not pass whole) reuses the previous case's numerator string,
-per side, for a denominator equal to it: in THM5_SWAPPED_LUCAS both the
-left q and the reduced right den (g = 11) are the previous numerators.
-Equality is always tested on the values, so a string is reused only for
-the value it was made from.
+per side, for a denominator equal to it (cli._reusing): in
+THM5_SWAPPED_LUCAS both the left q and the reduced right den (g = 11) are
+the previous numerators.
 
 A lemma sweep steps its values in decimal.Decimal, inside the local
 context of _decimals.exact_context(), which holds every value exactly: a
@@ -24,7 +23,7 @@ _engine.sweep_records() carries from the case before.
 """
 
 from . import identities
-from .cli import _write_lines
+from .cli import _reusing, _write_lines
 from .errors import MissingParam, UnknownIdentity
 
 
@@ -57,36 +56,8 @@ def _pass_lines(head: str, ks, ps, qs) -> str:
     )
 
 
-def _digits(r: identities.Rational) -> tuple[str, str]:
-    """r's numerator and denominator as decimal strings."""
-    return str(r.num), str(r.den)
-
-
-def _reusing_digits():
-    """A _digits() for one side of consecutive cases: an equal denominator reuses the previous numerator's string.
-
-    The values are compared, not hashed: most cases have nothing to reuse.
-    """
-    last_num, last_str = None, ""
-
-    def digits(r: identities.Rational) -> tuple[str, str]:
-        nonlocal last_num, last_str
-        # The slots, not the properties: a sweep writing nothing to reuse
-        # (LEM_BRIDGE) must not pay two calls a side for the check.
-        num, den = r._num, r._den
-        den_str = last_str if den == last_num else str(den)
-        last_num, last_str = num, str(num)
-        return last_str, den_str
-
-    return digits
-
-
 def _case_json(
-    name: str,
-    params: identities.CaseParams,
-    outcome: identities.CheckOutcome,
-    lhs_digits=_digits,
-    rhs_digits=_digits,
+    name: str, params: identities.CaseParams, outcome: identities.CheckOutcome, lhs_digits, rhs_digits
 ) -> str:
     """One case as a JSON object, written from one template (a PASS from _pass_lines()).
 
@@ -94,8 +65,8 @@ def _case_json(
     "lhs", "rhs", "status", "note"}: an undefined side's key is left out,
     big integers are decimal strings, and m and k are JSON numbers. Names,
     statuses and notes are plain ASCII without quotes or backslashes, so they
-    need no escaping. lhs_digits and rhs_digits make a FAIL's or a SKIPPED
-    case's side strings.
+    need no escaping. lhs_digits and rhs_digits (cli._reusing(str), one per
+    side) make a FAIL's or a SKIPPED case's side strings.
     """
     m, k = params
     status, lhs, rhs, note = outcome
@@ -103,21 +74,21 @@ def _case_json(
     if status.name == "PASS":
         return _pass_lines(head, (key,), (lhs.num,), (lhs.den,))[:-1]
     sides = ""
+    # The slots, not the properties: a sweep writing nothing to reuse
+    # (LEM_BRIDGE) must not pay two calls a side.
     if lhs is not None:
-        p, q = lhs_digits(lhs)
+        p, q = lhs_digits(lhs._num, lhs._den)
         sides = f', "lhs": {{"num": "{p}", "den": "{q}"}}'
     if rhs is not None:
-        p, q = rhs_digits(rhs)
+        p, q = rhs_digits(rhs._num, rhs._den)
         sides += f', "rhs": {{"num": "{p}", "den": "{q}"}}'
     return f'{head}{key}}}{sides}, "status": "{status.name}", "note": "{note}"}}'
 
 
-def _case_text(
-    params: identities.CaseParams, outcome: identities.CheckOutcome, lhs_digits=_digits, rhs_digits=_digits
-) -> str:
+def _case_text(params: identities.CaseParams, outcome: identities.CheckOutcome, lhs_digits, rhs_digits) -> str:
     """One case as a text line: STATUS m=M [k=K] [lhs=P/Q] [rhs=P/Q] [(note)].
 
-    lhs_digits and rhs_digits make a FAIL's or a SKIPPED case's side strings.
+    lhs_digits and rhs_digits make a FAIL's or a SKIPPED case's side strings, as in _case_json().
     """
     m, k = params
     status, lhs, rhs, note = outcome
@@ -127,10 +98,10 @@ def _case_text(
         return f"PASS m={m}{k_field} lhs={side} rhs={side}"
     line = f"{name} m={m}{k_field}"
     if lhs is not None:
-        p, q = lhs_digits(lhs)
+        p, q = lhs_digits(lhs._num, lhs._den)
         line += f" lhs={p}/{q}"
     if rhs is not None:
-        p, q = rhs_digits(rhs)
+        p, q = rhs_digits(rhs._num, rhs._den)
         line += f" rhs={p}/{q}"
     return f"{line} ({note})" if note else line
 
@@ -141,7 +112,8 @@ def cmd_check(args) -> int:
         raise MissingParam(f"check {ident.name} needs --m")
     params = identities.CaseParams(args.m, args.k)
     outcome = identities.run_case(ident, params)
-    print(_case_json(ident.name, params, outcome) if args.json else _case_text(params, outcome))
+    digits = _reusing(str), _reusing(str)
+    print(_case_json(ident.name, params, outcome, *digits) if args.json else _case_text(params, outcome, *digits))
     return 1 if outcome.status is identities.Status.FAIL else 0
 
 
@@ -175,7 +147,7 @@ def _sweep(ident: identities.IdentityId, args, number) -> int:
         # --json writes its lines as one string, converting each p once.
         nonlocal failed
         passed = skipped = 0
-        lhs_digits, rhs_digits = _reusing_digits(), _reusing_digits()
+        lhs_digits, rhs_digits = _reusing(str), _reusing(str)
         for m, kb, statuses, ps, qs, nums, dens in batches:
             n_pass = statuses.count(passing)
             passed += n_pass

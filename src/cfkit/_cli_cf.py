@@ -3,7 +3,7 @@
 import re
 
 from . import contfrac
-from .cli import _write_lines
+from .cli import _reusing, _write_lines
 from .errors import ParseError
 from .rational import Rational
 
@@ -35,33 +35,23 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _row_digits(rows):
-    """Each row's (i, p, q) with p and q as decimal strings; a q equal to the previous row's p reuses its string.
-
-    In a run of equal terms that is every row after the first. The values
-    are compared, so a string is reused only for the value it was made from.
-    """
-    from ._decimals import int_str
-
-    last_p, last_str = None, ""
-    for i, (p, q) in enumerate(rows):
-        q_str = last_str if q == last_p else int_str(q)
-        last_p, last_str = p, int_str(p)
-        yield i, last_str, q_str
-
-
 def cmd_convergents(args) -> int:
-    """The rows of the forward recurrence, stepped in Decimal (see _decimals) and written as they come; no table is kept."""
+    """The rows of the forward recurrence, stepped in Decimal (see _decimals) and written as they come; no table is kept.
+
+    A row's q equal to the previous row's p reuses its string (cli._reusing);
+    in a run of equal terms that is every row after the first.
+    """
     # Of this module's commands, only convergents loads decimal.
     from decimal import Decimal
+    from itertools import starmap
 
-    from ._decimals import exact_context
+    from ._decimals import exact_context, int_str
 
     terms = contfrac.parse_cf(args.cf)
     with exact_context():
-        rows = _row_digits(contfrac._rows(map(Decimal, terms)))
+        rows = enumerate(starmap(_reusing(int_str), contfrac._rows(map(Decimal, terms))))
         # Each --json line is the bytes of json.dumps({"i": i, "p": str(p), "q": str(q)}).
-        _write_lines(f'{{"i": {i}, "p": "{p}", "q": "{q}"}}\n' if args.json else f"{i}: {p}/{q}\n" for i, p, q in rows)
+        _write_lines(f'{{"i": {i}, "p": "{p}", "q": "{q}"}}\n' if args.json else f"{i}: {p}/{q}\n" for i, (p, q) in rows)
     return 0
 
 

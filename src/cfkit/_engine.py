@@ -1,4 +1,4 @@
-"""The stepped engine behind every grid: identities.iter_sweep() and fit_uniform().
+"""The stepped engine behind every grid: identities.sweep() and fit_uniform().
 
 It reads the catalog's table (see `identities`). A state is the zip of the
 left prefix's matrices and the two forms' values at each m of the grid:
@@ -183,7 +183,7 @@ def sweep_records():
     division with a small quotient stands in for the gcd (in
     THM5_SWAPPED_LUCAS den is the last num on every case and g = 11);
     otherwise g is math.gcd's. Every den reduced here is nonzero.
-    _cli_cases.cmd_sweep() and identities.iter_sweep() build their records
+    _cli_cases.cmd_sweep() and identities.sweep() build their records
     with it; run_case() keeps the plain _record().
     """
     record, coprime = identities._record, Rational._coprime

@@ -18,9 +18,10 @@
 
 The final matrix has determinant (-1)^(n+1), so p_n and q_n are always
 coprime and both routes return them as they are, with only the sign
-normalised. `contfrac` imports every name here back; the identity harness
-imports this module alone, so check, sweep and fit do not compile the text
-format, convergents() or the expansion code.
+normalised. `contfrac` imports evaluate(), evaluate_runs() and
+_require_terms() back; the identity harness imports this module alone, so
+check, sweep and fit do not compile the text format, convergents() or the
+expansion code.
 """
 
 from .errors import EmptyCF, UndefinedValue, UsageError

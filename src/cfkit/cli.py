@@ -11,18 +11,11 @@
     cfkit surd 19                     periodic expansion of sqrt(d)
 
 Every subcommand accepts --json for machine-readable output; sweeps emit
-one JSON object per case followed by a summary object. sweep, seq and
-convergents write their lines in blocks of 8 KB or more as they make them
-(to a terminal, each line at once). A sweep reads the engine's batches
-(one m, at most 64 consecutive k), counts the tallies as it goes and keeps
-no case it has written; only COR_GENERAL_LUCAS keeps one engine state per
-k, so its memory grows with the k range. Big integers are serialized as
-decimal strings, never as JSON numbers, and a sweep makes each string
-once where it can: a denominator equal to a numerator it has just
-written reuses that numerator's digits (see _cli_cases). seq,
-convergents and a lemma sweep step their values in Decimal, whose str()
-is linear (see _decimals); a value past the interpreter's integer-string
-digit limit still fails its line with int's ValueError.
+one JSON object per case followed by a summary object, with big integers
+as decimal strings. sweep, seq and convergents write their lines in
+blocks of 8 KB or more as they make them (to a terminal, each line at
+once) and keep none they have written; each handler module says how it
+makes its lines.
 
 Exit codes: 0 success (all PASS), 1 at least one FAIL, 2 usage error,
 3 evaluation or domain error, 4 internal error (a bug, not a verdict;
@@ -33,11 +26,6 @@ output closed before the command finished writing (a broken pipe, as in
 process that signal ends). A stderr that cannot be written (a full disk,
 fd 2 closed) drops the error line and keeps the code.
 
-main() is the one way a launch ends, through `python -m cfkit` or the
-console script: it flushes stdout and stderr, then calls os._exit(code),
-so the interpreter does not tear down the modules and objects the launch
-loaded. run() returns normally.
-
 A launch loads and compiles only what its subcommand runs. This module
 holds the subcommand table, the argv reader, run(), main() and what every
 command shares, and imports `errors` alone. Each handler lives in a module
@@ -45,11 +33,9 @@ that run() imports for its subcommand only, with the library module it
 drives: _cli_eval (eval; _parse and _products, not contfrac), _cli_cf
 (expand, convergents, surd; contfrac), _cli_seq (seq; sequences),
 _cli_oracle (oracle; tiling) and _cli_cases (check, sweep, fit;
-identities). Every --json line is written from a template
-whose bytes equal json.dumps() of its object, so no command imports json.
-Without cached bytecode (PYTHONDONTWRITEBYTECODE, a read-only install)
-every launch compiles each module it imports, so code a command does not
-import is compile time it does not spend.
+identities). Every --json line is written from a template whose bytes
+equal json.dumps() of its object, so no command imports json. Without
+cached bytecode every launch compiles each module it imports.
 
 A well-formed argv is read straight from the table: the subcommand, then
 its positionals, --json and its options spelled in full, each given once,
@@ -60,9 +46,6 @@ writes every help text and usage error. When argv begins with a
 subcommand, that parser holds the subcommand alone; otherwise (`cfkit
 --help`, an unknown name) it holds all nine, so the help and the errors
 list every subcommand.
-
-A token that starts with '-' and a digit is a value (`--k -50..50`,
-`expand -13/3`), never an option name.
 """
 
 import os
@@ -126,6 +109,22 @@ def _write_lines(pieces) -> None:
     finally:
         if parts:
             write("".join(parts))
+
+
+def _reusing(to_str):
+    """digits(num, den) -> both as strings by to_str (str, _decimals.int_str), reusing the last num's for an equal den.
+
+    The values are compared, not hashed, so a string is reused only for its own value.
+    """
+    last_num, last_str = None, ""
+
+    def digits(num, den) -> tuple[str, str]:
+        nonlocal last_num, last_str
+        den_str = last_str if den == last_num else to_str(den)
+        last_num, last_str = num, to_str(num)
+        return last_str, den_str
+
+    return digits
 
 
 # kind -> (function in `sequences`, the extra parameter it takes first or None).

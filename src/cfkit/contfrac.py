@@ -9,10 +9,10 @@ negative tail terms depend on that. The forward convergent recurrence
 is the authoritative semantics: [a_0, ..., a_n] has the value p_n / q_n,
 which exists exactly when q_n != 0. Equivalently, the product of the
 matrices [[a_i, 1], [1, 0]] is [[p_n, p_{n-1}], [q_n, q_{n-1}]].
-_rows() runs the recurrence row by row and convergents() keeps every
+_rows() runs the recurrence row by row and convergents() returns every
 row; evaluate() and evaluate_runs() compute only the last row, by a
 balanced product tree of the matrices (see `_products`, which defines
-them and which this module imports back), and give the same p_n and q_n.
+them), and give the same p_n and q_n.
 The final matrix has determinant (-1)^(n+1), so p_n and q_n are always
 coprime. The right-to-left fold is kept as a second, independent route
 for cross-checking.
@@ -24,26 +24,12 @@ module imports back; parse_cf() returns the expansion of its runs.
 from math import isqrt
 from typing import NamedTuple
 
-# The product tree lives in _products and the parser in _parse; their names
-# are imported back, so each stays a contfrac attribute for the package
-# namespace and for callers that wrap or read them here.
+# The product tree lives in _products and the parser in _parse; their public
+# names stay contfrac attributes for the package namespace.
 from ._parse import parse_runs
-from ._products import _LEAF_TERMS, _leaves, _mul, _require_terms, _run_power, _value, evaluate, evaluate_runs
+from ._products import _require_terms, evaluate, evaluate_runs
 from .errors import EmptyCF, IntermediateZero, PerfectSquare, PeriodNotFound, UsageError
 from .rational import Rational
-
-
-class ConvergentTable(NamedTuple):
-    """Parallel numerators p_i and denominators q_i for i = 0..n.
-
-    Successive rows satisfy p_i*q_{i-1} - p_{i-1}*q_i = (-1)^(i+1).
-    """
-
-    p: tuple[int, ...]
-    q: tuple[int, ...]
-
-    def final(self) -> tuple[int, int]:
-        return self.p[-1], self.q[-1]
 
 
 class SurdExpansion(NamedTuple):
@@ -71,9 +57,12 @@ def _rows(terms) -> "Iterator[tuple[int, int]]":
         yield p_prev, q_prev
 
 
-def convergents(terms) -> ConvergentTable:
-    """Full convergent table of [a_0, ..., a_n]; never rejects a zero q."""
-    return ConvergentTable(*zip(*_rows(_require_terms(terms))))
+def convergents(terms) -> list[tuple[int, int]]:
+    """Every row (p_i, q_i) of [a_0, ..., a_n], i = 0..n; never rejects a zero q.
+
+    Successive rows satisfy p_i*q_{i-1} - p_{i-1}*q_i = (-1)^(i+1).
+    """
+    return list(_rows(_require_terms(terms)))
 
 
 def eval_fold(terms) -> Rational:

@@ -15,15 +15,15 @@ Two routes read the same table:
     either kind. It validates the case exactly once, as the one-case grid
     of a sweep, evaluates the left side's (value, count) runs with
     evaluate_runs() and calls every X of the forms directly.
-  * iter_sweep() is the stepped engine (cfkit._engine, which says how it
+  * sweep() is the stepped engine (cfkit._engine, which says how it
     steps). It checks the whole grid when it is called, then seeds one
     state at the first m, or one per k where k changes the base or a
     sequence (COR_GENERAL_LUCAS alone), and carries it from each m to the
     next. The engine yields the cases in (m, k) order, in batches of one m
     and at most 64 consecutive k: columns of plain ints and each case's
-    Status, which the CLI reads as they are. iter_sweep() flattens them
-    into (CaseParams, CheckOutcome) pairs, sweep() collects those into a
-    SweepReport, and fit_uniform() reads a one-k grid's statuses.
+    Status, which the CLI reads as they are. sweep() streams them as
+    (CaseParams, CheckOutcome) pairs, and fit_uniform() reads a one-k
+    grid's statuses.
 
 The two sides stay independent in both routes: the left side uses only the
 continued-fraction recurrence and the right side only the sequence values,
@@ -50,7 +50,7 @@ a pass has one Rational as both sides, and only a failing right side is
 reduced by gcd. A sweep builds its records with _engine.sweep_records(),
 which carries that gcd from one failing case to the next where one Euclid
 step proves it unchanged, and the CLI sweeps a lemma in decimal.Decimal
-(see `_cli_cases`); iter_sweep() and sweep() give ints, as run_case() does.
+(see `_cli_cases`); sweep() gives ints, as run_case() does.
 
 Catalog, with F = fib, f = fib_comb, L = lucas, l = lucas_swapped,
 G_k(n) = gibonacci(k, n) and S_t(n) = scaled_fib(t, n); m >= 0 throughout:
@@ -279,25 +279,6 @@ class CheckOutcome(NamedTuple):
     note: str = ""
 
 
-class SweepReport(NamedTuple):
-    """All outcomes of one identity over a parameter range, in (m, k) order."""
-
-    identity: IdentityId
-    cases: tuple[tuple[CaseParams, CheckOutcome], ...]
-
-    @property
-    def passed(self) -> int:
-        return sum(o.status is Status.PASS for _, o in self.cases)
-
-    @property
-    def failed(self) -> int:
-        return sum(o.status is Status.FAIL for _, o in self.cases)
-
-    @property
-    def skipped(self) -> int:
-        return sum(o.status is Status.SKIPPED for _, o in self.cases)
-
-
 def _case(ident: IdentityId, params: CaseParams) -> tuple[int, int | None]:
     """The case's (m, k), after checking that it lies in the entry's domain, as the one-case grid."""
     m, k = params
@@ -430,7 +411,7 @@ def _case_grid(
 def _sweep_rows(
     ident: IdentityId, m_range: tuple[int, int], k_range: tuple[int, int] | None, number=int
 ) -> Iterator[tuple]:
-    """iter_sweep()'s cases as the engine's batches (m, kb, statuses, ps, qs, nums, dens), for the CLI.
+    """sweep()'s cases as the engine's batches (m, kb, statuses, ps, qs, nums, dens), for the CLI.
 
     The forms' values are of the type number (see `_engine`); the CLI asks
     for decimal.Decimal for a lemma.
@@ -441,7 +422,7 @@ def _sweep_rows(
     return sweep_cases(ident, *grid, number)
 
 
-def iter_sweep(
+def sweep(
     ident: IdentityId,
     m_range: tuple[int, int],
     k_range: tuple[int, int] | None = None,
@@ -458,15 +439,6 @@ def iter_sweep(
 
     record = sweep_records()
     return ((CaseParams(m, k), record(*decided)) for m, kb, *columns in batches for k, *decided in zip(kb, *columns))
-
-
-def sweep(
-    ident: IdentityId,
-    m_range: tuple[int, int],
-    k_range: tuple[int, int] | None = None,
-) -> SweepReport:
-    """Every outcome of iter_sweep(), collected into one report."""
-    return SweepReport(ident, tuple(iter_sweep(ident, m_range, k_range)))
 
 
 def fit_uniform(c: int, n_max: int) -> int | None:

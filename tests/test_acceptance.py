@@ -100,14 +100,19 @@ def test_c3_sequence_tables():
 # --- criterion 4: identity sweeps -------------------------------------------
 
 
+def _tally(ident, m_range, k_range=None):
+    """(passed, failed, skipped) over the cases sweep() streams."""
+    statuses = [outcome.status for _, outcome in sweep(ident, m_range, k_range)]
+    return tuple(statuses.count(status) for status in (Status.PASS, Status.FAIL, Status.SKIPPED))
+
+
 def _clean_sweep(ident, m_range, k_range=None, forbid_skips=False):
-    rep = sweep(ident, m_range, k_range)
+    passed, failed, skipped = _tally(ident, m_range, k_range)
     label = f"C4 {ident.name} sweep m={m_range[0]}..{m_range[1]}"
     if k_range is not None:
         label += f" k={k_range[0]}..{k_range[1]}"
-    ok = rep.failed == 0 and (not forbid_skips or rep.skipped == 0)
-    report(f"{label} (pass={rep.passed} fail={rep.failed} skip={rep.skipped})", ok)
-    return rep
+    ok = failed == 0 and (not forbid_skips or skipped == 0)
+    report(f"{label} (pass={passed} fail={failed} skip={skipped})", ok)
 
 
 def test_c4_id117():
@@ -131,11 +136,12 @@ def test_c4_thm2():
 
 
 def test_c4_thm3():
-    rep = sweep(I.THM3_ONES, (0, 100), (-50, 50))
-    skipped = {(p.m, p.k) for p, o in rep.cases if o.status is Status.SKIPPED}
+    cases = list(sweep(I.THM3_ONES, (0, 100), (-50, 50)))
+    skipped = {(p.m, p.k) for p, o in cases if o.status is Status.SKIPPED}
+    failed = sum(o.status is Status.FAIL for _, o in cases)
 
     both_undefined = set()
-    for params, _ in rep.cases:
+    for params, _ in cases:
         try:
             evaluate([1] * params.m + [params.k])
             lhs_defined = True
@@ -145,10 +151,10 @@ def test_c4_thm3():
         if not lhs_defined and not rhs_defined:
             both_undefined.add((params.m, params.k))
 
-    ok = rep.failed == 0 and skipped == both_undefined == {(1, 0), (2, -1)}
+    ok = failed == 0 and skipped == both_undefined == {(1, 0), (2, -1)}
     report(
         f"C4 THM3_ONES sweep m=0..100 k=-50..50 "
-        f"(fail={rep.failed}, skipped exactly at {sorted(skipped)})",
+        f"(fail={failed}, skipped exactly at {sorted(skipped)})",
         ok,
     )
 
@@ -160,8 +166,7 @@ def test_c4_thm3():
     "so the skip set cannot be the single case (1, 0)",
 )
 def test_c4_thm3_skip_set_is_single_case():
-    rep = sweep(I.THM3_ONES, (0, 100), (-50, 50))
-    skipped = {(p.m, p.k) for p, o in rep.cases if o.status is Status.SKIPPED}
+    skipped = {(p.m, p.k) for p, o in sweep(I.THM3_ONES, (0, 100), (-50, 50)) if o.status is Status.SKIPPED}
     report("C4 THM3_ONES skip set == {(1, 0)} alone", skipped == {(1, 0)})
 
 
@@ -181,10 +186,9 @@ def test_c4_thm5():
 
 
 def test_c4_thm5_small_cases():
-    rep = sweep(I.THM5_SWAPPED_LUCAS, (0, 2))
     report(
         "C4 THM5_SWAPPED_LUCAS holds on m=0..2 (the range its seeds cover)",
-        (rep.passed, rep.failed, rep.skipped) == (3, 0, 0),
+        _tally(I.THM5_SWAPPED_LUCAS, (0, 2)) == (3, 0, 0),
     )
 
 
@@ -217,10 +221,10 @@ def test_c4_ext_eleven13():
 
 def test_c5_lemmas():
     for ident in (I.LEM_3F, I.LEM_4F, I.LEM_L32, I.LEM_F9, I.LEM_11F, I.LEM_29F):
-        rep = sweep(ident, (0, 300))
+        passed, failed, _ = _tally(ident, (0, 300))
         report(
-            f"C5 {ident.name} sweep m=0..300 (pass={rep.passed} fail={rep.failed})",
-            rep.failed == 0 and rep.passed == 301,
+            f"C5 {ident.name} sweep m=0..300 (pass={passed} fail={failed})",
+            failed == 0 and passed == 301,
         )
 
 
@@ -239,10 +243,10 @@ def test_c5_bridge_small_indices():
     "through m = 15",
 )
 def test_c5_lem_bridge():
-    rep = sweep(I.LEM_BRIDGE, (0, 500))
+    passed, failed, _ = _tally(I.LEM_BRIDGE, (0, 500))
     report(
-        f"C5 LEM_BRIDGE sweep m=0,5,...,500 (pass={rep.passed} fail={rep.failed})",
-        rep.failed == 0 and rep.passed == 101,
+        f"C5 LEM_BRIDGE sweep m=0,5,...,500 (pass={passed} fail={failed})",
+        failed == 0 and passed == 101,
     )
 
 
@@ -297,10 +301,10 @@ def test_c8_stacked_oracle():
     ok = True
     for _ in range(200):
         heights = [rng.randint(1, 5) for _ in range(rng.randint(1, 8))]
-        table = convergents(heights)
-        ok = ok and count_stacked(heights) == table.p[-1]
+        p, q = convergents(heights)[-1]
+        ok = ok and count_stacked(heights) == p
         if len(heights) > 1:
-            ok = ok and count_stacked(heights[1:]) == table.q[-1]
+            ok = ok and count_stacked(heights[1:]) == q
     report("C8 count_stacked == convergent numerator/denominator on 200 samples", ok)
 
 
@@ -312,9 +316,9 @@ def test_c9_determinant_invariant():
     ok = True
     for _ in range(1000):
         terms = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]
-        table = convergents(terms)
-        p = (0, 1) + table.p
-        q = (1, 0) + table.q
+        ps, qs = zip(*convergents(terms))
+        p = (0, 1) + ps
+        q = (1, 0) + qs
         for i in range(1, len(terms)):
             ok = ok and p[i + 2] * q[i + 1] - p[i + 1] * q[i + 2] == (-1) ** (i + 1)
     report("C9 determinant invariant on 1000 random continued fractions", ok)

@@ -487,7 +487,7 @@ def test_over_limit_output_is_an_internal_error(capsys, monkeypatch):
         ("check THM2_FIB_FORM --m -1", 2, "THM2_FIB_FORM needs k"),
         ("sweep THM2_FIB_FORM --m -1..-1", 2, "THM2_FIB_FORM needs k"),
         ("check LEM_BRIDGE --m 7", 3, "LEM_BRIDGE is stated for multiples of 5, none in m = 7..7"),
-        # an empty range is rejected by the library, as in iter_sweep()
+        # an empty range is rejected by the library, as in sweep()
         ("sweep ID117 --m 5..3", 2, "empty m range 5..3"),
         ("sweep THM2_FIB_FORM --m 0..3 --k 2..-2", 2, "empty k range 2..-2"),
     ],

@@ -25,6 +25,11 @@ from cfkit.rational import Rational
 I = IdentityId
 
 
+def _fresh_digits():
+    """One string-reuse closure per side, new for each case, so a case reuses no string of another."""
+    return cli._reusing(str), cli._reusing(str)
+
+
 def _rat_json(r):
     return {"num": str(r.num), "den": str(r.den)}
 
@@ -101,7 +106,7 @@ def test_shapes_are_what_they_say():
 @pytest.mark.parametrize("shape", SHAPES)
 def test_json_line_equals_json_dumps(shape):
     ident, params, outcome = SHAPES[shape]
-    line = _cli_cases._case_json(ident.name, params, outcome)
+    line = _cli_cases._case_json(ident.name, params, outcome, *_fresh_digits())
     reference = _case_json_dict(ident, params, outcome)
     assert line == json.dumps(reference)
     assert json.loads(line) == reference
@@ -110,7 +115,7 @@ def test_json_line_equals_json_dumps(shape):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_text_line_equals_joined_fields(shape):
     _, params, outcome = SHAPES[shape]
-    assert _cli_cases._case_text(params, outcome) == _case_text_bits(params, outcome)
+    assert _cli_cases._case_text(params, outcome, *_fresh_digits()) == _case_text_bits(params, outcome)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +170,7 @@ def test_sweep_lines(capsys, ident, m_range, k_range):
     argv = ["sweep", ident.name, "--m", f"{m_range[0]}..{m_range[1]}"]
     if k_range is not None:
         argv += ["--k", f"{k_range[0]}..{k_range[1]}"]
-    cases = list(identities.iter_sweep(ident, m_range, k_range))
+    cases = list(identities.sweep(ident, m_range, k_range))
 
     cli.run(argv + ["--json"])
     *lines, summary = capsys.readouterr().out.splitlines()
@@ -268,8 +273,7 @@ def test_seq_unknown_kind_is_an_argparse_error(capsys):
 
 @pytest.mark.parametrize("cf", ["[2,3,7]", "[-3,1,2]", "[0]", "[1x40]", "[5,-2,3x3]", "[999999999999x3,1]"])
 def test_convergent_lines_equal_json_dumps(capsys, cf):
-    table = contfrac.convergents(contfrac.parse_cf(cf))
-    rows = list(enumerate(zip(table.p, table.q)))
+    rows = list(enumerate(contfrac.convergents(contfrac.parse_cf(cf))))
 
     assert cli.run(["convergents", cf, "--json"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -298,8 +302,9 @@ def _surd(d):
 
 
 def _summary(ident, m_range, k_range=None):
-    report = identities.sweep(ident, m_range, k_range)
-    return {"identity": ident.name, "pass": report.passed, "fail": report.failed, "skip": report.skipped}
+    statuses = [outcome.status for _, outcome in identities.sweep(ident, m_range, k_range)]
+    counts = {key: statuses.count(status) for key, status in (("pass", Status.PASS), ("fail", Status.FAIL), ("skip", Status.SKIPPED))}
+    return {"identity": ident.name, **counts}
 
 
 # argv -> the object of the last line that argv with --json prints.

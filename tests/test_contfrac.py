@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cfkit._products import _LEAF_TERMS, _run_power
 from cfkit.contfrac import (
-    _LEAF_TERMS,
-    _run_power,
     build_uniform,
     convergents,
     eval_fold,
@@ -30,19 +29,18 @@ from cfkit.rational import Rational
 
 
 def test_convergents_all_ones():
-    table = convergents([1, 1, 1, 1, 1])
-    assert table.final() == (8, 5)
+    rows = convergents([1, 1, 1, 1, 1])
+    assert rows[-1] == (8, 5)
 
 
 def test_convergents_single_term():
-    assert convergents([7]).final() == (7, 1)
+    assert convergents([7])[-1] == (7, 1)
 
 
 def test_convergents_full_table():
-    table = convergents([2, 3, 7])
-    assert table.p == (2, 7, 51)
-    assert table.q == (1, 3, 22)
-    assert all(type(v) is int for v in table.p + table.q)
+    rows = convergents([2, 3, 7])
+    assert rows == [(2, 1), (7, 3), (51, 22)]
+    assert all(type(v) is int for row in rows for v in row)
 
 
 def test_convergents_rejects_empty():
@@ -54,9 +52,9 @@ def test_determinant_invariant_on_random_terms():
     rng = random.Random(1301)
     for _ in range(1000):
         terms = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]
-        table = convergents(terms)
-        p = (0, 1) + table.p  # prepend the virtual seeds p_{-2}, p_{-1}
-        q = (1, 0) + table.q
+        ps, qs = zip(*convergents(terms))
+        p = (0, 1) + ps  # prepend the virtual seeds p_{-2}, p_{-1}
+        q = (1, 0) + qs
         for i in range(1, len(terms)):
             assert p[i + 2] * q[i + 1] - p[i + 1] * q[i + 2] == (-1) ** (i + 1)
 
@@ -64,9 +62,9 @@ def test_determinant_invariant_on_random_terms():
 @settings(deadline=None)
 @given(st.lists(st.integers(-9, 9) | st.integers(-(10**30), 10**30), min_size=1, max_size=60))
 def test_determinant_invariant_holds_on_every_row(terms):
-    table = convergents(terms)
-    p = (1,) + table.p  # prepend the virtual seed p_{-1}
-    q = (0,) + table.q
+    ps, qs = zip(*convergents(terms))
+    p = (1,) + ps  # prepend the virtual seed p_{-1}
+    q = (0,) + qs
     for i in range(len(terms)):
         assert p[i + 1] * q[i] - p[i] * q[i + 1] == (-1) ** (i + 1)
 
@@ -95,13 +93,13 @@ def _with_zero_denominator(terms):
     With prefix convergents (p, p'), (q, q') the combined denominator is
     q*p_Y + q'*q_Y, which vanishes when p_Y/q_Y = -q'/q.
     """
-    table = convergents(terms)
-    q = table.q[-1]
-    q_prev = table.q[-2] if len(terms) > 1 else 0
+    rows = convergents(terms)
+    q = rows[-1][1]
+    q_prev = rows[-2][1] if len(terms) > 1 else 0
     return terms + expand_rational(Rational(-q_prev, q))
 
 
-_zero_q_terms = _terms.filter(lambda t: convergents(t).q[-1] != 0).map(_with_zero_denominator)
+_zero_q_terms = _terms.filter(lambda t: convergents(t)[-1][1] != 0).map(_with_zero_denominator)
 
 
 def _tree_terms(n):
@@ -123,7 +121,7 @@ def _tree_terms(n):
 @example(_tree_terms(97))
 @example(_tree_terms(32 * 7 + 1))
 def test_evaluate_matches_final_convergent(terms):
-    p, q = convergents(terms).final()
+    p, q = convergents(terms)[-1]
     if q == 0:
         with pytest.raises(UndefinedValue):
             evaluate(terms)
@@ -185,7 +183,7 @@ def _runs_with_zero_denominator(runs):
 @settings(deadline=None)
 @given(
     st.lists(st.tuples(_term, st.integers(1, 80)), min_size=1, max_size=5)
-    .filter(lambda runs: convergents(_expand(runs)).q[-1] != 0)
+    .filter(lambda runs: convergents(_expand(runs))[-1][1] != 0)
     .map(_runs_with_zero_denominator)
 )
 def test_evaluate_runs_rejects_zero_denominator(runs):
@@ -535,8 +533,8 @@ def test_surd_period_is_a_palindrome_closed_by_twice_a0(d):
 def test_surd_period_satisfies_the_convergent_certificate(d):
     a0, period = surd_cf(d, max_terms=10**5)
     r = len(period)
-    table = convergents([a0, *period[:-1]])
-    ps, qs = (1, *table.p), (0, *table.q)  # index i + 1 holds p_i, q_i; index 0 holds p_{-1}, q_{-1}
+    p_col, q_col = zip(*convergents([a0, *period[:-1]]))
+    ps, qs = (1, *p_col), (0, *q_col)  # index i + 1 holds p_i, q_i; index 0 holds p_{-1}, q_{-1}
     p, p_prev, q, q_prev = ps[-1], ps[-2], qs[-1], qs[-2]
     assert p == a0 * q + q_prev
     assert d * q == a0 * p + p_prev

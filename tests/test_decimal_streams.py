@@ -25,6 +25,8 @@ from hypothesis import strategies as st
 
 from cfkit import cli
 
+from _recurrence import recurrence as _recurrence
+
 
 def _run(argv):
     """(exit code, stdout, stderr) of cli.run(argv)."""
@@ -43,16 +45,6 @@ class _Digest(io.TextIOBase):
     def write(self, text):
         self.sha.update(text.encode())
         return len(text)
-
-
-def _recurrence(x0, x1, lo, hi, c=1):
-    """x_lo..x_hi of x_{n+1} = c x_n + x_{n-1} from x_0 and x_1; below 0 it runs backward, x_{n-1} = x_{n+1} - c x_n."""
-    values = {0: x0, 1: x1}
-    for n in range(2, hi + 1):
-        values[n] = c * values[n - 1] + values[n - 2]
-    for n in range(-1, lo - 1, -1):
-        values[n] = values[n + 2] - c * values[n + 1]
-    return [values[n] for n in range(lo, hi + 1)]
 
 
 def _lucas(n):

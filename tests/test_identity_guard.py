@@ -52,7 +52,7 @@ CASES = {
 
 def _sweep_one(ident, params):
     k_range = None if params.k is None else (params.k, params.k)
-    return identities.sweep(ident, (params.m, params.m), k_range)
+    return list(identities.sweep(ident, (params.m, params.m), k_range))
 
 
 ENTRY_POINTS = {
@@ -222,7 +222,7 @@ def test_sweep_checks_the_grid_before_any_case(monkeypatch, ident, m_range, k_ra
 
     monkeypatch.setattr(identities, "_own_ratio_verdicts", batch)
 
-    stream = identities.iter_sweep(ident, m_range, k_range)
+    stream = identities.sweep(ident, m_range, k_range)
     assert events == ["grid"]  # checked on the call, before any case exists
     got = list(stream)
     assert events == ["grid"] + ["case"] * cases

@@ -17,34 +17,11 @@ from cfkit.sequences import (
     walk,
 )
 
-
-def backward_fib(n):
-    """Oracle for negative indices: run the recurrence backward from (F_0, F_1)."""
-    assert n <= 0
-    a, b = 0, 1
-    for _ in range(-n):
-        a, b = b - a, a
-    return a
-
-
-def backward_lucas(n):
-    assert n <= 0
-    a, b = 2, 1
-    for _ in range(-n):
-        a, b = b - a, a
-    return a
-
-
-def forward(x0, x1):
-    """Oracle: x_0, x_1, x_2, ... of x_{n+1} = x_n + x_{n-1} from seeds x0, x1."""
-    while True:
-        yield x0
-        x0, x1 = x1, x0 + x1
-
+from _recurrence import recurrence
 
 _N = 3000
-_FIBS = list(islice(forward(0, 1), _N + 2))
-_LUCAS = list(islice(forward(2, 1), _N + 1))
+_FIBS = recurrence(0, 1, 0, _N + 1)
+_LUCAS = recurrence(2, 1, 0, _N)
 
 
 # Indices in any order and sign; the example adds every index 0..N in turn.
@@ -59,7 +36,7 @@ def test_fib_and_lucas_match_linear_recurrence(indices):
 
 
 def test_fib_large_index_matches_linear_recurrence():
-    f_n, f_next = islice(forward(0, 1), 50_000, 50_002)
+    f_n, f_next = recurrence(0, 1, 50_000, 50_001)
     assert fib(50_000) == f_n
     assert lucas(50_000) == 2 * f_next - f_n
 
@@ -73,7 +50,7 @@ def test_fib_values():
 
 def test_fib_negative_extension_matches_backward_recurrence():
     for n in range(-60, 1):
-        assert fib(n) == backward_fib(n)
+        assert fib(n) == recurrence(0, 1, n, n)[0]  # the recurrence run backward from (F_0, F_1)
 
 
 def test_fib_comb_values():
@@ -101,7 +78,7 @@ def test_lucas_values():
 
 def test_lucas_negative_extension_matches_backward_recurrence():
     for n in range(-60, 1):
-        assert lucas(n) == backward_lucas(n)
+        assert lucas(n) == recurrence(2, 1, n, n)[0]
 
 
 def test_lucas_is_fib_neighbor_sum():
@@ -147,7 +124,7 @@ def test_gibonacci_closed_form_values():
 
 def test_gibonacci_matches_closed_form():
     for k in range(-50, 51):
-        for n, value in zip(range(201), forward(k, 1)):
+        for n, value in enumerate(recurrence(k, 1, 0, 200)):
             assert gibonacci(k, n) == value
 
 

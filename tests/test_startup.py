@@ -7,14 +7,18 @@ argparse: every --json line is written from a template, and a well-formed
 command line is read without argparse, which is loaded only to write help
 or a usage error. decimal, with cfkit._decimals, is loaded by the commands
 that step their values in Decimal: seq, convergents and a lemma sweep.
+README's Start-up table gives the lines each command compiles; a test
+sums them from LOADS and the modules' current lengths.
 The `cfkit` namespace resolves its public names and submodules on first use
 (PEP 562); the tests below check that it still behaves like the eager one.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,41 @@ def test_command_loads_exactly_what_it_runs(argv):
     assert _loaded(_command(argv), {"json", "argparse", "decimal"}) == LOADS[argv]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _startup_table() -> dict[str, int]:
+    """README's Start-up table: subcommand (a lemma sweep as "lemma sweep") -> the lines its launch compiles."""
+    text = README.read_text(encoding="utf-8")
+    rows = text[text.index("| subcommand | loads | lines compiled |") :].split("\n\n", 1)[0].splitlines()[2:]
+    table = {}
+    for row in rows:
+        subcommands, _, lines = row.strip("|").split("|")
+        prefix = "lemma " if subcommands.strip().startswith("a lemma") else ""
+        for name in re.findall(r"`(\w+)`", subcommands):
+            table[prefix + name] = int(lines.replace(" ", ""))
+    return table
+
+
+def _row(argv: str) -> str:
+    command, *rest = argv.split()
+    return f"lemma {command}" if command == "sweep" and rest[0].startswith("LEM_") else command
+
+
+def _compiled_lines(loads: set[str]) -> int:
+    """The README's rule: the lines of the cfkit modules a launch loads, cli.py and errors.py in, __init__.py out."""
+    package = Path(cfkit.__file__).parent
+    modules = [name.removeprefix("cfkit.") for name in loads if name.startswith("cfkit.")]
+    return sum(len((package / f"{module}.py").read_text().splitlines()) for module in modules)
+
+
+def test_readme_startup_table_counts_the_lines_each_command_compiles():
+    lines = {argv: _compiled_lines(loads) for argv, loads in LOADS.items()}
+    table = _startup_table()
+    assert set(table) == {_row(argv) for argv in LOADS}
+    assert {argv: table[_row(argv)] for argv in LOADS} == lines
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -129,6 +168,17 @@ def test_star_import_binds_every_export():
     exec("from cfkit import *", namespace)
     assert set(cfkit.__all__) <= set(namespace)
     assert namespace["fib"](10) == 55
+
+
+@pytest.mark.parametrize(
+    "module, name", [("contfrac", "ConvergentTable"), ("identities", "SweepReport"), ("identities", "iter_sweep")]
+)
+def test_deleted_names_are_gone_from_the_package_and_their_modules(module, name):
+    # convergents() returns rows and sweep() is the stream; their old forms
+    # are not kept as aliases.
+    assert name not in cfkit.__all__
+    assert not hasattr(cfkit, name)
+    assert not hasattr(getattr(cfkit, module), name)
 
 
 def test_unknown_name_raises_attribute_error():

@@ -1,11 +1,11 @@
 """The stepped sweep engine against the reference route, case by case.
 
-iter_sweep() seeds its state once and steps it in m; run_case() computes
+sweep() seeds its state once and steps it in m; run_case() computes
 every value directly. On any window of any catalog entry the two must give
 the same (params, outcome) sequence, including where a term sits in the
 irregular start of lucas_swapped and where a side is undefined. The CLI
 reads the engine's plain tuples and writes a PASS from its ints; on the
-same windows its lines must equal those rendered from iter_sweep()'s records.
+same windows its lines must equal those rendered from sweep()'s records.
 """
 
 import contextlib
@@ -16,10 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfkit import _cli_cases, _engine, cli, contfrac, identities
+from cfkit import _cli_cases, _engine, _products, cli, identities
 from cfkit.identities import CaseParams, CheckOutcome, IdentityId, Status
 
 I = IdentityId
+
+
+def _fresh_digits():
+    """One string-reuse closure per side, new for each case, so a case reuses no string of another."""
+    return cli._reusing(str), cli._reusing(str)
 
 
 def _grid(ident, m_range, k_range):
@@ -62,7 +67,7 @@ def _windows(draw):
 @example((I.EXT_ELEVEN8, (0, 12), None))  # a row with a constant tail
 def test_engine_matches_run_case(window):
     ident, m_range, k_range = window
-    got = list(identities.iter_sweep(ident, m_range, k_range))
+    got = list(identities.sweep(ident, m_range, k_range))
     assert got == [(params, identities.run_case(ident, params)) for params in _grid(ident, m_range, k_range)]
 
 
@@ -101,13 +106,13 @@ def test_cli_sweep_lines_equal_the_records(window, as_json):
         code = cli.run(argv + ["--json"] * as_json)
     *lines, summary = out.getvalue().splitlines()
 
-    cases = list(identities.iter_sweep(ident, m_range, k_range))
+    cases = list(identities.sweep(ident, m_range, k_range))
     passed, failed, skipped = (sum(o.status is s for _, o in cases) for s in (Status.PASS, Status.FAIL, Status.SKIPPED))
     if as_json:
-        assert lines == [_cli_cases._case_json(ident.name, params, outcome) for params, outcome in cases]
+        assert lines == [_cli_cases._case_json(ident.name, params, outcome, *_fresh_digits()) for params, outcome in cases]
         assert summary == f'{{"identity": "{ident.name}", "pass": {passed}, "fail": {failed}, "skip": {skipped}}}'
     else:
-        assert lines == [_cli_cases._case_text(p, o) for p, o in cases if o.status is not Status.PASS]
+        assert lines == [_cli_cases._case_text(p, o, *_fresh_digits()) for p, o in cases if o.status is not Status.PASS]
         assert summary == f"pass={passed} fail={failed} skip={skipped}"
     assert code == (1 if failed else 0)
     if ident.is_lemma:
@@ -126,7 +131,7 @@ def test_cli_sweep_lines_equal_the_records(window, as_json):
     ],
 )
 def test_engine_yields_the_named_records(ident, m_range, k_range):
-    cases = list(identities.iter_sweep(ident, m_range, k_range))
+    cases = list(identities.sweep(ident, m_range, k_range))
     assert any(outcome.status is Status.PASS for _, outcome in cases)
     for params, outcome in cases:
         assert type(params) is CaseParams and type(outcome) is CheckOutcome
@@ -136,8 +141,8 @@ def test_engine_yields_the_named_records(ident, m_range, k_range):
 
 @pytest.mark.parametrize("ident", [i for i in IdentityId if i.is_lemma], ids=lambda i: i.name)
 def test_a_library_lemma_sweep_yields_int_sides(ident):
-    # Only the CLI steps a lemma in Decimal; iter_sweep() and sweep() give ints.
-    cases = list(identities.iter_sweep(ident, (0, 40)))
+    # Only the CLI steps a lemma in Decimal; sweep() and sweep() give ints.
+    cases = list(identities.sweep(ident, (0, 40)))
     assert any(outcome.status is Status.PASS for _, outcome in cases)
     for _, outcome in cases:
         for side in (outcome.lhs, outcome.rhs):
@@ -171,7 +176,7 @@ def test_stepped_state_equals_direct_values(ident):
         for (p, q), form in zip(parts, ident.forms):
             assert p + (q * k if q else 0) == identities._form_value(form, m, k)
         if not ident.is_lemma:
-            assert matrix == contfrac._run_power(ident.lhs.base(k), m + ident.lhs.extra)
+            assert matrix == _products._run_power(ident.lhs.base(k), m + ident.lhs.extra)
 
 
 @pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.name)

@@ -232,25 +232,25 @@ def test_bad_grid_raises_before_any_case(monkeypatch, ident, m_range):
 
     monkeypatch.setattr(sequences, "walk", no_case)
     with pytest.raises(BadDomain):
-        identities.iter_sweep(ident, m_range)  # raises on the call, not on next()
+        identities.sweep(ident, m_range)  # raises on the call, not on next()
 
 
 @pytest.mark.parametrize("ident, m_range, k_range", [(I.ID117, (5, 1), None), (I.THM2_FIB_FORM, (0, 3), (2, -2))])
 def test_empty_range_raises_a_typed_error(ident, m_range, k_range):
     with pytest.raises(EmptyRange):
-        identities.iter_sweep(ident, m_range, k_range)
+        identities.sweep(ident, m_range, k_range)
     assert issubclass(EmptyRange, ValueError)  # what a library caller caught before it had a type
 
 
 def test_bridge_grid_starts_at_the_first_multiple_of_5():
-    ms = [p.m for p, _ in identities.iter_sweep(I.LEM_BRIDGE, (3, 21))]
+    ms = [p.m for p, _ in identities.sweep(I.LEM_BRIDGE, (3, 21))]
     assert ms == [5, 10, 15, 20]
 
 
 def test_stream_matches_the_collected_report():
-    stream = list(identities.iter_sweep(I.THM3_ONES, (0, 6), (-2, 2)))
-    report = identities.sweep(I.THM3_ONES, (0, 6), (-2, 2))
-    assert tuple(stream) == report.cases
+    # Two streams of one grid give the same cases, in (m, k) order.
+    stream = list(identities.sweep(I.THM3_ONES, (0, 6), (-2, 2)))
+    assert tuple(stream) == tuple(identities.sweep(I.THM3_ONES, (0, 6), (-2, 2)))
     assert [p for p, _ in stream] == [CaseParams(m, k) for m in range(7) for k in range(-2, 3)]
 
 
@@ -305,7 +305,7 @@ def test_a_sweep_carries_thm5s_gcd_by_one_euclid_step(gcd_calls):
     # Each failing right side's den is the previous case's num, and the
     # remainder of one division is +-the previous den, so only the first
     # case needs a gcd; every case is still reduced, by g = 11.
-    cases = list(identities.iter_sweep(I.THM5_SWAPPED_LUCAS, (3, 60)))
+    cases = list(identities.sweep(I.THM5_SWAPPED_LUCAS, (3, 60)))
     assert len(gcd_calls) == 1
     for params, outcome in cases:
         assert outcome == identities.run_case(I.THM5_SWAPPED_LUCAS, params)
@@ -516,9 +516,9 @@ def test_a_batch_decided_whole_agrees_with_verdict(columns):
 def test_a_batch_the_column_rule_leaves_goes_case_by_case(monkeypatch, ident, k_range):
     # Every batch of k in the catalog is decided whole; the engine's
     # _verdict() route must give the same cases when none is.
-    whole = list(identities.iter_sweep(ident, (0, 6), k_range))
+    whole = list(identities.sweep(ident, (0, 6), k_range))
     monkeypatch.setattr(identities, "_own_ratio_verdicts", lambda *columns: None)
-    assert list(identities.iter_sweep(ident, (0, 6), k_range)) == whole
+    assert list(identities.sweep(ident, (0, 6), k_range)) == whole
 
 
 # --- the import path ---------------------------------------------------------

@@ -99,10 +99,10 @@ def test_stacked_matches_convergent_numerator_and_denominator():
     rng = random.Random(1401)
     for _ in range(200):
         heights = [rng.randint(1, 5) for _ in range(rng.randint(1, 8))]
-        table = convergents(heights)
-        assert count_stacked(heights) == table.p[-1]
+        p, q = convergents(heights)[-1]
+        assert count_stacked(heights) == p
         if len(heights) > 1:
-            assert count_stacked(heights[1:]) == table.q[-1]
+            assert count_stacked(heights[1:]) == q
 
 
 def test_stacked_bounds_and_validation():
