@@ -132,9 +132,9 @@ def cmd_sweep(args) -> int:
 
 def _sweep(ident: identities.IdentityId, args, number) -> int:
     """cmd_sweep() with the forms' values of the type number (see sequences.walk)."""
-    name, batches = ident.name, identities._sweep_rows(ident, args.m, args.k, number)
-    from ._engine import _HELD, sweep_records  # _sweep_rows has loaded it
+    from ._engine import _HELD, sweep_cases, sweep_records  # compiled only by the commands that sweep
 
+    name, batches = ident.name, sweep_cases(ident, args.m, args.k, number)
     passing, failing, record = identities.Status.PASS, identities.Status.FAIL, sweep_records()
     as_json, takes_k = args.json, ident.takes_k
     # A passing --json batch's p column and its strings, by its first k, for

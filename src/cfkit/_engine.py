@@ -1,8 +1,11 @@
-"""The stepped engine behind every grid: identities.sweep() and fit_uniform().
+"""The stepped engine behind every grid: identities.sweep(), fit_uniform() and the sweep command.
 
-It reads the catalog's table (see `identities`). A state is the zip of the
-left prefix's matrices and the two forms' values at each m of the grid:
-one matrix power seeds the prefix and one product carries it to the next
+sweep_cases() is the one grid entry: it checks the grid with
+identities._case_grid() when it is called, so a bad grid raises before any
+case is made, and returns the grid's cases as batches. It reads the
+catalog's table (see `identities`). A state is the zip of the left
+prefix's matrices and the two forms' values at each m of the grid: one
+matrix power seeds the prefix and one product carries it to the next
 m, and each term of a form is a `sequences.walk` at the stride of the
 grid, which seeds it with direct calls and steps it from then on; a form
 is P(m) + k*Q(m), made once per m. A sequence whose parameter enters
@@ -16,15 +19,15 @@ Each of p, q, num and den is c + k*d along a batch, so each is a column
 of ints made by one running addition; where num's (c, d) is p's, or den's
 is q's, the ratio column is the left column itself. A batch whose ratio
 columns equal its left columns (every batch of k in the catalog, since
-each stated ratio is its left side with g = +-1) is decided whole by
-identities._own_ratio_verdicts(); any other batch, and a batch of one
+each stated ratio is its left side with g = +-1) is decided whole by the
+column rule, _own_ratio_verdicts(); any other batch, and a batch of one
 case, goes to identities._verdict() case by case. No case gets a record
 here; sweep_records() builds the records a sweep writes or yields, and
 carries a failing right side's gcd from case to case.
 A batch's size is fixed, so the memory a sweep holds grows neither with
 its m range nor, with one state, with its k range.
-identities._sweep_rows() imports this module on first use, so the
-commands other than sweep and fit do not compile it.
+Its callers import this module on first use, so the commands other than
+sweep and fit do not compile it.
 """
 
 from collections.abc import Iterator
@@ -33,7 +36,7 @@ from math import gcd
 
 from . import _products, identities, sequences
 from ._products import _mul
-from .identities import IdentityId, _Lin
+from .identities import _PASS, _SKIPPED, IdentityId, Status, _Lin
 from .rational import Rational
 
 # The most consecutive k one batch holds: enough that a case costs a step
@@ -109,20 +112,46 @@ def _column(c: int, d: int, k0: int, n: int) -> list[int]:
     return list(accumulate(repeat(d, n - 1), initial=c + k0 * d)) if d else [c] * n
 
 
-def sweep_cases(ident: IdentityId, ms: range, ks: range | tuple[None], number=int) -> Iterator[tuple]:
-    """Every case of the grid ms x ks in (m, k) order, as batches (m, kb, statuses, ps, qs, nums, dens).
+def sweep_cases(
+    ident: IdentityId, m_range: tuple[int, int], k_range: tuple[int, int] | None, number=int
+) -> Iterator[tuple]:
+    """Every case of the grid in (m, k) order, as batches (m, kb, statuses, ps, qs, nums, dens).
 
-    kb is a slice of ks: at most _BATCH consecutive k, or the one k of a
-    per-k state. The other five are lists in kb's order: each case's Status,
-    its left side p/q, coprime with q >= 0 (q = 0: undefined), and its
-    stated ratio num/den; a lemma first = second is first/1 against
-    second/1. The states are seeded at ms[0] and stepped in m. The forms'
+    The grid is checked (identities._case_grid()) on the call, before any
+    case is made. kb is a slice of the grid's k values, (None,) for an
+    entry without k: at most _BATCH consecutive k, or the one k of a per-k
+    state. The other five are lists in kb's order: each case's Status, its
+    left side p/q, coprime with q >= 0 (q = 0: undefined), and its stated
+    ratio num/den; a lemma first = second is first/1 against second/1. The
+    states are seeded at the grid's first m and stepped in m. The forms'
     values are of the type number (see sequences.walk): int, or
     decimal.Decimal for a lemma, whose case needs only +, * and ==.
     """
+    return _batches(ident, *identities._case_grid(ident, m_range, k_range), number)
+
+
+def _own_ratio_verdicts(ps: list[int], qs: list[int], nums: list[int], dens: list[int]) -> list[Status] | None:
+    """Each case's _verdict() at once for a batch whose ratio columns equal its left columns; None for any other batch.
+
+    The columns are taken before a negative q is flipped with its p. Where
+    nums == ps and dens == qs, each case is p/q against g*(p, q) with g = 1,
+    or g = -1 once q < 0 is flipped to q > 0: it passes, except where q = 0,
+    whose two sides are both undefined (SKIPPED). That is what _verdict()
+    returns for each case; a batch this does not decide goes to _verdict()
+    case by case. Every case's own values are compared.
+    """
+    if nums != ps or dens != qs:
+        return None
+    if 0 in qs:
+        return [_PASS if q else _SKIPPED for q in qs]
+    return [_PASS] * len(qs)
+
+
+def _batches(ident: IdentityId, ms: range, ks: range | tuple[None], number) -> Iterator[tuple]:
+    """sweep_cases()'s batches over the checked grid ms x ks."""
     # identities._verdict, the one comparison run_case() decides every case
-    # with, and the column rule beside it, looked up when the sweep starts.
-    verdict, own_ratio = identities._verdict, identities._own_ratio_verdicts
+    # with, and the column rule, looked up when the sweep starts.
+    verdict, own_ratio = identities._verdict, _own_ratio_verdicts
     tail = None if ident.is_lemma else ident.lhs.tail
     # One state for the grid, or one per k where k changes more than the
     # tail and the coefficients.

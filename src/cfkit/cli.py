@@ -41,11 +41,9 @@ A well-formed argv is read straight from the table: the subcommand, then
 its positionals, --json and its options spelled in full, each given once,
 every value one that its option's type and choices take. Anything else
 (-h, --, --opt=value, an abbreviation, a repeat, an unknown, missing or
-extra argument, a bad value) goes to argparse, imported only then, which
-writes every help text and usage error. When argv begins with a
-subcommand, that parser holds the subcommand alone; otherwise (`cfkit
---help`, an unknown name) it holds all nine, so the help and the errors
-list every subcommand.
+extra argument, a bad value) goes to the one argparse parser of all nine
+subcommands, which writes every help text and usage error; it is built in
+_cli_usage, which run() imports, with argparse, only then.
 """
 
 import os
@@ -55,17 +53,6 @@ from types import SimpleNamespace
 
 from .errors import CFKitError
 
-# An annotation below that names a type imported only where it is used
-# (argparse.ArgumentParser) is quoted, so it is never resolved at run time.
-
-
-def _type_error(message: str) -> Exception:
-    """argparse's ArgumentTypeError; argparse is imported only when a value is bad."""
-    from argparse import ArgumentTypeError
-
-    return ArgumentTypeError(message)
-
-
 def _range_pair(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if sep:
@@ -73,16 +60,21 @@ def _range_pair(text: str) -> tuple[int, int]:
             return int(lo), int(hi)
         except ValueError:
             pass
-    raise _type_error(f"expected LO..HI, got '{text}'")
+    from ._cli_usage import ArgumentTypeError
+
+    raise ArgumentTypeError(f"expected LO..HI, got '{text}'")
 
 
 def _nonneg_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise _type_error(f"expected an integer, got '{text}'") from None
-    if value < 0:
-        raise _type_error(f"expected a nonnegative integer, got '{text}'")
+        value = None
+    if value is None or value < 0:
+        from ._cli_usage import ArgumentTypeError
+
+        kind = "an integer" if value is None else "a nonnegative integer"
+        raise ArgumentTypeError(f"expected {kind}, got '{text}'")
     return value
 
 
@@ -157,7 +149,7 @@ _VALUE = r"-\.?\d"
 
 # name -> (handler, help, arguments as (flag, options) pairs). Every
 # subcommand also takes --json. Both argv readers, _read() and argparse's
-# (_build_parser()), are made from this table.
+# (_cli_usage.parser()), are made from this table.
 _SUBCOMMANDS = {
     "eval": (
         _handler("_cli_eval", "cmd_eval"),
@@ -269,8 +261,8 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
         try:
             value = spec["type"](token) if "type" in spec else token
         except Exception:
-            # A ValueError or argparse's ArgumentTypeError, which is not
-            # imported here; argparse calls the type again and reports it.
+            # A ValueError or argparse's ArgumentTypeError (see
+            # _cli_usage); argparse calls the type again and reports it.
             return None
         if "choices" in spec and value not in spec["choices"]:
             return None
@@ -280,44 +272,8 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _build_parser(command: str | None = None) -> "argparse.ArgumentParser":
-    """The argparse parser for `command` alone, or for every subcommand when it is None.
-
-    argparse runs only the subparser that argv names, so the others are left
-    out; the metavar keeps every name in the usage line that a top-level
-    error prints. `cfkit --help` and an unknown name take the None path, in
-    which each subcommand is listed with its help.
-
-    argparse reads only plain negative numbers (-5, -1.5, -.5) as values; any
-    other token that starts with '-' is an option name to it. Its test is the
-    private `_negative_number_matcher`, which each parser here widens to take
-    -3..3 and -13/3 too.
-    """
-    import argparse
-
-    matcher = re.compile(_VALUE)
-    parser = argparse.ArgumentParser(
-        prog="cfkit",
-        description="Exact continued-fraction arithmetic and identity verification.",
-    )
-    parser._negative_number_matcher = matcher
-    # Unset on the full parser, so that argv without a subcommand still gets
-    # "the following arguments are required: command".
-    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _SUBCOMMANDS if command is None else (command,):
-        handler, help_text, arguments = _SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p._negative_number_matcher = matcher
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.set_defaults(handler=handler)
-    return parser
-
-
 def _command(argv: list[str]) -> str | None:
-    """The subcommand argv names, if it begins with one; None sends parsing to the full parser."""
+    """The subcommand argv names, if it begins with one; None leaves argv to argparse."""
     return argv[0] if argv and argv[0] in _SUBCOMMANDS else None
 
 
@@ -325,8 +281,10 @@ def run(argv: list[str]) -> int:
     """Read argv, execute, and map errors onto the documented exit codes."""
     args = _read(argv)
     if args is None:
+        from ._cli_usage import parser
+
         try:
-            args = _build_parser(_command(argv)).parse_args(argv)
+            args = parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     try:

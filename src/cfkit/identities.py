@@ -41,16 +41,15 @@ side p/q, reduced because its final matrix has determinant +-1 (q >= 0;
 q = 0: undefined), against the ratio num/den; a lemma lhs = rhs is lhs/1
 against rhs/1. A case passes exactly when (num, den) = g*(p, q) for an
 integer g, so one comparison decides it where den = +-q (g = +-1, most
-cases) and one exact division otherwise. The engine decides a batch of
-consecutive k whole by the rule beside it, _own_ratio_verdicts(), when
-the batch's ratio columns equal its left columns; that returns exactly
-what _verdict() would for each case, and any other batch goes to
-_verdict() case by case. _record() builds a decided case's CheckOutcome:
-a pass has one Rational as both sides, and only a failing right side is
-reduced by gcd. A sweep builds its records with _engine.sweep_records(),
-which carries that gcd from one failing case to the next where one Euclid
-step proves it unchanged, and the CLI sweeps a lemma in decimal.Decimal
-(see `_cli_cases`); sweep() gives ints, as run_case() does.
+cases) and one exact division otherwise. The engine decides some batches
+of consecutive k whole, by a column rule of its own that gives what
+_verdict() gives each case (see `_engine`). _record() builds a decided
+case's CheckOutcome: a pass has one Rational as both sides, and only a
+failing right side is reduced by gcd. A sweep builds its records with
+_engine.sweep_records(), which carries that gcd from one failing case to
+the next where one Euclid step proves it unchanged, and the CLI sweeps a
+lemma in decimal.Decimal (see `_cli_cases`); sweep() gives ints, as
+run_case() does.
 
 Catalog, with F = fib, f = fib_comb, L = lucas, l = lucas_swapped,
 G_k(n) = gibonacci(k, n) and S_t(n) = scaled_fib(t, n); m >= 0 throughout:
@@ -325,23 +324,6 @@ def _verdict(p: int, q: int, num: int, den: int) -> Status:
     return _PASS if rem == 0 and num == g * p else _FAIL
 
 
-def _own_ratio_verdicts(ps: list[int], qs: list[int], nums: list[int], dens: list[int]) -> list[Status] | None:
-    """Each case's _verdict() at once for a batch whose ratio columns equal its left columns; None for any other batch.
-
-    The columns are taken before a negative q is flipped with its p. Where
-    nums == ps and dens == qs, each case is p/q against g*(p, q) with g = 1,
-    or g = -1 once q < 0 is flipped to q > 0: it passes, except where q = 0,
-    whose two sides are both undefined (SKIPPED). That is what _verdict()
-    returns for each case; a batch this does not decide goes to _verdict()
-    case by case. Every case's own values are compared.
-    """
-    if nums != ps or dens != qs:
-        return None
-    if 0 in qs:
-        return [_PASS if q else _SKIPPED for q in qs]
-    return [_PASS] * len(qs)
-
-
 def _record(status: Status, p: int, q: int, num: int, den: int, reduced=Rational) -> CheckOutcome:
     """The outcome record of a case _verdict() decided; only a failing right side is reduced, as reduced(num, den).
 
@@ -408,20 +390,6 @@ def _case_grid(
     return ms, range(k_lo, k_hi + 1) if ident.takes_k else (None,)
 
 
-def _sweep_rows(
-    ident: IdentityId, m_range: tuple[int, int], k_range: tuple[int, int] | None, number=int
-) -> Iterator[tuple]:
-    """sweep()'s cases as the engine's batches (m, kb, statuses, ps, qs, nums, dens), for the CLI.
-
-    The forms' values are of the type number (see `_engine`); the CLI asks
-    for decimal.Decimal for a lemma.
-    """
-    grid = _case_grid(ident, m_range, k_range)
-    from ._engine import sweep_cases  # compiled only by the commands that sweep
-
-    return sweep_cases(ident, *grid, number)
-
-
 def sweep(
     ident: IdentityId,
     m_range: tuple[int, int],
@@ -434,10 +402,9 @@ def sweep(
     result is consumed, and equal run_case() on each of them. The m interval
     is filtered to the entry's domain (multiples of 5 for LEM_BRIDGE).
     """
-    batches = _sweep_rows(ident, m_range, k_range)
-    from ._engine import sweep_records  # _sweep_rows has loaded it
+    from ._engine import sweep_cases, sweep_records  # compiled only by the commands that sweep
 
-    record = sweep_records()
+    batches, record = sweep_cases(ident, m_range, k_range), sweep_records()
     return ((CaseParams(m, k), record(*decided)) for m, kb, *columns in batches for k, *decided in zip(kb, *columns))
 
 
@@ -454,5 +421,7 @@ def fit_uniform(c: int, n_max: int) -> int | None:
     t = lucas_odd_index_of(c)
     if t is None:
         return None
-    batches = _sweep_rows(IdentityId.COR_GENERAL_LUCAS, (0, n_max - 1), (t // 2, t // 2))
+    from ._engine import sweep_cases
+
+    batches = sweep_cases(IdentityId.COR_GENERAL_LUCAS, (0, n_max - 1), (t // 2, t // 2))
     return t if all(status is _PASS for _, _, statuses, *_ in batches for status in statuses) else None

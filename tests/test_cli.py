@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfkit import _cli_cases, _products, cli, errors
+from cfkit import _cli_cases, _cli_usage, _products, cli, errors
 from cfkit._cli_eval import _decimal
 from cfkit.cli import run
 from cfkit.errors import UnknownIdentity
@@ -182,36 +182,6 @@ def _parse(parser, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        "eval [2,3,7] --digits 4",
-        "eval [1] extra",
-        "eval",
-        "eval --digits -1 [1]",
-        "eval --help",
-        "expand -- -13/3 extra",
-        "seq fib --from 0",
-        "seq nope --from 0 --to 1",
-        "oracle board",
-        "check ID117 --m 2 --k 1 --json",
-        "sweep ID117 --m 5..0",
-        "sweep ID117 --m 5.0",
-        "sweep THM2_FIB_FORM --m 0..2 --k=-3..3 --jobs 2",
-        "fit --n-max 3",
-        "surd 19 --max-terms x",
-        "convergents [1] --json",
-    ],
-)
-def test_parser_of_the_named_subcommand_acts_like_the_full_one(monkeypatch, argv):
-    # Same namespace (or exit code), stdout and stderr, usage lines included.
-    monkeypatch.setenv("COLUMNS", "80")
-    argv = argv.split()
-    command = cli._command(argv)
-    assert command is not None
-    assert _parse(cli._build_parser(command), argv) == _parse(cli._build_parser(), argv)
-
-
-@pytest.mark.parametrize(
     "argv, parsed",
     [
         # a negative value after an option is its value
@@ -230,7 +200,7 @@ def test_parser_of_the_named_subcommand_acts_like_the_full_one(monkeypatch, argv
 )
 def test_negative_values_parse_as_values(argv, parsed):
     argv = argv.split()
-    args, _, _ = _parse(cli._build_parser(cli._command(argv)), argv)
+    args, _, _ = _parse(_cli_usage.parser(), argv)
     if isinstance(parsed, int):
         assert args == parsed
     else:
@@ -241,7 +211,7 @@ def test_every_parser_reads_a_leading_minus_and_digit_as_a_value():
     # The parsers rely on argparse's private `_negative_number_matcher`; if a
     # Python release drops it, this fails by name.
     assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
-    (subparsers,) = [a for a in cli._build_parser("expand")._actions if a.dest == "command"]
+    (subparsers,) = [a for a in _cli_usage.parser()._actions if a.dest == "command"]
     matcher = subparsers.choices["expand"]._negative_number_matcher
     assert all(matcher.match(tok) for tok in ("-3..3", "-13/3", "-1.5", "-.5"))
     assert not any(matcher.match(tok) for tok in ("--m", "-h", "-x1", "-"))

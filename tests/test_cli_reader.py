@@ -19,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfkit import cli
+from cfkit import _cli_usage, cli
 
 
 def _argparse(argv):
     """vars() of argparse's namespace for argv, or its exit code."""
-    parser = cli._build_parser(cli._command(argv))
+    parser = _cli_usage.parser()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return vars(parser.parse_args(argv))
@@ -103,6 +103,33 @@ def _well_formed(draw):
 @given(st.one_of(_well_formed(), _JUNK_ARGV))
 def test_the_reader_agrees_with_argparse(argv):
     _assert_agree(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eval [2,3,7] --digits 4",
+        "eval [1] extra",
+        "eval",
+        "eval --digits -1 [1]",
+        "eval --help",
+        "expand -- -13/3 extra",
+        "seq fib --from 0",
+        "seq nope --from 0 --to 1",
+        "oracle board",
+        "check ID117 --m 2 --k 1 --json",
+        "sweep ID117 --m 5..0",
+        "sweep ID117 --m 5.0",
+        "sweep THM2_FIB_FORM --m 0..2 --k=-3..3 --jobs 2",
+        "fit --n-max 3",
+        "surd 19 --max-terms x",
+        "convergents [1] --json",
+    ],
+)
+def test_pinned_lines_agree_with_argparse(argv):
+    # Help, each kind of usage error and a line argparse alone reads, one
+    # subcommand or more of each.
+    _assert_agree(argv.split())
 
 
 def test_the_drawn_lines_take_both_paths():

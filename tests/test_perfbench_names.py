@@ -43,7 +43,7 @@ def test_every_traced_name_exists():
 
 
 # The commands whose handlers step the private routes (contfrac._rows,
-# identities._sweep_rows) rather than the wrapped names, with their exit codes.
+# _engine.sweep_cases) rather than the wrapped names, with their exit codes.
 _PRIVATE_ROUTES = {
     "convergents [11x40]": 0,
     "convergents [11x40] --json": 0,

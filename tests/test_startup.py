@@ -4,11 +4,12 @@ Each row of LOADS runs one command through `cfkit.cli.run` in a fresh
 interpreter and names every cfkit submodule it may load: no more, no
 fewer. json, argparse and decimal are watched too. No row loads json or
 argparse: every --json line is written from a template, and a well-formed
-command line is read without argparse, which is loaded only to write help
-or a usage error. decimal, with cfkit._decimals, is loaded by the commands
-that step their values in Decimal: seq, convergents and a lemma sweep.
-README's Start-up table gives the lines each command compiles; a test
-sums them from LOADS and the modules' current lengths.
+command line is read without argparse, which is loaded, with
+cfkit._cli_usage, only to write help or a usage error. decimal, with
+cfkit._decimals, is loaded by the commands that step their values in
+Decimal: seq, convergents and a lemma sweep. README's Start-up table
+gives the code lines each command compiles; a test sums them from LOADS
+and the modules' current text.
 The `cfkit` namespace resolves its public names and submodules on first use
 (PEP 562); the tests below check that it still behaves like the eager one.
 """
@@ -95,9 +96,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _startup_table() -> dict[str, int]:
-    """README's Start-up table: subcommand (a lemma sweep as "lemma sweep") -> the lines its launch compiles."""
+    """README's Start-up table: subcommand (a lemma sweep as "lemma sweep") -> the code lines its launch compiles."""
     text = README.read_text(encoding="utf-8")
-    rows = text[text.index("| subcommand | loads | lines compiled |") :].split("\n\n", 1)[0].splitlines()[2:]
+    rows = text[text.index("| subcommand | loads | code lines compiled |") :].split("\n\n", 1)[0].splitlines()[2:]
     table = {}
     for row in rows:
         subcommands, _, lines = row.strip("|").split("|")
@@ -112,11 +113,26 @@ def _row(argv: str) -> str:
     return f"lemma {command}" if command == "sweep" and rest[0].startswith("LEM_") else command
 
 
+def _code_lines(path: Path) -> int:
+    """The module's code lines: non-blank, not a comment, and not inside a module, class or function docstring."""
+    text = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        if isinstance(node, documented) and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(
+        1
+        for number, line in enumerate(text.splitlines(), 1)
+        if line.strip() and not line.lstrip().startswith("#") and number not in docstrings
+    )
+
+
 def _compiled_lines(loads: set[str]) -> int:
-    """The README's rule: the lines of the cfkit modules a launch loads, cli.py and errors.py in, __init__.py out."""
+    """The README's rule: the code lines of the cfkit modules a launch loads, cli.py and errors.py in, __init__.py out."""
     package = Path(cfkit.__file__).parent
     modules = [name.removeprefix("cfkit.") for name in loads if name.startswith("cfkit.")]
-    return sum(len((package / f"{module}.py").read_text().splitlines()) for module in modules)
+    return sum(_code_lines(package / f"{module}.py") for module in modules)
 
 
 def test_readme_startup_table_counts_the_lines_each_command_compiles():
@@ -140,7 +156,7 @@ def test_readme_startup_table_counts_the_lines_each_command_compiles():
 )
 def test_help_and_usage_errors_load_argparse(argv):
     body = f"import contextlib, io\nwith contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n    {_command(argv)}"
-    assert "argparse" in _loaded(body, {"argparse"})
+    assert {"argparse", "cfkit._cli_usage"} <= _loaded(body, {"argparse"})
 
 
 @pytest.mark.parametrize("name", cfkit.__all__)

@@ -157,8 +157,7 @@ def test_state_per_k_only_where_k_changes_a_base_or_a_sequence():
 
 
 def test_batches_hold_one_m_and_at_most_64_consecutive_k():
-    grid = identities._case_grid(I.THM2_FIB_FORM, (0, 2), (-100, 100))
-    batches = list(_engine.sweep_cases(I.THM2_FIB_FORM, *grid))
+    batches = list(_engine.sweep_cases(I.THM2_FIB_FORM, (0, 2), (-100, 100)))
     assert [(m, k) for m, kb, *_ in batches for k in kb] == [(m, k) for m in range(3) for k in range(-100, 101)]
     for _, kb, *columns in batches:
         assert 1 <= len(kb) <= 64

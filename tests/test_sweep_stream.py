@@ -504,7 +504,7 @@ def test_a_batch_decided_whole_agrees_with_verdict(columns):
     # taken before the flip, equal its left columns, and then as _verdict()
     # decides each case once q >= 0.
     ps, qs, nums, dens = columns
-    whole = identities._own_ratio_verdicts(ps, qs, nums, dens)
+    whole = _engine._own_ratio_verdicts(ps, qs, nums, dens)
     assert (whole is not None) == (nums == ps and dens == qs)
     flipped = [(-p, -q) if q < 0 else (p, q) for p, q in zip(ps, qs)]
     per_case = [identities._verdict(p, q, num, den) for (p, q), num, den in zip(flipped, nums, dens)]
@@ -517,7 +517,7 @@ def test_a_batch_the_column_rule_leaves_goes_case_by_case(monkeypatch, ident, k_
     # Every batch of k in the catalog is decided whole; the engine's
     # _verdict() route must give the same cases when none is.
     whole = list(identities.sweep(ident, (0, 6), k_range))
-    monkeypatch.setattr(identities, "_own_ratio_verdicts", lambda *columns: None)
+    monkeypatch.setattr(_engine, "_own_ratio_verdicts", lambda *columns: None)
     assert list(identities.sweep(ident, (0, 6), k_range)) == whole
 
 
