@@ -73,12 +73,15 @@ def eval_fold(terms) -> Rational:
     succeeds it agrees with evaluate().
     """
     terms = _require_terms(terms)
-    value = Rational(terms[-1])
+    # x = p/q with q an earlier nonzero p, and a + 1/x = (a*p + q)/p. The
+    # result is reduced by Rational itself, so this route does not rest on
+    # the determinant argument that lets the product tree skip the gcd.
+    p, q = terms[-1], 1
     for a in reversed(terms[:-1]):
-        if not value:
+        if p == 0:
             raise IntermediateZero("partial value is zero before a reciprocal")
-        value = value.reciprocal() + a
-    return value
+        p, q = a * p + q, p
+    return Rational(p, q)
 
 
 def expand_rational(r: Rational) -> list[int]:

@@ -17,10 +17,6 @@ class ZeroDenominator(CFKitError):
     """A rational was constructed with denominator zero."""
 
 
-class ZeroReciprocal(CFKitError):
-    """The reciprocal of zero was requested."""
-
-
 class UndefinedValue(CFKitError):
     """A continued fraction has no value (its final denominator is zero)."""
 

@@ -2,13 +2,13 @@
 
 Values are immutable and always stored fully reduced with a positive
 denominator, so equality is structural. Only the operations the rest of
-the library needs exist here: construction, integer addition, reciprocal
-and comparison. No floating point is involved anywhere.
+the library needs exist here: construction, comparison and printing. No
+floating point is involved anywhere.
 """
 
 from math import gcd
 
-from .errors import ZeroDenominator, ZeroReciprocal
+from .errors import ZeroDenominator
 
 
 class Rational:
@@ -43,19 +43,6 @@ class Rational:
     @property
     def den(self) -> int:
         return self._den
-
-    def reciprocal(self) -> "Rational":
-        """1/self, with the sign moved back onto the numerator."""
-        if self._num == 0:
-            raise ZeroReciprocal("0 has no reciprocal")
-        return Rational(self._den, self._num)
-
-    def __add__(self, other: int) -> "Rational":
-        if not isinstance(other, int):
-            return NotImplemented
-        return Rational(self._num + other * self._den, self._den)
-
-    __radd__ = __add__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Rational):

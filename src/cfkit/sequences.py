@@ -3,10 +3,9 @@
 Index conventions are the whole game here, so each generator states its
 seeds and its negative-index rule explicitly. The seeds plus the linear
 recurrence x_{n+1} = x_n + x_{n-1} are the defining semantics. Every value
-comes from one fast-doubling kernel for (F_n, F_{n+1}): it starts from a
-fixed table of F_0..F_255 and needs O(log n) big-integer squarings. The
-other sequences are closed forms in F. The tests keep the O(n) recurrence
-as their oracle.
+comes from one fast-doubling kernel for (F_n, F_{n+1}), which needs
+O(log n) big-integer squarings and no table. The other sequences are
+closed forms in F. The tests keep the O(n) recurrence as their oracle.
 
 The kernel keeps nothing between calls: each call costs its own O(log n)
 squarings. Runs of values at a fixed stride come from walk(), which calls
@@ -17,29 +16,19 @@ recurrence; sweeps and the `seq` command both read their values from it.
 from .errors import EvenOrder, NegativeIndex, UsageError
 
 
-# F_0 .. F_255: the fast-doubling walk below starts from the top eight bits
-# of its index, so indices below 255 cost one lookup.
-_TABLE_BITS = 8
-_FIB_TABLE = [0, 1]
-while len(_FIB_TABLE) < 1 << _TABLE_BITS:
-    _FIB_TABLE.append(_FIB_TABLE[-1] + _FIB_TABLE[-2])
-
-
 def _fib_pair(n: int) -> tuple[int, int]:
     """(F_n, F_{n+1}) for n >= 0 by fast doubling.
 
-    Reads (F_{k-1}, F_k) from the table for k the top bits of n + 1, then
-    walks the remaining bits, stepping k to 2k or 2k + 1 with two squarings:
+    Starts from (F_{k-1}, F_k) = (F_0, F_1) at k = 1, the top bit of n + 1,
+    then walks the remaining bits, stepping k to 2k or 2k + 1 with two
+    squarings:
 
         F_{2k+1} = 4 F_k^2 - F_{k-1}^2 + 2(-1)^k
         F_{2k-1} = F_k^2 + F_{k-1}^2
         F_{2k}   = F_{2k+1} - F_{2k-1}
     """
-    m = n + 1
-    k = m >> max(m.bit_length() - _TABLE_BITS, 0)
-    a, b = _FIB_TABLE[k - 1], _FIB_TABLE[k]
-    sign = -2 if k % 2 else 2  # 2(-1)^k
-    for bit in bin(m)[2 + _TABLE_BITS :]:
+    a, b, sign = 0, 1, -2  # sign is 2(-1)^k
+    for bit in bin(n + 1)[3:]:
         aa, bb = a * a, b * b
         odd = (bb << 2) - aa + sign
         lo = aa + bb

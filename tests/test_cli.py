@@ -379,7 +379,7 @@ USAGE_ERRORS = {
     "UsageError", "EmptyCF", "ParseError", "EmptyRange", "MissingParam", "ExtraParam", "UnknownIdentity",
 }
 DOMAIN_ERRORS = {
-    "CFKitError", "ZeroDenominator", "ZeroReciprocal", "UndefinedValue", "IntermediateZero",
+    "CFKitError", "ZeroDenominator", "UndefinedValue", "IntermediateZero",
     "PerfectSquare", "PeriodNotFound", "NegativeIndex", "EvenOrder", "BoundExceeded", "BadDomain",
 }
 ERROR_CLASSES = [

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
@@ -129,8 +130,19 @@ def test_evaluate_matches_final_convergent(terms):
         assert evaluate(terms) == Rational(p, q)
 
 
+# The same boundaries, and a 10^4-term list: the fold steps integer pairs,
+# so it keeps up at the sizes `eval` serves.
 @settings(deadline=None)
 @given(_terms)
+@example(_tree_terms(1))
+@example(_tree_terms(31))
+@example(_tree_terms(32))
+@example(_tree_terms(33))
+@example(_tree_terms(64))
+@example(_tree_terms(65))
+@example(_tree_terms(97))
+@example(_tree_terms(32 * 7 + 1))
+@example(_tree_terms(10_000))
 def test_evaluate_agrees_with_fold_where_fold_succeeds(terms):
     try:
         folded = eval_fold(terms)
@@ -173,6 +185,21 @@ def test_evaluate_runs_matches_evaluate_on_expansion(runs):
             evaluate_runs(runs)
         return
     assert evaluate_runs(runs) == want
+
+
+# The run shapes of the benchmark's `eval` operations, cut to 10^4 terms;
+# [4x10000,3] is the value behind its over-limit `eval` probe.
+@pytest.mark.parametrize(
+    "runs",
+    [
+        [(4, 10_000)],
+        [(1, 9_999), (7, 1)],
+        [(2, 2_500), (-9, 1), (1, 2_500), (2, 1), (7, 2_500), (-2, 1), (5, 2_500)],
+        [(4, 10_000), (3, 1)],
+    ],
+)
+def test_evaluate_runs_agrees_with_fold_on_the_benchmark_shapes(runs):
+    assert evaluate_runs(runs) == eval_fold(_expand(runs))
 
 
 def _runs_with_zero_denominator(runs):
@@ -237,9 +264,28 @@ def test_eval_fold_known_values():
     assert evaluate([2, 0, 3]) == Rational(5, 1)
 
 
-def test_eval_fold_rejects_zero_partial():
-    with pytest.raises(IntermediateZero):
-        eval_fold([0, 0])
+def _fraction_fold(terms):
+    """x <- a + 1/x in fractions.Fraction, from the last term; None at the first zero partial value."""
+    x = Fraction(terms[-1])
+    for a in reversed(terms[:-1]):
+        if x == 0:
+            return None
+        x = a + 1 / x
+    return x
+
+
+# Short lists of small terms meet a zero partial value often.
+@settings(deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=12) | _terms)
+@example([0, 0])
+def test_eval_fold_rejects_zero_partial(terms):
+    want = _fraction_fold(terms)
+    if want is None:
+        with pytest.raises(IntermediateZero):
+            eval_fold(terms)
+    else:
+        got = eval_fold(terms)
+        assert (got.num, got.den) == (want.numerator, want.denominator)
 
 
 def test_eval_fold_agrees_with_evaluate_when_defined():

@@ -2,10 +2,11 @@
 
 Each row of LOADS runs one command through `cfkit.cli.run` in a fresh
 interpreter and names every cfkit submodule it may load: no more, no
-fewer. json, argparse and decimal are watched too. No row loads json or
-argparse: every --json line is written from a template, and a well-formed
-command line is read without argparse, which is loaded, with
-cfkit._cli_usage, only to write help or a usage error. decimal, with
+fewer. json, argparse, decimal and __future__ are watched too. No row
+loads __future__, json or argparse: no cfkit module imports __future__,
+every --json line is written from a template, and a well-formed command
+line is read without argparse, which is loaded, with cfkit._cli_usage,
+only to write help or a usage error. decimal, with
 cfkit._decimals, is loaded by the commands that step their values in
 Decimal: seq, convergents and a lemma sweep. README's Start-up table
 gives the code lines each command compiles; a test sums them from LOADS
@@ -60,7 +61,7 @@ _ORACLE = _CLI | {"cfkit._cli_oracle", "cfkit.tiling"}
 _IDENTITIES = _CLI | {"cfkit._cli_cases", "cfkit.identities", "cfkit._products", "cfkit.rational", "cfkit.sequences"}
 
 # argv -> every cfkit submodule it loads, and decimal where it does (never
-# json or argparse); README's Start-up table.
+# json, argparse or __future__); README's Start-up table.
 LOADS = {
     "eval [2,3,7]": _EVAL,
     "eval [2,3,7] --digits 5": _EVAL,
@@ -89,7 +90,7 @@ LOADS = {
 
 @pytest.mark.parametrize("argv", LOADS)
 def test_command_loads_exactly_what_it_runs(argv):
-    assert _loaded(_command(argv), {"json", "argparse", "decimal"}) == LOADS[argv]
+    assert _loaded(_command(argv), {"json", "argparse", "decimal", "__future__"}) == LOADS[argv]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -187,11 +188,18 @@ def test_star_import_binds_every_export():
 
 
 @pytest.mark.parametrize(
-    "module, name", [("contfrac", "ConvergentTable"), ("identities", "SweepReport"), ("identities", "iter_sweep")]
+    "module, name",
+    [
+        ("contfrac", "ConvergentTable"),
+        ("identities", "SweepReport"),
+        ("identities", "iter_sweep"),
+        ("errors", "ZeroReciprocal"),
+    ],
 )
 def test_deleted_names_are_gone_from_the_package_and_their_modules(module, name):
     # convergents() returns rows and sweep() is the stream; their old forms
-    # are not kept as aliases.
+    # are not kept as aliases. Rational has no reciprocal, so nothing raises
+    # ZeroReciprocal.
     assert name not in cfkit.__all__
     assert not hasattr(cfkit, name)
     assert not hasattr(getattr(cfkit, module), name)

@@ -34,6 +34,8 @@ from cfkit.errors import BadDomain, EmptyRange
 from cfkit.identities import CaseParams, IdentityId, Status
 from cfkit.rational import Rational
 
+from _recurrence import recurrence
+
 I = IdentityId
 
 
@@ -173,15 +175,6 @@ def test_a_sweep_over_the_digit_limit_keeps_the_lines_of_its_last_batch(capsys):
     assert out.endswith("\n") and out.splitlines() == complete[:329]
 
 
-def _fib_and_lucas(n):
-    """F_0..F_n and L_0..L_n by the recurrence x_{i+1} = x_i + x_{i-1}, from the seeds alone."""
-    fs, ls = [0, 1], [2, 1]
-    while len(fs) <= n:
-        fs.append(fs[-1] + fs[-2])
-        ls.append(ls[-1] + ls[-2])
-    return fs, ls
-
-
 def test_a_lemma_sweep_past_the_digit_limit_completes(capsys):
     # A lemma sweep steps in Decimal, whose str() has no digit limit, so
     # these F values of about 4 300 digits are written where an int's
@@ -195,7 +188,7 @@ def test_a_lemma_sweep_past_the_digit_limit_completes(capsys):
         f9, bridge = capsys.readouterr().out.split('{"identity": "LEM_F9", "pass": 3, "fail": 0, "skip": 0}\n')
         assert cli.run("check LEM_F9 --m 20600".split()) == 4
         sys.set_int_max_str_digits(0)  # for the expected lines only
-        fs, ls = _fib_and_lucas(20620)
+        fs, ls = recurrence(0, 1, 0, 20620), recurrence(2, 1, 0, 20620)
         assert len(str(fs[20609])) > 4300
         expected_f9 = [
             json.dumps(
