@@ -2,40 +2,39 @@
 
 sweep_cases() is the one grid entry: it checks the grid with
 identities._case_grid() when it is called, so a bad grid raises before any
-case is made, and returns the grid's cases as batches. It reads the
-catalog's table (see `identities`). A state is the zip of the left
-prefix's matrices and the two forms' values at each m of the grid: one
-matrix power seeds the prefix and one product carries it to the next
-m, and each term of a form is a `sequences.walk` at the stride of the
-grid, which seeds it with direct calls and steps it from then on; a form
-is P(m) + k*Q(m), made once per m. A sequence whose parameter enters
-linearly is read as the F terms it sums (_IN_F), so THM1_GIBONACCI's
-G_k is a P + k*Q form like THM2_FIB_FORM's. Only where k changes the base
-or a sequence (COR_GENERAL_LUCAS) is there one state per k, so its memory
-grows with the k range; every other entry has one state for the grid.
+case is made, and returns the grid's cases as batches. A state (_state)
+holds the left prefix's matrix and the two forms' values at each m, and
+does each step once. One matrix power seeds the prefix and the
+continued-fraction recurrence steps it. The terms of one side that read
+one function with one lead value at one stride, whole strides apart, read
+one `sequences.walk`; a continued fraction's two forms are one side, a
+lemma's are two, and the prefix shares nothing with them. A form
+is P(m) + k*Q(m), where Q is 0 unless a coefficient has a k part. A
+sequence whose parameter enters linearly is read as the F terms it sums
+(_IN_F), so THM1_GIBONACCI's G_k is a P + k*Q form like THM2_FIB_FORM's.
+Only where k changes the base or a sequence (COR_GENERAL_LUCAS) is there
+one state per k, so its memory grows with the k range.
 
 The cases come out in batches of one m and at most _BATCH consecutive k.
-Each of p, q, num and den is c + k*d along a batch, so each is a column
-of ints made by one running addition; where num's (c, d) is p's, or den's
-is q's, the ratio column is the left column itself. A batch whose ratio
-columns equal its left columns (every batch of k in the catalog, since
-each stated ratio is its left side with g = +-1) is decided whole by the
-column rule, _own_ratio_verdicts(); any other batch, and a batch of one
-case, goes to identities._verdict() case by case. No case gets a record
-here; sweep_records() builds the records a sweep writes or yields, and
-carries a failing right side's gcd from case to case.
-A batch's size is fixed, so the memory a sweep holds grows neither with
-its m range nor, with one state, with its k range.
-Its callers import this module on first use, so the commands other than
-sweep and fit do not compile it.
+Each of p, q, num and den is c + k*d along a batch, a column made by one
+running addition; where num's (c, d) is p's, or den's is q's, the ratio
+column is the left column itself. A batch whose ratio columns equal its
+left columns (every batch of k in the catalog) is decided whole by
+_own_ratio_verdicts(); any other goes to identities._verdict() case by
+case. sweep_records() builds the records a sweep writes or yields, and
+carries a failing right side's gcd from case to case. A batch's size is
+fixed, so the memory a sweep holds grows neither with its m range nor,
+with one state, with its k range. Its callers import this module on
+first use, so the commands other than sweep and fit do not compile it.
 """
 
+from collections import deque
 from collections.abc import Iterator
 from itertools import accumulate, islice, repeat
 from math import gcd
+from operator import itemgetter, mul
 
 from . import _products, identities, sequences
-from ._products import _mul
 from .identities import _PASS, _SKIPPED, IdentityId, Status, _Lin
 from .rational import Rational
 
@@ -68,36 +67,72 @@ def _terms(form: tuple[tuple, ...]) -> list[tuple]:
     return terms
 
 
-def _prefix(ident: IdentityId, k: int | None, m: int, m_step: int) -> Iterator:
-    """The left prefix [c]^(m+e) as (p, p', q, q') at m, m + m_step, ...; None for a lemma."""
-    if ident.is_lemma:
-        return repeat(None)
-    c = ident.lhs.base(k)
-    first = _products._run_power(c, m + ident.lhs.extra)
-    return accumulate(repeat(_products._run_power(c, m_step)), _mul, initial=first)
+def _prefix(left: "identities._Cf", k: int | None, m: int, m_step: int) -> Iterator[tuple]:
+    """The left prefix [c]^(m+e) as (p, p', q, q') at m, m + m_step, ...
+
+    Each term c is appended by the recurrence (c*p + p', p, c*q + q', q).
+    A power of [[c, 1], [1, 0]] is symmetric, p' = q, so that step is
+    (c*p + q, p, p, q): one product.
+    """
+    c = left.base(k)
+    p, q, _, q_prev = _products._run_power(c, m + left.extra)
+    while True:
+        yield p, q, q, q_prev
+        for _ in range(m_step):
+            p, q, q_prev = c * p + q, p, q
 
 
-def _form(form: tuple[tuple, ...], k: int | None, m: int, m_step: int, number=int) -> Iterator[tuple[int, int]]:
-    """(P, Q) with the form's value P + k*Q at m, m + m_step, ..., summed from the walks' values of type number."""
-    terms = _terms(form)
-    coefs = [(coef.c0, coef.c1) for coef, *_ in terms]
-    walks = [
-        sequences.walk(x, () if p is None else (p(k),), a * m + b, a * m_step, number) for _, x, a, b, p in terms
-    ]
-    for xs in zip(*walks):
-        p = q = 0
-        for (c0, c1), x in zip(coefs, xs):
-            p += c0 * x
-            q += c1 * x
-        yield p, q
+def _linear(coefs: list[int], lo: int):
+    """xs -> the sum of coefs[i] * xs[lo + i], as a function of a step's tuple xs; None where every coef is 0.
+
+    Where coefs[i] = 1 is the one nonzero coef, the function is xs[lo + i] itself, with nothing multiplied.
+    """
+    nonzero = [(i, c) for i, c in enumerate(coefs, lo) if c]
+    if len(nonzero) == 1 and nonzero[0][1] == 1:
+        return itemgetter(nonzero[0][0])
+    return (lambda xs: sum(map(mul, coefs, xs[lo:]))) if nonzero else None
 
 
 def _state(ident: IdentityId, k: int | None, ms: range, number=int) -> Iterator[tuple]:
-    """(prefix matrix, (P, Q) of the first form, (P, Q) of the second) at each m of ms; P and Q of type number."""
+    """(prefix matrix or None, (P, Q) of the first form, (P, Q) of the second) at each m of ms.
+
+    A form's value is P + k*Q, of the type number; Q is the int 0 where no
+    coefficient of the form has a k part.
+
+    A stream is the terms of one side that read one X with one lead value
+    at one stride a*m_step, their starts a*m + b whole strides apart. Its
+    walk starts at the lowest start and fills a window of its last lags + 1
+    values, which each term reads at its lag: a stream holds that many
+    values, where itertools.tee would keep blocks of 57 alive.
+    """
     m, m_step = ms[0], ms.step
-    forms = (_form(form, k, m, m_step, number) for form in ident.forms)
+    forms = [_terms(form) for form in ident.forms]
+    # A continued fraction's two forms are one side, a lemma's are two.
+    starts = [
+        (i * ident.is_lemma, x, () if p is None else (p(k),), a * m_step, a * m + b)
+        for i, form in enumerate(forms) for _, x, a, b, p in form
+    ]
+    streams = {}
+    for *key, stride, n in starts:
+        streams.setdefault((*key, stride, n % stride), []).append(n)
+    feeds, windows = [], {}
+    for (side, x, lead, stride, r), ns in streams.items():
+        walk, lags = sequences.walk(x, lead, min(ns), stride, number), (max(ns) - min(ns)) // stride
+        window = deque(islice(walk, lags), maxlen=lags + 1)
+        feeds.append(map(window.append, walk))  # zipped before the readers: each step appends, then they read
+        windows[side, x, lead, stride, r] = min(ns), window
+    readers = []
+    for *key, stride, n in starts:
+        n0, window = windows[(*key, stride, n % stride)]
+        readers.append(map(itemgetter((n - n0) // stride), repeat(window)))
+    los = len(feeds), len(feeds) + len(forms[0])  # where each form's values start in a step's tuple
+    (p, pk), (q, qk) = (
+        (_linear([c.c0 for c, *_ in f], lo), _linear([c.c1 for c, *_ in f], lo)) for f, lo in zip(forms, los)
+    )
+    prefix = repeat(None) if ident.is_lemma else _prefix(ident.lhs, k, m, m_step)
     # The prefix and the walks go on forever; the state ends with ms.
-    return islice(zip(_prefix(ident, k, m, m_step), *forms), len(ms))
+    for matrix, xs in islice(zip(prefix, zip(*feeds, *readers)), len(ms)):
+        yield matrix, (p(xs), pk(xs) if pk else 0), (q(xs), qk(xs) if qk else 0)
 
 
 def _state_depends_on_k(ident: IdentityId) -> bool:
@@ -206,25 +241,26 @@ def sweep_records():
 
     A right side over 1 (a lemma's) is reduced as it is, so its values may
     be any exact integer type. Any other num/den is reduced by
-    g = gcd(num, den), and (num, den, g) is kept for the next one. Where den
-    is the last num and num - (num // den)*den is +-the last den, Euclid's
-    step gives gcd(num, den) = gcd(den, last den) = the last g, so one
-    division with a small quotient stands in for the gcd (in
-    THM5_SWAPPED_LUCAS den is the last num on every case and g = 11);
-    otherwise g is math.gcd's. Every den reduced here is nonzero.
-    _cli_cases.cmd_sweep() and identities.sweep() build their records
-    with it; run_case() keeps the plain _record().
+    g = gcd(num, den), and (num, den, g, num // g) is kept for the next one.
+    Where den is the last num and num - (num // den)*den is +-the last den,
+    Euclid's step gives gcd(num, den) = gcd(den, last den) = the last g, so
+    one division with a small quotient stands in for the gcd, and den // g
+    is the last num // g (in THM5_SWAPPED_LUCAS den is the last num on
+    every case and g = 11); otherwise g is math.gcd's. Every den reduced
+    here is nonzero. _cli_cases.cmd_sweep() and identities.sweep() build
+    their records with it; run_case() keeps the plain _record().
     """
     record, coprime = identities._record, Rational._coprime
-    last_num = last_den = g = None
+    last_num = last_den = last_num_g = g = None
 
     def reduced(num: int, den: int) -> Rational:
-        nonlocal last_num, last_den, g
+        nonlocal last_num, last_den, last_num_g, g
         if den == 1:
             return coprime(num, 1)
-        if den != last_num or num % den not in (last_den, -last_den):
-            g = gcd(num, den)
-        last_num, last_den = num, den
-        return coprime(num // g, den // g)
+        carried = den == last_num and num % den in (last_den, -last_den)
+        g = g if carried else gcd(num, den)
+        den_g = last_num_g if carried else den // g
+        last_num, last_den, last_num_g = num, den, num // g
+        return coprime(last_num_g, den_g)
 
     return lambda status, p, q, num, den: record(status, p, q, num, den, reduced)

@@ -13,8 +13,8 @@
     equal terms is one matrix power [[a, 1], [1, 0]]^count, found by
     repeated squaring in O(log count) steps; powers of that symmetric
     matrix stay symmetric, so three entries describe each. An identity
-    sweep computes one power per prefix and then extends it by one matrix
-    product per step of m (see `_engine`).
+    sweep computes one power per prefix and then steps it by the
+    continued-fraction recurrence, one term at a time (see `_engine`).
 
 The final matrix has determinant (-1)^(n+1), so p_n and q_n are always
 coprime and both routes return them as they are, with only the sign

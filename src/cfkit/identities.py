@@ -19,10 +19,15 @@ Two routes read the same table:
     steps). It checks the whole grid when it is called, then seeds one
     state at the first m, or one per k where k changes the base or a
     sequence (COR_GENERAL_LUCAS alone), and carries it from each m to the
-    next. The engine yields the cases in (m, k) order, in batches of one m
-    and at most 64 consecutive k: columns of plain ints and each case's
-    Status, which the CLI reads as they are. sweep() streams them as
-    (CaseParams, CheckOutcome) pairs, and fit_uniform() reads a one-k
+    next, doing each step once: the left prefix steps by its own
+    recurrence, and the terms of one side that read one sequence at one
+    stride, whole strides apart (THM5_SWAPPED_LUCAS's four l terms), read
+    one sequences.walk at their lags. A side is a continued fraction's
+    stated ratio, both forms, or one form of a lemma; no walk is read by
+    two sides. The engine yields the cases in (m, k) order, in batches of
+    one m and at most 64 consecutive k: columns of plain ints and each
+    case's Status, which the CLI reads as they are. sweep() streams them
+    as (CaseParams, CheckOutcome) pairs, and fit_uniform() reads a one-k
     grid's statuses.
 
 The two sides stay independent in both routes: the left side uses only the

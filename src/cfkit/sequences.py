@@ -119,12 +119,20 @@ def walk(name: str, lead: tuple[int, ...], start: int, stride: int, number=int) 
     (F_{D-1} y_i + F_D y_{i+1}, F_D y_i + F_{D+1} y_{i+1}), which at D = 1
     is (y_{i+1}, y_i + y_{i+1}), one addition. y is X itself,
     stepped by D = stride, except for scaled_fib: there y is F at stride
-    t, D = t*stride, and each value is divided by F_t, so S_t is never
-    stepped with the recurrence b_{n+1} = L_t b_n + b_{n-1} of its
-    continued fraction. lucas_swapped obeys the recurrence only from index
-    2 on, so its values below that are direct calls. X is looked up in the
-    module globals, so a wrapper put on the module attribute sees the seed
-    calls.
+    t, D = t*stride, and each value is divided by F_t. lucas_swapped obeys
+    the recurrence only from index 2 on, so its values below that are
+    direct calls. X is looked up in the module globals, so a wrapper put on
+    the module attribute sees the seed calls.
+
+    A walk is never stepped by x_{n+D} = L_D x_n - (-1)^D x_{n-D}, though
+    that needs fewer products: for F at stride 5 it is the recurrence of
+    [11, 11, ...], and for S_t it is b_{n+1} = L_t b_n + b_{n-1}, the
+    recurrence of [L_t, L_t, ...]. Those are the left sides the catalog
+    checks these values against, so a sweep would check a continued
+    fraction with its own recurrence. The sweep engine (`_engine`) opens
+    one walk per stream, the terms of one side of an identity that read
+    one X at one stride, whole strides apart, and each term reads it at
+    its lag; the `seq` command reads one walk.
 
     The values are of the type number: each direct call's int is
     converted after the call, and the step's constants once; the step is

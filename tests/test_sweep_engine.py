@@ -65,6 +65,14 @@ def _windows(draw):
 @example((I.COR_GENERAL_LUCAS, (17, 20), (0, 9)))
 @example((I.THM7_FOURS, (0, 12), None))  # a row without a tail
 @example((I.EXT_ELEVEN8, (0, 12), None))  # a row with a constant tail
+# The benchmark's deep windows, cut short: each state is seeded there, and
+# the terms of one side read one walk at their lags.
+@example((I.THM5_SWAPPED_LUCAS, (1490, 1502), None))  # one stream, four readers
+@example((I.LEM_BRIDGE, (9950, 10010), None))
+@example((I.THM6_ELEVEN_FIB, (1995, 2003), None))
+@example((I.THM7_FOURS, (1990, 2000), None))
+@example((I.ID117, (1995, 2003), None))
+@example((I.COR_GENERAL_LUCAS, (60, 64), (0, 3)))  # a state per k
 def test_engine_matches_run_case(window):
     ident, m_range, k_range = window
     got = list(identities.sweep(ident, m_range, k_range))

@@ -15,6 +15,7 @@ Each shortcut is checked here against a route that does not take it.
 import contextlib
 import functools
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -278,13 +279,76 @@ def test_thm2_grid_reuses_kernel_work_and_skips_gcd(monkeypatch, gcd_calls):
     power_calls = _counted(monkeypatch, _products, "_run_power")
     argv = "sweep THM2_FIB_FORM --m 0..200 --k -96..104 --json".split()
     assert _quiet_run(argv) == 0  # every case passes
-    # The state is seeded once and then stepped: two kernel calls for each
-    # of the four terms and two for each term's step constants, one power
-    # for the prefix [4]^0 and one for its step. Computed case by case,
-    # these were 4 * 201 * 201 = 161 604 kernel calls and 40 401 powers.
-    assert len(fib_calls) == 16
-    assert power_calls == [(4, 0), (4, 1)]
+    # The state is seeded once and then stepped. Its four F terms are two
+    # streams at stride 3, F(3m + 1), F(3m + 4) and F(3m), F(3m + 3), each
+    # one walk: two kernel calls for its seed and two for its step
+    # constants. One power seeds the prefix [4]^0, which the recurrence
+    # then steps. Computed case by case, these were 4 * 201 * 201 =
+    # 161 604 kernel calls and 40 401 powers.
+    assert len(fib_calls) == 8
+    assert power_calls == [(4, 0)]
     assert gcd_calls == []
+
+
+# The walks a state opens: one per stream, the terms of one side that read
+# one sequence at one stride, whole strides apart. THM2_FIB_FORM's terms,
+# and THM1_GIBONACCI's G_k read as F terms, are two streams, residues 1 and
+# 0 mod 3; a lemma's sides never share one; every other entry has one.
+_WALKS = {I.THM1_GIBONACCI: 2, I.THM2_FIB_FORM: 2} | {ident: 2 for ident in IdentityId if ident.is_lemma}
+
+
+class _Read:
+    """A stand-in for a walk's values: a sum of them knows which walks it read."""
+
+    def __init__(self, walks):
+        self.walks = walks
+
+    def __rmul__(self, coef):
+        return self
+
+    def __add__(self, other):
+        return _Read(self.walks | other.walks)
+
+    def __radd__(self, zero):  # sum() starts from the int 0
+        return self
+
+
+def _walks_read(pair):
+    return set().union(*(part.walks for part in pair if isinstance(part, _Read)))
+
+
+@pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.name)
+def test_a_state_opens_one_walk_per_stream_of_a_side(monkeypatch, ident):
+    opened = []
+
+    def walk(name, lead, start, stride, number=int):
+        opened.append((name, start))
+        return itertools.repeat(_Read({len(opened) - 1}))
+
+    monkeypatch.setattr(sequences, "walk", walk)
+    k = 2 if ident.takes_k else None
+    m = 20 * ident.m_step
+    (_, first, second), *_ = _engine._state(ident, k, range(m, m + 3 * ident.m_step, ident.m_step))
+    assert len(opened) == _WALKS.get(ident, 1)
+    read = [_walks_read(first), _walks_read(second)]
+    assert read[0] | read[1] == set(range(len(opened)))
+    if ident.is_lemma:
+        # Each side reads only the walk opened for it, at the lowest index
+        # of its own terms.
+        assert read[0].isdisjoint(read[1])
+        for side, form in zip(read, ident.forms):
+            assert {opened[i] for i in side} == {(form[0][1], min(a * m + b for _, _, a, b, _ in form))}
+
+
+def test_thm5s_carried_gcd_reuses_the_last_reduced_num():
+    # Where g is carried, den is the last num, so den // g is the last
+    # num // g: the same int, not a second division of it.
+    cases = list(identities.sweep(I.THM5_SWAPPED_LUCAS, (3, 400)))
+    for i, (params, outcome) in enumerate(cases):
+        num, den = (identities._form_value(form, params.m, None) for form in I.THM5_SWAPPED_LUCAS.forms)
+        assert outcome.rhs == Rational(num, den)
+        if i:
+            assert outcome.rhs.den is cases[i - 1][1].rhs.num
 
 
 def test_failing_cases_reduce_their_right_side(gcd_calls):
@@ -342,6 +406,7 @@ def _right_sides(draw):
 @example([(6, -4), (58, 6)])  # a negative last den: 58 = 9*6 + 4
 @example([(0, 5), (3, 0)])  # a zero num, then an undefined right side
 @example([(10, 4), (7, 1), (14, 10)])  # a side over 1 keeps the last (num, den, g)
+@example([(6, 4), (70, 6), (776, 70)])  # g = 2 carried twice: 776 = 11*70 + 6
 def test_the_sweep_record_builder_reduces_as_rational_does(sides):
     record = _engine.sweep_records()
     for num, den in sides:
