@@ -4,7 +4,7 @@ A continued fraction's q is the previous m's p ([c; x] = c + 1/x), so a
 sweep converts most denominators by reusing a string it has made. A
 passing --json batch converts its p column once; its q column is the
 previous m's p strings for the same k, when those ints equal its q
-column, kept for the first _engine._HELD k of the range only. A line
+column, kept for the first 4 * _engine._BATCH k of the range only. A line
 written case by case (a FAIL or SKIPPED case, or a --json case of a batch
 that does not pass whole) reuses the previous case's numerator string,
 per side, for a denominator equal to it (cli._reusing): in
@@ -132,14 +132,16 @@ def cmd_sweep(args) -> int:
 
 def _sweep(ident: identities.IdentityId, args, number) -> int:
     """cmd_sweep() with the forms' values of the type number (see sequences.walk)."""
-    from ._engine import _HELD, sweep_cases, sweep_records  # compiled only by the commands that sweep
+    from ._engine import _BATCH, sweep_cases, sweep_records  # compiled only by the commands that sweep
 
     name, batches = ident.name, sweep_cases(ident, args.m, args.k, number)
     passing, failing, record = identities.Status.PASS, identities.Status.FAIL, sweep_records()
     as_json, takes_k = args.json, ident.takes_k
     # A passing --json batch's p column and its strings, by its first k, for
-    # the next m's q; kept for the first _HELD k of the range only.
-    held, held_below = {}, args.k[0] + _HELD if takes_k else None
+    # the next m's q; kept for the first 4 * _BATCH k of the range only:
+    # whole batches, and a fixed number, so the memory a sweep holds stays
+    # flat in its k range.
+    held, held_below = {}, args.k[0] + 4 * _BATCH if takes_k else None
     failed = 0
 
     def pieces():

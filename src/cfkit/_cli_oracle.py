@@ -1,7 +1,7 @@
 """The oracle subcommand (see `cli`); cli.run() imports this module for it alone."""
 
 from . import tiling
-from .errors import MissingParam
+from .errors import UsageError
 
 
 def cmd_oracle(args) -> int:
@@ -9,14 +9,14 @@ def cmd_oracle(args) -> int:
         try:
             n = int(args.arg)
         except ValueError:
-            raise MissingParam(f"oracle {args.kind} needs an integer length") from None
+            raise UsageError(f"oracle {args.kind} needs an integer length") from None
         count = tiling.count_board(n) if args.kind == "board" else tiling.count_bracelet(n)
         field = f'"n": {n}'
     else:
         try:
             heights = [int(part) for part in args.arg.split(",")]
         except ValueError:
-            raise MissingParam("oracle stacked needs a,b,c,... integer heights") from None
+            raise UsageError("oracle stacked needs a,b,c,... integer heights") from None
         count = tiling.count_stacked(heights)
         field = f'"heights": [{", ".join(map(str, heights))}]'
     print(f'{{"kind": "{args.kind}", {field}, "count": "{count}"}}' if args.json else count)

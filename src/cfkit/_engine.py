@@ -3,12 +3,13 @@
 sweep_cases() is the one grid entry: it checks the grid with
 identities._case_grid() when it is called, so a bad grid raises before any
 case is made, and returns the grid's cases as batches. A state (_state)
-holds the left prefix's matrix and the two forms' values at each m, and
-does each step once. One matrix power seeds the prefix and the
-continued-fraction recurrence steps it. The terms of one side that read
-one function with one lead value at one stride, whole strides apart, read
-one `sequences.walk`; a continued fraction's two forms are one side, a
-lemma's are two, and the prefix shares nothing with them. A form
+yields each case's p, q, num and den at each m as linear forms in k, and
+does each step once. One matrix power seeds the left prefix, the
+continued-fraction recurrence steps it, and _left() applies the tail to
+it where it is stepped. The terms of one side that read one function with
+one lead value at one stride, whole strides apart, read one
+`sequences.walk`; a continued fraction's two forms are one side, a
+lemma's are two, and the left side shares nothing with them. A form
 is P(m) + k*Q(m), where Q is 0 unless a coefficient has a k part. A
 sequence whose parameter enters linearly is read as the F terms it sums
 (_IN_F), so THM1_GIBONACCI's G_k is a P + k*Q form like THM2_FIB_FORM's.
@@ -42,10 +43,6 @@ from .rational import Rational
 # of a column, not a pass through the generators, and few enough that a
 # sweep's memory does not grow with its k range, as whole rows of k would.
 _BATCH = 64
-# The most k of an m whose p strings a passing --json sweep keeps for the
-# next m's q (_cli_cases.cmd_sweep): whole batches, and a fixed number, so
-# the memory a sweep holds stays flat in its k range.
-_HELD = 4 * _BATCH
 
 # A sequence whose parameter p enters linearly, as the F terms it sums:
 # X(p, n) = sum of p**e * F(n + s) over its (e, s), wherever X is defined.
@@ -67,17 +64,22 @@ def _terms(form: tuple[tuple, ...]) -> list[tuple]:
     return terms
 
 
-def _prefix(left: "identities._Cf", k: int | None, m: int, m_step: int) -> Iterator[tuple]:
-    """The left prefix [c]^(m+e) as (p, p', q, q') at m, m + m_step, ...
+def _left(left: "identities._Cf", k: int | None, m: int, m_step: int) -> Iterator[tuple]:
+    """The left side's p and q at m, m + m_step, ..., each a pair (c, d) for c + k*d.
 
-    Each term c is appended by the recurrence (c*p + p', p, c*q + q', q).
-    A power of [[c, 1], [1, 0]] is symmetric, p' = q, so that step is
-    (c*p + q, p, p, q): one product.
+    The prefix [c]^(m+e) is (p, p', q, q'). Each term c is appended by the
+    recurrence (c*p + p', p, c*q + q', q). A power of [[c, 1], [1, 0]] is
+    symmetric, p' = q, so that step is (c*p + q, p, p, q): one product.
+    Without a tail the left side is p/q; a tail t = t0 + k*t1 makes it
+    (t*p + p')/(t*q + q'), that is (t0*p + q, t1*p) over (t0*q + q', t1*q).
     """
-    c = left.base(k)
+    c, tail = left.base(k), left.tail
     p, q, _, q_prev = _products._run_power(c, m + left.extra)
     while True:
-        yield p, q, q, q_prev
+        if tail is None:
+            yield (p, 0), (q, 0)
+        else:
+            yield (tail.c0 * p + q, tail.c1 * p), (tail.c0 * q + q_prev, tail.c1 * q)
         for _ in range(m_step):
             p, q, q_prev = c * p + q, p, q
 
@@ -94,16 +96,18 @@ def _linear(coefs: list[int], lo: int):
 
 
 def _state(ident: IdentityId, k: int | None, ms: range, number=int) -> Iterator[tuple]:
-    """(prefix matrix or None, (P, Q) of the first form, (P, Q) of the second) at each m of ms.
+    """(p, q, num, den) of the case at k at each m of ms, each a pair (P, Q) for P + k*Q.
 
-    A form's value is P + k*Q, of the type number; Q is the int 0 where no
+    A continued fraction's p and q are its left side's (_left()), num and
+    den its two forms; a lemma's case is first/1 against second/1. A form's
+    value is P + k*Q, of the type number; Q is the int 0 where no
     coefficient of the form has a k part.
 
     A stream is the terms of one side that read one X with one lead value
     at one stride a*m_step, their starts a*m + b whole strides apart. Its
-    walk starts at the lowest start and fills a window of its last lags + 1
-    values, which each term reads at its lag: a stream holds that many
-    values, where itertools.tee would keep blocks of 57 alive.
+    walk starts at the lowest start and fills a window of its last
+    max(lags) + 1 values, which each term reads at its lag: a stream holds
+    that many values, where itertools.tee would keep blocks of 57 alive.
     """
     m, m_step = ms[0], ms.step
     forms = [_terms(form) for form in ident.forms]
@@ -113,26 +117,25 @@ def _state(ident: IdentityId, k: int | None, ms: range, number=int) -> Iterator[
         for i, form in enumerate(forms) for _, x, a, b, p in form
     ]
     streams = {}
-    for *key, stride, n in starts:
-        streams.setdefault((*key, stride, n % stride), []).append(n)
-    feeds, windows = [], {}
-    for (side, x, lead, stride, r), ns in streams.items():
-        walk, lags = sequences.walk(x, lead, min(ns), stride, number), (max(ns) - min(ns)) // stride
-        window = deque(islice(walk, lags), maxlen=lags + 1)
+    for j, (*key, stride, n) in enumerate(starts):
+        streams.setdefault((*key, stride, n % stride), []).append((n, j))
+    feeds, readers = [], [None] * len(starts)
+    for (_, x, lead, stride, _), terms in streams.items():
+        n0 = min(terms)[0]
+        walk, lags = sequences.walk(x, lead, n0, stride, number), [(n - n0) // stride for n, _ in terms]
+        window = deque(islice(walk, max(lags)), maxlen=max(lags) + 1)
         feeds.append(map(window.append, walk))  # zipped before the readers: each step appends, then they read
-        windows[side, x, lead, stride, r] = min(ns), window
-    readers = []
-    for *key, stride, n in starts:
-        n0, window = windows[(*key, stride, n % stride)]
-        readers.append(map(itemgetter((n - n0) // stride), repeat(window)))
+        for lag, (_, j) in zip(lags, terms):
+            readers[j] = map(itemgetter(lag), repeat(window))
     los = len(feeds), len(feeds) + len(forms[0])  # where each form's values start in a step's tuple
     (p, pk), (q, qk) = (
         (_linear([c.c0 for c, *_ in f], lo), _linear([c.c1 for c, *_ in f], lo)) for f, lo in zip(forms, los)
     )
-    prefix = repeat(None) if ident.is_lemma else _prefix(ident.lhs, k, m, m_step)
-    # The prefix and the walks go on forever; the state ends with ms.
-    for matrix, xs in islice(zip(prefix, zip(*feeds, *readers)), len(ms)):
-        yield matrix, (p(xs), pk(xs) if pk else 0), (q(xs), qk(xs) if qk else 0)
+    left = repeat(None) if ident.is_lemma else _left(ident.lhs, k, m, m_step)
+    # The left side and the walks go on forever; the state ends with ms.
+    for pq, xs in islice(zip(left, zip(*feeds, *readers)), len(ms)):
+        first, second = (p(xs), pk(xs) if pk else 0), (q(xs), qk(xs) if qk else 0)
+        yield (first, (1, 0), second, (1, 0)) if pq is None else (*pq, first, second)
 
 
 def _state_depends_on_k(ident: IdentityId) -> bool:
@@ -187,7 +190,6 @@ def _batches(ident: IdentityId, ms: range, ks: range | tuple[None], number) -> I
     # identities._verdict, the one comparison run_case() decides every case
     # with, and the column rule, looked up when the sweep starts.
     verdict, own_ratio = identities._verdict, _own_ratio_verdicts
-    tail = None if ident.is_lemma else ident.lhs.tail
     # One state for the grid, or one per k where k changes more than the
     # tail and the coefficients.
     per_k = _state_depends_on_k(ident)
@@ -198,17 +200,7 @@ def _batches(ident: IdentityId, ms: range, ks: range | tuple[None], number) -> I
         for i in starts:
             kb = ks[i : i + step]
             n = len(kb)
-            matrix, first, second = values[i if per_k else 0]
-            # Each of p, q, num and den is c + k*d, a pair (c, d) for the batch.
-            if matrix is None:
-                p, q, num, den = first, (1, 0), second, (1, 0)
-            else:
-                num, den = first, second
-                p0, p1, q0, q1 = matrix
-                if tail is None:
-                    p, q = (p0, 0), (q0, 0)
-                else:  # t*p0 + p1 with t = t0 + k*t1
-                    p, q = (tail.c0 * p0 + p1, tail.c1 * p0), (tail.c0 * q0 + q1, tail.c1 * q0)
+            p, q, num, den = values[i if per_k else 0]
             if n == 1:
                 # A batch of one case (no k, or a state per k) is computed
                 # directly: four one-item columns would cost more than the

@@ -445,6 +445,10 @@ def test_over_limit_output_is_an_internal_error(capsys, monkeypatch):
         ("oracle board -1", 2, "board length must be >= 0, got -1"),
         ("oracle bracelet -1", 2, "bracelet length must be >= 0, got -1"),
         ("oracle stacked 0,1", 2, "stack capacities must be >= 1"),
+        # a length that is no integer is malformed input
+        ("oracle board x", 2, "oracle board needs an integer length"),
+        ("oracle bracelet 2.5", 2, "oracle bracelet needs an integer length"),
+        ("oracle stacked 1,x", 2, "oracle stacked needs a,b,c,... integer heights"),
         ("surd 0", 2, "expected a positive integer, got 0"),
         ("fit 0", 2, "expected c >= 1, got 0"),
         ("fit 0 --n-max 2", 2, "need n_max >= 3 for a meaningful fit, got 2"),

@@ -35,6 +35,9 @@ def test_equality_is_structural():
     assert Rational(13, 3) != Rational(13, 5)
     assert Rational(7, 1) == 7
     assert Rational(7, 2) != 7
+    # Any other type is left to its own __eq__ (NotImplemented), so no float or string is equal
+    assert (Rational(1) == 1.0) is False
+    assert (Rational(1, 2) == "1/2") is False
 
 
 def test_only_zero_is_false():

@@ -176,14 +176,20 @@ def test_batches_hold_one_m_and_at_most_64_consecutive_k():
 def test_stepped_state_equals_direct_values(ident):
     # Not only the outcomes: from m = 0, irregular starts included, each
     # form's value is the exact sum of coef(k) * X(a*m + b) at every m, and
-    # the prefix is [c]^(m+e).
+    # a continued fraction's p/q is its left side by the reference route,
+    # tail included; a lemma's left pairs are its forms over 1.
     k = 2 if ident.takes_k else None
     ms = range(0, 12 * ident.m_step, ident.m_step)
-    for m, (matrix, *parts) in zip(ms, _engine._state(ident, k, ms)):
-        for (p, q), form in zip(parts, ident.forms):
-            assert p + (q * k if q else 0) == identities._form_value(form, m, k)
-        if not ident.is_lemma:
-            assert matrix == _products._run_power(ident.lhs.base(k), m + ident.lhs.extra)
+    for m, state in zip(ms, _engine._state(ident, k, ms)):
+        p, q, num, den = (c + (d * k if d else 0) for c, d in state)
+        forms = [identities._form_value(form, m, k) for form in ident.forms]
+        if ident.is_lemma:
+            assert state[1] == state[3] == (1, 0)
+            assert [p, num] == forms
+        else:
+            assert [num, den] == forms
+            lhs = _products.evaluate_runs(identities._runs(ident.lhs, m, k))
+            assert (lhs.num, lhs.den) == ((-p, -q) if q < 0 else (p, q))
 
 
 @pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.name)

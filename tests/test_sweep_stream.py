@@ -328,7 +328,9 @@ def test_a_state_opens_one_walk_per_stream_of_a_side(monkeypatch, ident):
     monkeypatch.setattr(sequences, "walk", walk)
     k = 2 if ident.takes_k else None
     m = 20 * ident.m_step
-    (_, first, second), *_ = _engine._state(ident, k, range(m, m + 3 * ident.m_step, ident.m_step))
+    state, *_ = _engine._state(ident, k, range(m, m + 3 * ident.m_step, ident.m_step))
+    # A continued fraction's forms are its num and den; a lemma's are its p and num, each over 1.
+    first, second = state[::2] if ident.is_lemma else state[2:]
     assert len(opened) == _WALKS.get(ident, 1)
     read = [_walks_read(first), _walks_read(second)]
     assert read[0] | read[1] == set(range(len(opened)))
