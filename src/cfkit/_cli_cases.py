@@ -3,13 +3,13 @@
 A continued fraction's q is the previous m's p ([c; x] = c + 1/x), so a
 sweep converts most denominators by reusing a string it has made. A
 passing --json batch converts its p column once; its q column is the
-previous m's p strings for the same k, when those ints equal its q
-column, kept for the first 4 * _engine._BATCH k of the range only. A line
-written case by case (a FAIL or SKIPPED case, or a --json case of a batch
-that does not pass whole) reuses the previous case's numerator string,
-per side, for a denominator equal to it (cli._reusing): in
-THM5_SWAPPED_LUCAS both the left q and the reduced right den (g = 11) are
-the previous numerators.
+previous m's p strings for the same first k, when those ints equal its q
+column (cli._reusing on whole columns), held for the first 256 k of the
+range only. A line written case by case (a FAIL or SKIPPED case, or
+a --json case of a batch that does not pass whole) reuses the previous
+case's numerator string, per side, for a denominator equal to it
+(cli._reusing): in THM5_SWAPPED_LUCAS both the left q and the reduced
+right den (g = 11) are the previous numerators.
 
 A lemma sweep steps its values in decimal.Decimal, inside the local
 context of _decimals.exact_context(), which holds every value exactly: a
@@ -132,22 +132,22 @@ def cmd_sweep(args) -> int:
 
 def _sweep(ident: identities.IdentityId, args, number) -> int:
     """cmd_sweep() with the forms' values of the type number (see sequences.walk)."""
-    from ._engine import _BATCH, sweep_cases, sweep_records  # compiled only by the commands that sweep
+    from ._engine import sweep_cases, sweep_records  # compiled only by the commands that sweep
 
     name, batches = ident.name, sweep_cases(ident, args.m, args.k, number)
     passing, failing, record = identities.Status.PASS, identities.Status.FAIL, sweep_records()
     as_json, takes_k = args.json, ident.takes_k
-    # A passing --json batch's p column and its strings, by its first k, for
-    # the next m's q; kept for the first 4 * _BATCH k of the range only:
-    # whole batches, and a fixed number, so the memory a sweep holds stays
-    # flat in its k range.
-    held, held_below = {}, args.k[0] + 4 * _BATCH if takes_k else None
-    failed = 0
+    # A passing --json batch's column strings, by its first k: one
+    # cli._reusing per batch start, whose last p column makes the next m's q
+    # column where the two are equal. Whole batches of at most 256 k in all
+    # are held, so the memory a sweep holds stays flat in its k range, with
+    # a state per k (one k a batch) as with one state.
+    held, room, failed = {}, 256, 0
 
     def pieces():
         # Nearly every batch passes whole: text writes nothing for it, and
         # --json writes its lines as one string, converting each p once.
-        nonlocal failed
+        nonlocal failed, room
         passed = skipped = 0
         lhs_digits, rhs_digits = _reusing(str), _reusing(str)
         for m, kb, statuses, ps, qs, nums, dens in batches:
@@ -156,16 +156,16 @@ def _sweep(ident: identities.IdentityId, args, number) -> int:
             if n_pass == len(kb):
                 if not as_json:
                     continue
-                k0 = kb[0]
+                digits = held.get(kb[0])
+                if digits is None:
+                    digits = _reusing(lambda column: list(map(str, column)))
+                    if len(kb) <= room:
+                        held[kb[0]], room = digits, room - len(kb)
                 try:
-                    p_strs = list(map(str, ps))
-                    prev = held.get(k0)
-                    q_strs = prev[1] if prev is not None and prev[0] == qs else list(map(str, qs))
+                    p_strs, q_strs = digits(ps, qs)
                 except ValueError:
                     pass  # a side past the integer-string digit limit: case by case below, so the lines before it go out
                 else:
-                    if not takes_k or k0 < held_below:
-                        held[k0] = ps, p_strs
                     yield _pass_lines(_json_head(name, m, takes_k), kb if takes_k else ("",), p_strs, q_strs)
                     continue
             else:

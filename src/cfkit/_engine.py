@@ -108,18 +108,17 @@ def _state(ident: IdentityId, k: int | None, ms: range, number=int) -> Iterator[
     walk starts at the lowest start and fills a window of its last
     max(lags) + 1 values, which each term reads at its lag: a stream holds
     that many values, where itertools.tee would keep blocks of 57 alive.
+    The state is an iterator that holds the walks, the windows, the left
+    side and the two forms' sums, and none of the setup that made them.
     """
     m, m_step = ms[0], ms.step
     forms = [_terms(form) for form in ident.forms]
-    # A continued fraction's two forms are one side, a lemma's are two.
-    starts = [
-        (i * ident.is_lemma, x, () if p is None else (p(k),), a * m_step, a * m + b)
-        for i, form in enumerate(forms) for _, x, a, b, p in form
-    ]
     streams = {}
-    for j, (*key, stride, n) in enumerate(starts):
-        streams.setdefault((*key, stride, n % stride), []).append((n, j))
-    feeds, readers = [], [None] * len(starts)
+    for j, (_, x, a, b, t) in enumerate(forms[0] + forms[1]):
+        # A continued fraction's two forms are one side, a lemma's are two.
+        side, stride, n = ident.is_lemma and j >= len(forms[0]), a * m_step, a * m + b
+        streams.setdefault((side, x, () if t is None else (t(k),), stride, n % stride), []).append((n, j))
+    feeds, readers = [], [None] * sum(map(len, forms))
     for (_, x, lead, stride, _), terms in streams.items():
         n0 = min(terms)[0]
         walk, lags = sequences.walk(x, lead, n0, stride, number), [(n - n0) // stride for n, _ in terms]
@@ -131,11 +130,14 @@ def _state(ident: IdentityId, k: int | None, ms: range, number=int) -> Iterator[
     (p, pk), (q, qk) = (
         (_linear([c.c0 for c, *_ in f], lo), _linear([c.c1 for c, *_ in f], lo)) for f, lo in zip(forms, los)
     )
+
+    def case(pq, xs):
+        first, second = (p(xs), pk(xs) if pk else 0), (q(xs), qk(xs) if qk else 0)
+        return (first, (1, 0), second, (1, 0)) if pq is None else (*pq, first, second)
+
     left = repeat(None) if ident.is_lemma else _left(ident.lhs, k, m, m_step)
     # The left side and the walks go on forever; the state ends with ms.
-    for pq, xs in islice(zip(left, zip(*feeds, *readers)), len(ms)):
-        first, second = (p(xs), pk(xs) if pk else 0), (q(xs), qk(xs) if qk else 0)
-        yield (first, (1, 0), second, (1, 0)) if pq is None else (*pq, first, second)
+    return islice(map(case, left, zip(*feeds, *readers)), len(ms))
 
 
 def _state_depends_on_k(ident: IdentityId) -> bool:

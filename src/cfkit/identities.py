@@ -3,11 +3,13 @@
 Each entry is one IdentityId member, declared once as its record in the
 paper's terms. A continued-fraction entry's left side is [c]*(m + e) + [t]:
 a base c(k), a count m or m + 1, and an optional tail t(k). Its right side
-is a ratio of two linear forms, each a short sum of coef(k)*X(a*m + b) over
-the `sequences` functions X; a lemma (LEM_*) is one such form on each side
-of an exact integer equation. c, t, coef and X's order are data: c0 + c1*k,
-or X(c0 + c1*k) (the base L(2k + 1)). The record also states the domain,
-k's lower bound and the m step; an entry takes k where k appears in it.
+is one linear form N, a short sum of coef(k)*X(a*m + b) over the
+`sequences` functions X, stated as the ratio N(m)/N(m - 1): a convergent's
+denominator is the numerator one term back. A lemma (LEM_*) is one such
+form on each side of an exact integer equation. c, t, coef and X's order
+are data: c0 + c1*k, or X(c0 + c1*k) (the base L(2k + 1)). The record also
+states the domain, k's lower bound and the m step; an entry takes k where
+k appears in it.
 
 Two routes read the same table:
 
@@ -45,8 +47,8 @@ decide every case with one function, _verdict(p, q, num, den): the left
 side p/q, reduced because its final matrix has determinant +-1 (q >= 0;
 q = 0: undefined), against the ratio num/den; a lemma lhs = rhs is lhs/1
 against rhs/1. A case passes exactly when (num, den) = g*(p, q) for an
-integer g, so one comparison decides it where den = +-q (g = +-1, most
-cases) and one exact division otherwise. The engine decides some batches
+integer g, so one comparison decides it where den = q (g = 1, most cases)
+and one exact division otherwise. The engine decides some batches
 of consecutive k whole, by a column rule of its own that gives what
 _verdict() gives each case (see `_engine`). _record() builds a decided
 case's CheckOutcome: a pass has one Rational as both sides, and only a
@@ -163,20 +165,24 @@ class _Cf:
 
 
 # The record each IdentityId member is declared as. A continued-fraction
-# entry has a _Cf left side and, as its right side, the pair of forms
-# (numerator, denominator); a lemma has one form on each side. A form is a
+# entry has a _Cf left side and, as its right side, one form N, the stated
+# ratio being N(m)/N(m - 1); a lemma has one form on each side. A form is a
 # tuple of terms (see _t), summed. The domain: k's lower bound k_min
 # (None: every k), and m_step, the entry being stated only for multiples
 # of it.
 class _Entry(NamedTuple):
     lhs: _Cf | tuple[tuple, ...]
-    rhs: tuple[tuple[tuple, ...], tuple[tuple, ...]] | tuple[tuple, ...]
+    rhs: tuple[tuple, ...]
     k_min: int | None = None
     m_step: int = 1
 
 
 class IdentityId(Enum):
-    """One catalog entry; the member carries its record's four fields as attributes, and takes_k."""
+    """One catalog entry; the member carries its record's four fields as attributes, takes_k and forms.
+
+    forms is the entry's two linear forms: a continued fraction's stated
+    numerator and denominator (rhs, and rhs one m back), or a lemma's (lhs, rhs).
+    """
 
     def __new__(cls, *fields):
         # Enum passes the fields of a tuple value as arguments. The values
@@ -184,56 +190,35 @@ class IdentityId(Enum):
         member = object.__new__(cls)
         member._value_ = len(cls.__members__) + 1
         member.lhs, member.rhs, member.k_min, member.m_step = fields
-        lins = [] if member.is_lemma else [member.lhs.base, member.lhs.tail]
+        if member.is_lemma:
+            member.forms, lins = (member.lhs, member.rhs), []
+        else:
+            # [c; x] = c + 1/x, so a convergent's denominator is the numerator
+            # of the fraction one term shorter: N(m - 1), each index a*m + b
+            # read at b - a. It is m - 1, the continued-fraction relation, and
+            # not m - m_step: every continued-fraction entry has m_step 1.
+            member.forms = member.rhs, tuple((coef, x, a, b - a, p) for coef, x, a, b, p in member.rhs)
+            lins = [member.lhs.base, member.lhs.tail]
         lins += [lin for form in member.forms for coef, *_, p in form for lin in (coef, p)]
         member.takes_k = any(lin is not None and lin.c1 for lin in lins)  # k appears in the record
         return member
 
-    ID117 = _Entry(_Cf(4, tail=3), ((_t(1, "fib_comb", 3, 3),), (_t(1, "fib_comb", 3, 0),)))
-    ID118 = _Entry(_Cf(4, tail=5), ((_t(1, "fib_comb", 3, 4),), (_t(1, "fib_comb", 3, 1),)))
-    ID_LUCAS7 = _Entry(_Cf(4, tail=7), ((_t(1, "lucas", 3, 4),), (_t(1, "lucas", 3, 1),)))
-    THM1_GIBONACCI = _Entry(
-        _Cf(4, tail=_Lin(3, 2)),
-        ((_t(1, "gibonacci", 3, 4, p=_K),), (_t(1, "gibonacci", 3, 1, p=_K),)),
-    )
-    THM2_FIB_FORM = _Entry(
-        _Cf(4, tail=_Lin(3, 2)),
-        (
-            (_t(1, "fib", 3, 4), _t(_K, "fib", 3, 3)),
-            (_t(1, "fib", 3, 1), _t(_K, "fib", 3, 0)),
-        ),
-    )
-    THM3_ONES = _Entry(
-        _Cf(1, tail=_K),
-        (
-            (_t(1, "fib", 1, 2), _t(_Lin(-1, 1), "fib", 1, 1)),
-            (_t(1, "fib", 1, 1), _t(_Lin(-1, 1), "fib", 1, 0)),
-        ),
-    )
-    THM4_ELEVEN3 = _Entry(_Cf(11, tail=3), ((_t(1, "fib", 5, 4),), (_t(1, "fib", 5, -1),)))
-    THM5_SWAPPED_LUCAS = _Entry(
-        _Cf(11, extra=1),
-        (
-            (_t(1, "lucas_swapped", 5, 5), _t(-1, "lucas_swapped", 5, -5)),
-            (_t(1, "lucas_swapped", 5, 0), _t(-1, "lucas_swapped", 5, -10)),
-        ),
-    )
-    THM6_ELEVEN_FIB = _Entry(_Cf(11, extra=1), ((_t(1, "fib", 5, 10),), (_t(1, "fib", 5, 5),)))
-    THM7_FOURS = _Entry(
-        _Cf(4, extra=1),
-        ((_t(1, "scaled_fib", 1, 2, p=3),), (_t(1, "scaled_fib", 1, 1, p=3),)),
-    )
-    THM8_TWENTYNINES = _Entry(
-        _Cf(29, extra=1),
-        ((_t(1, "scaled_fib", 1, 2, p=7),), (_t(1, "scaled_fib", 1, 1, p=7),)),
-    )
+    ID117 = _Entry(_Cf(4, tail=3), (_t(1, "fib_comb", 3, 3),))
+    ID118 = _Entry(_Cf(4, tail=5), (_t(1, "fib_comb", 3, 4),))
+    ID_LUCAS7 = _Entry(_Cf(4, tail=7), (_t(1, "lucas", 3, 4),))
+    THM1_GIBONACCI = _Entry(_Cf(4, tail=_Lin(3, 2)), (_t(1, "gibonacci", 3, 4, p=_K),))
+    THM2_FIB_FORM = _Entry(_Cf(4, tail=_Lin(3, 2)), (_t(1, "fib", 3, 4), _t(_K, "fib", 3, 3)))
+    THM3_ONES = _Entry(_Cf(1, tail=_K), (_t(1, "fib", 1, 2), _t(_Lin(-1, 1), "fib", 1, 1)))
+    THM4_ELEVEN3 = _Entry(_Cf(11, tail=3), (_t(1, "fib", 5, 4),))
+    THM5_SWAPPED_LUCAS = _Entry(_Cf(11, extra=1), (_t(1, "lucas_swapped", 5, 5), _t(-1, "lucas_swapped", 5, -5)))
+    THM6_ELEVEN_FIB = _Entry(_Cf(11, extra=1), (_t(1, "fib", 5, 10),))
+    THM7_FOURS = _Entry(_Cf(4, extra=1), (_t(1, "scaled_fib", 1, 2, p=3),))
+    THM8_TWENTYNINES = _Entry(_Cf(29, extra=1), (_t(1, "scaled_fib", 1, 2, p=7),))
     COR_GENERAL_LUCAS = _Entry(
-        _Cf(_Lin(1, 2, of="lucas"), extra=1),
-        ((_t(1, "scaled_fib", 1, 2, p=_Lin(1, 2)),), (_t(1, "scaled_fib", 1, 1, p=_Lin(1, 2)),)),
-        k_min=0,
+        _Cf(_Lin(1, 2, of="lucas"), extra=1), (_t(1, "scaled_fib", 1, 2, p=_Lin(1, 2)),), k_min=0
     )
-    EXT_ELEVEN8 = _Entry(_Cf(11, tail=8), ((_t(1, "fib", 5, 6),), (_t(1, "fib", 5, 1),)))
-    EXT_ELEVEN13 = _Entry(_Cf(11, tail=13), ((_t(1, "fib", 5, 7),), (_t(1, "fib", 5, 2),)))
+    EXT_ELEVEN8 = _Entry(_Cf(11, tail=8), (_t(1, "fib", 5, 6),))
+    EXT_ELEVEN13 = _Entry(_Cf(11, tail=13), (_t(1, "fib", 5, 7),))
     LEM_3F = _Entry((_t(3, "fib", 1, 0),), (_t(1, "fib", 1, 2), _t(1, "fib", 1, -2)))
     LEM_4F = _Entry(
         (_t(4, "fib", 1, 0),),
@@ -252,11 +237,6 @@ class IdentityId(Enum):
     @property
     def is_lemma(self) -> bool:
         return not isinstance(self.lhs, _Cf)
-
-    @property
-    def forms(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
-        """The entry's two linear forms: (numerator, denominator), or a lemma's (lhs, rhs)."""
-        return (self.lhs, self.rhs) if self.is_lemma else self.rhs
 
 
 class Status(Enum):
@@ -319,12 +299,9 @@ def _verdict(p: int, q: int, num: int, den: int) -> Status:
         return _FAIL
     # p/q is reduced with q > 0, so num/den equals it iff (num, den) is an
     # integer multiple g*(p, q). Most stated ratios are the left side's own
-    # terms, g = 1 or -1, which need no division (and -q is made only for a
-    # negative den).
+    # terms, g = 1, which need no division.
     if den == q:
         return _PASS if num == p else _FAIL
-    if den < 0 and den == -q:
-        return _PASS if num == -p else _FAIL
     g, rem = divmod(den, q)
     return _PASS if rem == 0 and num == g * p else _FAIL
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cfkit import identities
+from cfkit import identities, sequences
 from cfkit.cli import run
 from cfkit.identities import IdentityId
 
@@ -51,6 +51,37 @@ def test_docstring_catalog_matches_the_code():
     assert set(cf) == CF_ENTRIES
     assert set(lemmas) == LEMMAS
     assert {name for name, rest in cf.items() if _MENTIONS_K.search(rest)} == TAKES_K
+
+
+# The docstring catalog's names, as Python: G_k(n) is G(k)(n), S_t(n) is S(t)(n).
+_NAMES = {
+    "F": sequences.fib,
+    "f": sequences.fib_comb,
+    "L": sequences.lucas,
+    "l": sequences.lucas_swapped,
+    "G": lambda k: lambda n: sequences.gibonacci(k, n),
+    "S": lambda t: lambda n: sequences.scaled_fib(t, n),
+}
+
+
+def _as_python(form):
+    """A catalog form, such as F(3m+4) + k*F(3m+3), G_k(3m+1) or S_{2k+1}(m+2), as a Python expression."""
+    form = re.sub(r"([GS])_\{?([\w+]+)\}?", r"\1(\2)", form)
+    return re.sub(r"(\d)([mk])", r"\1*\2", form)
+
+
+@pytest.mark.parametrize("name", sorted(CF_ENTRIES))
+def test_each_stated_ratio_is_the_record(name):
+    # The row's numerator and denominator, read as Python, are the entry's
+    # two forms: its one form N, and N one m back.
+    ident = IdentityId[name]
+    stated = re.split(r"\s{2,}", _docstring_tables()[0][name])[1]
+    sides = [_as_python(side) for side in stated.split(" / ")]
+    ks = [k for k in (-3, 0, 2) if ident.k_min is None or k >= ident.k_min] if ident.takes_k else [None]
+    for m in range(12):
+        for k in ks:
+            values = [eval(side, {**_NAMES, "m": m, "k": k}) for side in sides]
+            assert values == [identities._form_value(form, m, k) for form in ident.forms], (m, k)
 
 
 def test_docstring_states_each_domain():

@@ -9,8 +9,10 @@ same windows its lines must equal those rendered from sweep()'s records.
 """
 
 import contextlib
+import gc
 import io
 import re
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -199,3 +201,28 @@ def test_a_state_ends_with_its_m_range(ident):
     k = 2 if ident.takes_k else None
     ms = range(0, 201 * ident.m_step, ident.m_step)
     assert len(list(_engine._state(ident, k, ms))) == 201
+
+
+class _Tracked(list):
+    """A list a weak reference can follow."""
+
+
+@pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.name)
+def test_a_state_keeps_none_of_its_setup(ident, monkeypatch):
+    # A state holds its walks, their windows and the forms' sums. The term
+    # lists it groups into streams are dropped once it is made: with one
+    # state per k (COR_GENERAL_LUCAS), kept ones would be memory per k.
+    made, terms = [], _engine._terms
+
+    def tracked(form):
+        kept = _Tracked(terms(form))
+        made.append(weakref.ref(kept))
+        return kept
+
+    monkeypatch.setattr(_engine, "_terms", tracked)
+    k = 2 if ident.takes_k else None
+    state = _engine._state(ident, k, range(0, 12 * ident.m_step, ident.m_step))
+    next(state)
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
+    assert len(list(state)) == 11
