@@ -11,18 +11,22 @@ one lead value at one stride, whole strides apart, read one
 `sequences.walk`; a continued fraction's two forms are one side, a
 lemma's are two, and the left side shares nothing with them. A form
 is P(m) + k*Q(m), where Q is 0 unless a coefficient has a k part. A
-sequence whose parameter enters linearly is read as the F terms it sums
-(_IN_F), so THM1_GIBONACCI's G_k is a P + k*Q form like THM2_FIB_FORM's.
-Only where k changes the base or a sequence (COR_GENERAL_LUCAS) is there
-one state per k, so its memory grows with the k range.
+gibonacci term G_p(n) is read as the two F terms F(n) + p*F(n - 1)
+(_terms()), so THM1_GIBONACCI's G_k is a P + k*Q form like
+THM2_FIB_FORM's. Only where k changes the base or a sequence
+(COR_GENERAL_LUCAS) is there one state per k, so its memory grows with
+the k range.
 
 The cases come out in batches of one m and at most _BATCH consecutive k.
 Each of p, q, num and den is c + k*d along a batch, a column made by one
-running addition; where num's (c, d) is p's, or den's is q's, the ratio
-column is the left column itself. A batch whose ratio columns equal its
-left columns (every batch of k in the catalog) is decided whole by
-_own_ratio_verdicts(); any other goes to identities._verdict() case by
-case. sweep_records() builds the records a sweep writes or yields, and
+running addition. Where num's (c, d) is p's and den's is q's, the stated
+ratio and the left side are the same linear forms in k, so they are equal
+at every k (the degree-1 case of a C-finite identity): the batch is
+decided by comparing those pairs, each case passing except where q = 0,
+whose two sides are both undefined (SKIPPED), as identities._verdict()
+decides it. Every batch of k in the catalog is such a batch; any other
+goes to identities._verdict() case by case. sweep_records() builds the
+records a sweep writes or yields, and
 carries a failing right side's gcd from case to case. A batch's size is
 fixed, so the memory a sweep holds grows neither with its m range nor,
 with one state, with its k range. Its callers import this module on
@@ -36,7 +40,7 @@ from math import gcd
 from operator import itemgetter, mul
 
 from . import _products, identities, sequences
-from .identities import _PASS, _SKIPPED, IdentityId, Status, _Lin
+from .identities import _PASS, _SKIPPED, IdentityId, _Lin
 from .rational import Rational
 
 # The most consecutive k one batch holds: enough that a case costs a step
@@ -44,29 +48,26 @@ from .rational import Rational
 # sweep's memory does not grow with its k range, as whole rows of k would.
 _BATCH = 64
 
-# A sequence whose parameter p enters linearly, as the F terms it sums:
-# X(p, n) = sum of p**e * F(n + s) over its (e, s), wherever X is defined.
-# G is defined for n >= 0 only, and every G index a*m + b of the catalog
-# is at least 1.
-_IN_F = {"gibonacci": ((0, 0), (1, -1))}  # G_p(n) = F(n) + p*F(n - 1)
-
-
 def _terms(form: tuple[tuple, ...]) -> list[tuple]:
-    """The form's terms, each X of _IN_F written as its F terms where coef(k) * p(k) stays linear in k."""
+    """The form's terms, each G_p(n) written as F(n) + p*F(n - 1) where coef(k) * p(k) stays linear in k.
+
+    G is defined for n >= 0 only, and every G index a*m + b of the catalog
+    is at least 1, so the two F terms equal it wherever it is read.
+    """
     terms = []
     for coef, x, a, b, p in form:
-        if x not in _IN_F or (coef.c1 and p.c1):
+        if x == "gibonacci" and not (coef.c1 and p.c1):
+            coef_p = _Lin(coef.c0 * p.c0, coef.c0 * p.c1 + coef.c1 * p.c0)  # coef(k) * p(k)
+            terms += (coef, "fib", a, b, None), (coef_p, "fib", a, b - 1, None)
+        else:
             terms.append((coef, x, a, b, p))
-            continue
-        for e, s in _IN_F[x]:
-            c = _Lin(coef.c0 * p.c0, coef.c0 * p.c1 + coef.c1 * p.c0) if e else coef
-            terms.append((c, "fib", a, b + s, None))
     return terms
 
 
-def _left(left: "identities._Cf", k: int | None, m: int, m_step: int) -> Iterator[tuple]:
-    """The left side's p and q at m, m + m_step, ..., each a pair (c, d) for c + k*d.
+def _left(left: "identities._Cf", k: int | None, m: int) -> Iterator[tuple]:
+    """The left side's p and q at m, m + 1, ..., each a pair (c, d) for c + k*d.
 
+    It steps one term per m: every continued-fraction entry has m_step 1.
     The prefix [c]^(m+e) is (p, p', q, q'). Each term c is appended by the
     recurrence (c*p + p', p, c*q + q', q). A power of [[c, 1], [1, 0]] is
     symmetric, p' = q, so that step is (c*p + q, p, p, q): one product.
@@ -80,8 +81,7 @@ def _left(left: "identities._Cf", k: int | None, m: int, m_step: int) -> Iterato
             yield (p, 0), (q, 0)
         else:
             yield (tail.c0 * p + q, tail.c1 * p), (tail.c0 * q + q_prev, tail.c1 * q)
-        for _ in range(m_step):
-            p, q, q_prev = c * p + q, p, q
+        p, q, q_prev = c * p + q, p, q
 
 
 def _linear(coefs: list[int], lo: int):
@@ -135,7 +135,7 @@ def _state(ident: IdentityId, k: int | None, ms: range, number=int) -> Iterator[
         first, second = (p(xs), pk(xs) if pk else 0), (q(xs), qk(xs) if qk else 0)
         return (first, (1, 0), second, (1, 0)) if pq is None else (*pq, first, second)
 
-    left = repeat(None) if ident.is_lemma else _left(ident.lhs, k, m, m_step)
+    left = repeat(None) if ident.is_lemma else _left(ident.lhs, k, m)
     # The left side and the walks go on forever; the state ends with ms.
     return islice(map(case, left, zip(*feeds, *readers)), len(ms))
 
@@ -149,7 +149,7 @@ def _state_depends_on_k(ident: IdentityId) -> bool:
 
 def _column(c: int, d: int, k0: int, n: int) -> list[int]:
     """c + k*d for the n consecutive k from k0: each value is the one before plus d."""
-    return list(accumulate(repeat(d, n - 1), initial=c + k0 * d)) if d else [c] * n
+    return list(accumulate(repeat(d, n - 1), initial=c + k0 * d))
 
 
 def sweep_cases(
@@ -170,28 +170,11 @@ def sweep_cases(
     return _batches(ident, *identities._case_grid(ident, m_range, k_range), number)
 
 
-def _own_ratio_verdicts(ps: list[int], qs: list[int], nums: list[int], dens: list[int]) -> list[Status] | None:
-    """Each case's _verdict() at once for a batch whose ratio columns equal its left columns; None for any other batch.
-
-    The columns are taken before a negative q is flipped with its p. Where
-    nums == ps and dens == qs, each case is p/q against g*(p, q) with g = 1,
-    or g = -1 once q < 0 is flipped to q > 0: it passes, except where q = 0,
-    whose two sides are both undefined (SKIPPED). That is what _verdict()
-    returns for each case; a batch this does not decide goes to _verdict()
-    case by case. Every case's own values are compared.
-    """
-    if nums != ps or dens != qs:
-        return None
-    if 0 in qs:
-        return [_PASS if q else _SKIPPED for q in qs]
-    return [_PASS] * len(qs)
-
-
 def _batches(ident: IdentityId, ms: range, ks: range | tuple[None], number) -> Iterator[tuple]:
     """sweep_cases()'s batches over the checked grid ms x ks."""
     # identities._verdict, the one comparison run_case() decides every case
-    # with, and the column rule, looked up when the sweep starts.
-    verdict, own_ratio = identities._verdict, _own_ratio_verdicts
+    # with, looked up when the sweep starts.
+    verdict = identities._verdict
     # One state for the grid, or one per k where k changes more than the
     # tail and the coefficients.
     per_k = _state_depends_on_k(ident)
@@ -215,13 +198,17 @@ def _batches(ident: IdentityId, ms: range, ks: range | tuple[None], number) -> I
                     pc, qc = -pc, -qc
                 yield m, kb, [verdict(pc, qc, nc, dc)], [pc], [qc], [nc], [dc]
                 continue
-            # A ratio column with its left column's pair is that column, so
-            # the column rule's comparison finds each case equal by identity.
+            # A ratio column with its left column's pair is that column. Where
+            # both are, the ratio is the left side's own forms, equal at every
+            # k: g = 1 in _verdict(), or g = -1 once a negative q is flipped
+            # with its p, and both sides undefined where q = 0. same_forms is
+            # read before the flip, which makes new left columns.
             k0 = kb[0]
             ps, qs = _column(*p, k0, n), _column(*q, k0, n)
             nums = ps if num == p else _column(*num, k0, n)
             dens = qs if den == q else _column(*den, k0, n)
-            statuses = own_ratio(ps, qs, nums, dens)
+            same_forms = nums is ps and dens is qs
+            statuses = ([_PASS] * n if all(qs) else [_PASS if y else _SKIPPED for y in qs]) if same_forms else None
             if qs[0] < 0 or qs[-1] < 0:  # q is linear in k: a negative q in kb puts one at an end
                 ps = [-x if y < 0 else x for x, y in zip(ps, qs)]
                 qs = list(map(abs, qs))

@@ -48,9 +48,11 @@ side p/q, reduced because its final matrix has determinant +-1 (q >= 0;
 q = 0: undefined), against the ratio num/den; a lemma lhs = rhs is lhs/1
 against rhs/1. A case passes exactly when (num, den) = g*(p, q) for an
 integer g, so one comparison decides it where den = q (g = 1, most cases)
-and one exact division otherwise. The engine decides some batches
-of consecutive k whole, by a column rule of its own that gives what
-_verdict() gives each case (see `_engine`). _record() builds a decided
+and one exact division otherwise. The engine decides a batch of
+consecutive k whole where its stated ratio is its left side's own linear
+forms in k: they are equal at every k, so each case passes, or is SKIPPED
+where q = 0, as _verdict() decides it; any other batch goes to _verdict()
+case by case (see `_engine`). _record() builds a decided
 case's CheckOutcome: a pass has one Rational as both sides, and only a
 failing right side is reduced by gcd. A sweep builds its records with
 _engine.sweep_records(), which carries that gcd from one failing case to

@@ -114,6 +114,10 @@ GOLDEN = [
     ('sweep THM3_ONES --m 0..3 --k -100..100 --json', 0, '43bf7b9d1029e51b6f39575bc5ba5125b1419b5dc884eaceb608e8fa9a08725b'),
     ('sweep THM5_SWAPPED_LUCAS --m 2..120', 1, 'd7602618a2d325c74c8a7f32bf2a7d273608fcd5d147bd2458fb846fcc082cf5'),
     ('sweep THM7_FOURS --m 0..300 --json', 0, 'a98ea8a87ff054c32b1f5c11f8727bd22816f8a330a93eeb015e32503f3a14da'),
+    # batches of k decided by their linear forms: 64 k, then one k with a
+    # nonzero k part; SKIPPED cases inside such batches
+    ('sweep THM2_FIB_FORM --m 0..100 --k -32..32 --json', 0, '429c8aeaf686cb1bec5212cc185db7129de4a8ac3084aaa0a5f7f6ad44e5297b'),
+    ('sweep THM3_ONES --m 0..40 --k -64..64 --json', 0, 'a25b83ee907ce348c2e3974737761fa68b3b842ebe49461a725aba31e0b684fd'),
     # lemma sweeps, which step in Decimal: failing lines of over 600 digits,
     # and passing --json lines
     ('sweep LEM_BRIDGE --m 0..3000', 1, 'a91e2e674b0f4d234195662fb4abca53fa43d3176018e8077a86f2ae3645ddb3'),

@@ -300,6 +300,13 @@ def test_every_record_is_plain_data():
         assert all(lin is None or lin.of is None for lin in others), ident.name
 
 
+def test_every_continued_fraction_entry_steps_m_by_one():
+    # forms reads a convergent's denominator at m - 1, the numerator one term
+    # back, and the engine's _left() appends one term per m: both hold only
+    # where the entry is stated at every m.
+    assert [ident.name for ident in IdentityId if not ident.is_lemma and ident.m_step != 1] == []
+
+
 def test_takes_k_is_worked_out_from_the_record():
     takes_k = {ident for ident in IdentityId if ident.takes_k}
     assert takes_k == {I.THM1_GIBONACCI, I.THM2_FIB_FORM, I.THM3_ONES, I.COR_GENERAL_LUCAS}

@@ -7,7 +7,7 @@ class, in the same order of checks, whichever path reaches it.
 
 import pytest
 
-from cfkit import _engine, identities
+from cfkit import identities
 from cfkit.identities import CaseParams, IdentityId
 
 I = IdentityId
@@ -190,19 +190,19 @@ def test_one_validation_per_case(validate_calls, call):
 
 
 @pytest.mark.parametrize(
-    "ident, m_range, k_range, cases",
+    "ident, m_range, k_range, verdicts",
     [
-        (I.THM2_FIB_FORM, (0, 4), (-2, 2), 25),
+        (I.THM2_FIB_FORM, (0, 4), (-2, 2), 0),  # every batch of k decided by its linear forms
         (I.THM6_ELEVEN_FIB, (0, 9), None, 10),
         (I.LEM_BRIDGE, (0, 30), None, 7),
     ],
 )
-def test_sweep_checks_the_grid_before_any_case(monkeypatch, ident, m_range, k_range, cases):
+def test_sweep_checks_the_grid_before_any_case(monkeypatch, ident, m_range, k_range, verdicts):
     # A sweep checks its grid as a whole, once, instead of validating each
-    # case: every case decision must come after that check, each case is
-    # decided once, by _verdict() or as one of a batch
-    # _engine._own_ratio_verdicts() decides whole, and every case yielded
-    # lies in the entry's domain.
+    # case: every case decision must come after that check, each case
+    # without k is decided once by _verdict(), a batch of k whose ratio is
+    # its left side's linear forms needs no _verdict() call, and every case
+    # yielded lies in the entry's domain.
     events = []
 
     def recorded(name, real):
@@ -214,19 +214,11 @@ def test_sweep_checks_the_grid_before_any_case(monkeypatch, ident, m_range, k_ra
 
     recorded("grid", identities._case_grid)
     recorded("case", identities._verdict)
-    whole = _engine._own_ratio_verdicts
-
-    def batch(*columns):
-        statuses = whole(*columns)
-        events.extend(["case"] * (0 if statuses is None else len(statuses)))
-        return statuses
-
-    monkeypatch.setattr(_engine, "_own_ratio_verdicts", batch)
 
     stream = identities.sweep(ident, m_range, k_range)
     assert events == ["grid"]  # checked on the call, before any case exists
     got = list(stream)
-    assert events == ["grid"] + ["case"] * cases
+    assert events == ["grid"] + ["case"] * verdicts
 
     for params, _ in got:
         identities._case(ident, params)  # raises for a case outside the domain

@@ -5,8 +5,9 @@ checked, so its memory must not grow with the grid, and a sweep cut short
 still shows every case checked before the cut. The stepped engine carries
 kernel results from one m to the next instead of recomputing them, and a
 passing case's right side is decided without gcd, by a comparison where
-it is +-(p, q) and by one exact division otherwise; a batch whose ratio
-columns are its left columns is decided whole, by its columns. A failing
+it is +-(p, q) and by one exact division otherwise; a batch of k whose
+ratio is its left side's own linear forms is decided by those forms, and
+any other batch case by case. A failing
 right side reuses the previous case's gcd where one Euclid step proves it,
 and a lemma sweep steps in Decimal.
 Each shortcut is checked here against a route that does not take it.
@@ -23,6 +24,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -526,59 +528,33 @@ def test_verdict_agrees_with_fraction(case):
     assert identities._verdict(p, q, num, den) is expected
 
 
-@st.composite
-def _verdict_columns(draw):
-    """A batch's columns (ps, qs, nums, dens) as the engine makes them, before a negative q is flipped with its p.
-
-    Each left side is one of _verdict_cases(), its sign flipped or not, so q
-    may be negative or 0. The ratio columns are the left columns themselves
-    (one list, as the engine shares it), equal copies, the left columns with
-    one case changed, or _verdict_cases()' own ratios (g*(p, q) for any g, or
-    anything).
-    """
-    cases = draw(st.lists(_verdict_cases(), min_size=1, max_size=6))
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(cases), max_size=len(cases)))
-    ps = [s * p for s, (p, *_) in zip(signs, cases)]
-    qs = [s * q for s, (_, q, *_) in zip(signs, cases)]
-    kind = draw(st.sampled_from(("same", "copy", "one changed", "own ratios")))
-    if kind == "same":
-        return ps, qs, ps, qs
-    if kind == "own ratios":
-        return ps, qs, [num for *_, num, _ in cases], [den for *_, den in cases]
-    nums, dens = list(ps), list(qs)
-    if kind == "one changed":
-        i = draw(st.integers(0, len(cases) - 1))
-        column = draw(st.sampled_from((nums, dens)))
-        column[i] = draw(_side_or_zero.filter(lambda x: x != column[i]))
-    return ps, qs, nums, dens
+def _stand_in(forms):
+    """An entry with THM2_FIB_FORM's record but the given forms, read as the engine and run_case() read a member."""
+    thm2 = I.THM2_FIB_FORM
+    fields = ("name", "lhs", "rhs", "k_min", "m_step", "is_lemma", "takes_k")
+    return SimpleNamespace(**{field: getattr(thm2, field) for field in fields}, forms=forms)
 
 
-@given(_verdict_columns())
-@example(([5, -5, 1], [7, -7, 0], [5, -5, 1], [7, -7, 0]))  # q > 0, q < 0 and q = 0 in one batch
-@example(([1, 2], [0, 0], [1, 2], [0, 0]))  # every q = 0: both sides undefined
-@example(([5, -5], [7, -7], [10, -10], [14, -14]))  # g = 2 is not decided whole
-@example(([5, -5], [7, -7], [5, -6], [7, -7]))  # num != p at one case
-@example(([5, 1], [7, 0], [5, 1], [7, 3]))  # den != q where q = 0: a left side undefined alone
-def test_a_batch_decided_whole_agrees_with_verdict(columns):
-    # The column rule decides a batch whole exactly when its ratio columns,
-    # taken before the flip, equal its left columns, and then as _verdict()
-    # decides each case once q >= 0.
-    ps, qs, nums, dens = columns
-    whole = _engine._own_ratio_verdicts(ps, qs, nums, dens)
-    assert (whole is not None) == (nums == ps and dens == qs)
-    flipped = [(-p, -q) if q < 0 else (p, q) for p, q in zip(ps, qs)]
-    per_case = [identities._verdict(p, q, num, den) for (p, q), num, den in zip(flipped, nums, dens)]
-    if whole is not None:
-        assert whole == per_case
+_THM2_FORMS = I.THM2_FIB_FORM.forms
+# Every coefficient doubled: the ratio is 2*(p, q), g = 2, so every case passes.
+_DOUBLED = _stand_in(tuple(tuple((identities._Lin(2 * c.c0, 2 * c.c1), *rest) for c, *rest in f) for f in _THM2_FORMS))
+# The numerator reads F(3m + 5) for F(3m + 4): every case fails.
+_SHIFTED = _stand_in(((identities._t(1, "fib", 3, 5), _THM2_FORMS[0][1]), _THM2_FORMS[1]))
 
 
-@pytest.mark.parametrize("ident, k_range", [(I.THM2_FIB_FORM, (-70, 70)), (I.THM3_ONES, (-100, 100))])
-def test_a_batch_the_column_rule_leaves_goes_case_by_case(monkeypatch, ident, k_range):
-    # Every batch of k in the catalog is decided whole; the engine's
-    # _verdict() route must give the same cases when none is.
-    whole = list(identities.sweep(ident, (0, 6), k_range))
-    monkeypatch.setattr(_engine, "_own_ratio_verdicts", lambda *columns: None)
-    assert list(identities.sweep(ident, (0, 6), k_range)) == whole
+@pytest.mark.parametrize("stand_in, status", [(_DOUBLED, Status.PASS), (_SHIFTED, Status.FAIL)], ids=["g2", "F3m5"])
+def test_a_batch_whose_forms_differ_goes_case_by_case(monkeypatch, stand_in, status):
+    # Every batch of k in the catalog states its left side's own linear
+    # forms and is decided by them. A ratio whose forms differ goes through
+    # the engine's _verdict() fallback, one call per case, and must give
+    # run_case()'s outcome on each.
+    calls, verdict = [], identities._verdict
+    monkeypatch.setattr(identities, "_verdict", lambda *case: calls.append(case) or verdict(*case))
+    got = list(identities.sweep(stand_in, (0, 6), (-70, 70)))
+    assert len(calls) == 7 * 141
+    assert [params for params, _ in got] == [CaseParams(m, k) for m in range(7) for k in range(-70, 71)]
+    assert {outcome.status for _, outcome in got} == {status}
+    assert got == [(params, identities.run_case(stand_in, params)) for params, _ in got]
 
 
 # --- the import path ---------------------------------------------------------
